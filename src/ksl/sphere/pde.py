@@ -12,6 +12,7 @@ lambda * Vol^((q-1)/(q+1))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -34,21 +35,20 @@ def _power_avg(u: SphereField, p: float, vals_over: np.ndarray | None = None) ->
     return u.grid.average(np.abs(vals) ** p, u.grid.over)
 
 
+def _check_parameters(lam: float, q: float) -> None:
+    if not (np.isfinite(lam) and lam > 0):
+        raise DomainError(f"spectral parameter must be positive and finite, got {lam}")
+    if not np.isfinite(q):
+        raise DomainError(f"exponent must be finite, got q = {q}")
+
+
 def quotient(u: SphereField, lam: float, q: float) -> float:
     """(int |del u|^2 + lambda int u^2) / (int |u|^{q+1})^{2/(q+1)}."""
-    if lam <= 0:
-        raise DomainError(f"spectral parameter must be positive, got {lam}")
+    _check_parameters(lam, q)
     vals = _require_positive(u, "quotient")
     num = 0.5 * AREA * grad_energy(u) + lam * AREA * avg_square(u)
     den = (AREA * _power_avg(u, q + 1.0, vals)) ** (2.0 / (q + 1.0))
     return num / den
-
-
-def _projected_power(u: SphereField, p: float) -> np.ndarray:
-    """Coefficients of u^p, evaluated on the oversampled grid and truncated."""
-    grid = u.grid
-    vals = u.values_over()
-    return grid.analysis(vals**p, grid.over)
 
 
 def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
@@ -57,8 +57,7 @@ def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
     The pairing of this field against a direction (as a raw sphere integral)
     equals the derivative of quotient along that direction.
     """
-    if lam <= 0:
-        raise DomainError(f"spectral parameter must be positive, got {lam}")
+    _check_parameters(lam, q)
     grid = u.grid
     vals = _require_positive(u, "quotient_gradient")
     int_pow = AREA * _power_avg(u, q + 1.0, vals)
@@ -70,6 +69,14 @@ def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
     return SphereField.from_coeffs(grid, (2.0 / den) * resid)
 
 
+class NewtonStep(NamedTuple):
+    """One accepted Newton step: the residual it started from and its cost."""
+
+    residual_norm: float
+    inner_iterations: int
+    scale: float
+
+
 @dataclass(frozen=True)
 class SolveReport:
     converged: bool
@@ -79,13 +86,23 @@ class SolveReport:
     constant_value: float | None
     message: str
     field: SphereField | None
+    trace: tuple[NewtonStep, ...] = ()
 
 
-def _residual_coeffs(grid: QuadratureGrid, coeffs: np.ndarray, lam: float, q: float) -> np.ndarray:
-    vals = grid.synthesis(coeffs, grid.over)
-    return coeffs * (grid.minus_box_eigs[None, :, None] + lam) - grid.analysis(
-        vals**q, grid.over
-    )
+def _residual_coeffs(
+    grid: QuadratureGrid, coeffs: np.ndarray, vals_over: np.ndarray, diag: np.ndarray, q: float
+) -> np.ndarray:
+    """Coefficients of (-box + lambda) u - u^q; diag holds -box + lambda per degree."""
+    return coeffs * diag - grid.analysis(vals_over**q, grid.over)
+
+
+# Eisenstat-Walker choice 2 forcing terms (SISC 17 (1996) 16)
+_EW_GAMMA = 0.9
+_EW_ALPHA = 2.0
+_EW_ETA_MAX = 0.5
+# Armijo constant of the residual-decrease test
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
 
 
 def newton_solve(
@@ -95,72 +112,111 @@ def newton_solve(
     tol: float = 1e-10,
     max_iters: int = 40,
 ) -> SolveReport:
-    """Newton iteration on -box u + lambda u - u^q in harmonic space.
+    """Inexact Newton iteration on -box u + lambda u - u^q in harmonic space.
 
     The Jacobian action w -> (-box + lambda) w - q u^{q-1} w is applied
-    spectrally (the multiplication runs through the oversampled grid) and
-    each linear step is solved iteratively to relative residual 1e-10.
-    Steps that lose positivity are halved, at most 30 times; running out of
-    halvings or iterations yields a non-converged report, not an exception.
+    spectrally (the multiplication runs through the oversampled grid). Each
+    linear step is solved by GMRES preconditioned with (-box + lambda)^{-1},
+    which is diagonal in harmonic space, so the inner iteration count does
+    not grow with L. Each step is solved only to the Eisenstat-Walker
+    (choice 2) relative residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where
+    |F| is the coefficient 2-norm of the residual; eta_0 = 0.5, and eta_k
+    is kept at least 0.9 eta_{k-1}^2 while that exceeds 0.1, at least
+    0.5 tol / |F_k|, and at most 0.5. A step is accepted at scale s when
+    the field stays positive and |F| drops by the factor 1 - 1e-4 s;
+    otherwise s is halved, at most 30 times. Iteration stops when the sup of
+    the residual on the grid falls below tol. Running out of halvings or
+    iterations, or a GMRES failure, yields a non-converged report, not an
+    exception. The report's trace holds one NewtonStep per accepted step.
     """
-    if lam <= 0:
-        raise DomainError(f"spectral parameter must be positive, got {lam}")
-    if q <= 1:
+    _check_parameters(lam, q)
+    if not q > 1:
         raise DomainError(f"exponent must exceed 1, got q = {q}")
     grid = u0.grid
     _require_positive(u0, "newton_solve")
 
     shape = grid.coeff_shape()
     size = int(np.prod(shape))
+    diag = grid.minus_box_eigs[None, :, None] + lam
+    precond = LinearOperator((size, size), matvec=lambda r: (r.reshape(shape) / diag).ravel())
     coeffs = u0.coeffs.copy()
+    vals = grid.synthesis(coeffs, grid.over)
+    res = _residual_coeffs(grid, coeffs, vals, diag, q)
+    rnorm = float(np.linalg.norm(res))
+    trace: list[NewtonStep] = []
 
-    def finish(converged: bool, iters: int, rsup: float, message: str) -> SolveReport:
+    def finish(converged: bool, rsup: float, message: str) -> SolveReport:
         u = SphereField.from_coeffs(grid, coeffs)
         avg = u.mean()
         is_const = float(np.max(np.abs(u.values - avg))) < 10.0 * tol
         return SolveReport(
             converged=converged,
-            iterations=iters,
+            iterations=len(trace),
             residual_sup=rsup,
             is_constant=is_const,
             constant_value=avg if is_const else None,
             message=message,
             field=u,
+            trace=tuple(trace),
         )
 
+    eta = _EW_ETA_MAX
     for it in range(max_iters + 1):
-        res = _residual_coeffs(grid, coeffs, lam, q)
         rsup = float(np.max(np.abs(grid.synthesis(res))))
         if rsup < tol:
-            return finish(True, it, rsup, "converged")
+            return finish(True, rsup, "converged")
         if it == max_iters:
-            return finish(False, it, rsup, "max iterations exceeded")
+            return finish(False, rsup, "max iterations exceeded")
 
-        uvals = grid.synthesis(coeffs, grid.over)
-        jac_weight = q * uvals ** (q - 1.0)
+        if trace:
+            prev = trace[-1].residual_norm
+            safeguard = _EW_GAMMA * eta**_EW_ALPHA
+            eta = _EW_GAMMA * (rnorm / prev) ** _EW_ALPHA
+            if safeguard > 0.1:
+                eta = max(eta, safeguard)
+            # no point solving the last step far below the outer tolerance
+            eta = min(_EW_ETA_MAX, max(eta, 0.5 * tol / rnorm))
+
+        jac_weight = q * vals ** (q - 1.0)
 
         def matvec(w_flat: np.ndarray) -> np.ndarray:
             w = w_flat.reshape(shape)
             wvals = grid.synthesis(w, grid.over)
-            out = w * (grid.minus_box_eigs[None, :, None] + lam) - grid.analysis(
-                jac_weight * wvals, grid.over
-            )
-            return out.ravel()
+            return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
 
+        inner_norms: list[float] = []
         op = LinearOperator((size, size), matvec=matvec)
-        step, info = gmres(op, -res.ravel(), rtol=1e-10, atol=0.0, restart=100, maxiter=500)
+        step, info = gmres(
+            op,
+            -res.ravel(),
+            rtol=eta,
+            atol=0.0,
+            restart=100,
+            maxiter=500,
+            M=precond,
+            callback=inner_norms.append,
+            callback_type="pr_norm",
+        )
         if info != 0:
-            return finish(False, it, rsup, f"linear solver stalled (info = {info})")
+            return finish(False, rsup, f"linear solver stalled (info = {info})")
         step = step.reshape(shape)
 
         scale = 1.0
-        for _ in range(31):
+        for _ in range(_MAX_HALVINGS + 1):
             candidate = coeffs + scale * step
-            if float(np.min(grid.synthesis(candidate, grid.over))) > 0.0:
-                break
+            cand_vals = grid.synthesis(candidate, grid.over)
+            positive = float(np.min(cand_vals)) > 0.0
+            if positive:
+                cand_res = _residual_coeffs(grid, candidate, cand_vals, diag, q)
+                cand_norm = float(np.linalg.norm(cand_res))
+                if cand_norm <= (1.0 - _ARMIJO * scale) * rnorm:
+                    break
             scale *= 0.5
         else:
-            return finish(False, it, rsup, "positivity lost after 30 step halvings")
-        coeffs = candidate
+            if not positive:
+                return finish(False, rsup, f"positivity lost after {_MAX_HALVINGS} step halvings")
+            return finish(False, rsup, f"residual not reduced after {_MAX_HALVINGS} step halvings")
+        trace.append(NewtonStep(rnorm, len(inner_norms), scale))
+        coeffs, vals, res, rnorm = candidate, cand_vals, cand_res, cand_norm
 
     raise AssertionError("unreachable")

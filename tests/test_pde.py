@@ -57,8 +57,14 @@ class TestQuotient:
             quotient(u, 1.0, 2.0)
 
     def test_rejects_nonpositive_lambda(self, grid16):
+        u = SphereField.constant(grid16, 1.0)
         with pytest.raises(DomainError):
-            quotient(SphereField.constant(grid16, 1.0), 0.0, 2.0)
+            quotient(u, 0.0, 2.0)
+        for lam, q in ((np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(DomainError):
+                quotient(u, lam, q)
+            with pytest.raises(DomainError):
+                quotient_gradient(u, lam, q)
 
 
 class TestQuotientGradient:
@@ -140,3 +146,55 @@ class TestNewtonSolve:
             newton_solve(-1.0, 2.0, u0)
         with pytest.raises(DomainError):
             newton_solve(0.9, 1.0, u0)
+        for lam, q in ((np.nan, 2.0), (np.inf, 2.0), (0.9, np.nan), (0.9, np.inf), (0.9, -np.inf)):
+            with pytest.raises(DomainError):
+                newton_solve(lam, q, u0)
+
+    @pytest.mark.parametrize(
+        "L, lam, seed",
+        [
+            (16, 0.5, 34),
+            (16, 0.5, 60),
+            (16, 0.5, 108),
+            (16, 0.5, 83),
+            (16, 0.9, 58),
+            (16, 0.4, 56),
+            (32, 0.9, 0),
+        ],
+    )
+    def test_hard_starts_reach_constant(self, L, lam, seed):
+        # Newton with exact unpreconditioned linear solves and positivity-only
+        # step control fails on the L=16 starts and needs 27 steps at L=32
+        u0 = random_positive_field(make_grid(L), seed)
+        rep = newton_solve(lam, 2.0, u0)
+        assert rep.converged, rep.message
+        assert rep.is_constant
+        assert abs(rep.constant_value - lam) < 1e-8
+
+    def test_trace_records_each_accepted_step(self, grid16):
+        # from this start a full step raises the residual norm at some iterate
+        u0 = random_positive_field(grid16, seed=6)
+        rep = newton_solve(0.4, 2.0, u0)
+        assert rep.converged
+        assert len(rep.trace) == rep.iterations > 0
+        norms = [step.residual_norm for step in rep.trace]
+        assert all(b < a for a, b in zip(norms, norms[1:]))
+        assert all(step.inner_iterations >= 1 for step in rep.trace)
+        assert all(0.0 < step.scale <= 1.0 for step in rep.trace)
+        exact = newton_solve(0.9, 2.0, SphereField.constant(grid16, 0.9))
+        assert exact.trace == ()
+
+    def test_inner_iterations_independent_of_band_limit(self, grid8):
+        # the same start functions on a 16x finer coefficient space: with the
+        # (-box + lambda)^-1 preconditioner the Krylov work per Newton step
+        # stays flat, where unpreconditioned GMRES grows like L^2
+        def worst_inner(grid):
+            worst = 0
+            for seed in range(4):
+                u0 = random_positive_field(grid, seed, lmax=8)
+                rep = newton_solve(0.4 if seed % 2 == 0 else 0.9, 2.0, u0)
+                assert rep.converged, rep.message
+                worst = max(worst, max(step.inner_iterations for step in rep.trace))
+            return worst
+
+        assert worst_inner(make_grid(32)) <= worst_inner(grid8)
