@@ -2,7 +2,7 @@
 
 Four layers:
 
-- :mod:`ksl.constants` evaluates and optimizes every closed-form constant.
+- :mod:`ksl.constants` evaluates every closed-form constant, the best k included.
 - :mod:`ksl.algebra` replays the coefficient derivations over exact rationals.
 - :mod:`ksl.sphere` tests the inequalities and the semilinear PDE spectrally
   on the unit two-sphere.

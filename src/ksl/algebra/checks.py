@@ -11,8 +11,8 @@ Fraction equality, not a tolerance.
 Square-root identities are checked with :class:`RadExpr` arithmetic: the
 radical is isolated, arithmetic happens component-wise over a shared
 radicand, and whenever a radicand is rescaled (r2 = f^2 * r1) the squared
-relation is verified exactly and the positivity of f on the admissible region
-is spot-checked at sample points. Cleared positive factors in the inequality
+relation is verified exactly and the positivity of f at admissible sample
+points is recorded as a step. Cleared positive factors in the inequality
 equivalences are recorded in the step notes, because dividing by them is
 where the inequality direction comes from.
 """
@@ -99,6 +99,14 @@ _l1 = v("lam1")
 _x = v("x")
 _y = v("y")
 
+# the radicand of the closed-form constant C; twice C over it; the monic
+# k-quadratic and its roots, the feasible interval's endpoints
+_rad_small = (Poly.var("n") + 1) * (Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q"))
+_two_c = RadExpr((_q - 1) * (2 * _n + _q + 2) / (_q * _n), -2 * (_q - 1) / (_q * _n), _rad_small)
+_kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
+_lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), _rad_small)
+_hi_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, 2 / (_q * (_n - 1)), _rad_small)
+
 # denominators excluded from every instantiation, per the localization the
 # whole calculus lives in
 _EXCLUDED = [
@@ -173,6 +181,13 @@ def _match_rf(
     ok = rf_equal(derived, expected)
     residual = "0" if ok else repr(derived.num * expected.den - expected.num * derived.den)
     return StepCheck(name, ok, residual, note)
+
+
+def _match_root(
+    name: str, expr: RationalFunction, var: str, point: RadExpr, note: str = ""
+) -> StepCheck:
+    num, _ = rf_at_radexpr(expr, var, point)
+    return StepCheck(name, num.is_zero, "0" if num.is_zero else repr(num), note)
 
 
 def _finish(name: str, steps: list[StepCheck], insts: list[dict]) -> PassReport:
@@ -626,12 +641,12 @@ def verify_base_chain() -> PassReport:
         -2 * (_n - 1) / (_n * (_n - 1) * _q),
         rad_eps,
     )
-    delta_at_ceiling = rf_at_radexpr(delta, "eps", eps_max)
     steps.append(
-        StepCheck(
+        _match_root(
             "step7_slack_ceiling_is_root",
-            delta_at_ceiling.is_zero,
-            "0" if delta_at_ceiling.is_zero else repr(delta_at_ceiling),
+            delta,
+            "eps",
+            eps_max,
             "delta(eps) is an upward parabola in eps; feasibility is eps <= ceiling",
         )
     )
@@ -656,19 +671,9 @@ def verify_base_chain() -> PassReport:
         -2 / (_n * (_n - 1) * _q),
         rad2,
     )
-    root_val = rf_at_radexpr(L0, "k", k_lo_big)
-    steps.append(
-        StepCheck(
-            "step8_lower_bound_is_root",
-            root_val.is_zero,
-            "0" if root_val.is_zero else repr(root_val),
-        )
-    )
-    rad_small = (Poly.var("n") + 1) * (
-        Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q")
-    )
+    steps.append(_match_root("step8_lower_bound_is_root", L0, "k", k_lo_big))
     try:
-        k_lo_small = rescale_radicand(k_lo_big, rad_small, _n)
+        k_lo_small = rescale_radicand(k_lo_big, _rad_small, _n)
         rescale_ok = True
     except DomainError:
         rescale_ok = False
@@ -680,14 +685,23 @@ def verify_base_chain() -> PassReport:
             "big radicand = n^2 * small radicand; factor n > 0",
         )
     )
+    # sqrt(f^2 r) = |f| sqrt(r), so the rescaling keeps the sign of the radical
+    # term only where the factor is positive
+    samples = [(n, 1 + Fraction(j, 2 * (n - 1))) for n in (2, 3, 4, 7) for j in (1, 2, 3, 4)]
+    base_pt = dict.fromkeys(VARS, Fraction(1))
+    factor_ok = all(_n.evaluate({**base_pt, "n": Fraction(n), "q": q}) > 0 for n, q in samples)
+    steps.append(
+        StepCheck(
+            "step8_rescaling_factor_positive",
+            factor_ok,
+            "0" if factor_ok else "nonpositive at a sample point",
+            "factor n > 0 at 16 admissible points: n in {2, 3, 4, 7}, "
+            "q = 1 + j/(2(n-1)) for j = 1..4, the last on the boundary",
+        )
+    )
     if rescale_ok:
         lhs_inner = (k_lo_small * ((_n - 1) / _n) + 1) * (_q - 1)
-        rhs_inner = RadExpr(
-            (_q - 1) * (2 * _n + _q + 2) / (_q * _n),
-            -2 * (_q - 1) / (_q * _n),
-            rad_small,
-        )
-        thr_ok = rad_equal(lhs_inner, rhs_inner)
+        thr_ok = rad_equal(lhs_inner, _two_c)
         steps.append(
             StepCheck(
                 "step8_threshold_identity",
@@ -845,7 +859,7 @@ def _refined_quadruple() -> tuple[RationalFunction, ...]:
 def verify_refined_chain() -> PassReport:
     """The spectral-parameter chain, from the combined bound to the objective.
 
-    Nine steps: (i) combine the two completion bounds and eliminate the
+    Twelve steps: (i) combine the two completion bounds and eliminate the
     gradient-box integral; (ii) the b-choice zeroes the Hessian weight;
     (iii) weights at gamma = 0; (iv) the ratio substitution turns the quartic
     weight into a quadratic in y times x; (v) its discriminant condition is
@@ -853,7 +867,10 @@ def verify_refined_chain() -> PassReport:
     on x; (vii) compatibility of the two bounds is the displayed k-quadratic,
     whose roots are the feasibility interval endpoints; (viii) the spectral
     bound rearranges to the threshold inequality; (ix) at the upper x-bound
-    the threshold is the stated objective.
+    the threshold is the stated objective; (x) the objective is
+    alpha + beta*k + gamma/k; (xi) it is stationary at k^2 = 1 - 1/lam1;
+    (xii) gamma is (1 - lam1) times a positive factor, so the objective is
+    concave and its maximizer on the interval is that point clipped to it.
     """
     steps: list[StepCheck] = []
     pairs: list[tuple[str, RationalFunction, RationalFunction]] = []
@@ -951,37 +968,19 @@ def verify_refined_chain() -> PassReport:
 
     # (vii) compatibility of the bounds is the k-quadratic; its roots are the
     # feasibility interval endpoints
-    kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
     gap_factor = _q * _n * (_n - 1) / (2 * (_n + 1) * (_k * _n + _n - 1))
     steps.append(
         _match_rf(
             "step7_gap_is_k_quadratic",
             x_hi - x_lo,
-            -gap_factor * kq,
+            -gap_factor * _kq,
             note="cleared factor: qn(n-1)/(2(n+1)(kn+n-1)), positive for n >= 2, k > 0",
         )
     )
-    pairs.append(("step7", x_hi - x_lo, -gap_factor * kq))
-    rad_small = (Poly.var("n") + 1) * (
-        Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q")
-    )
-    for label, sign in (("lower", -1), ("upper", 1)):
-        endpoint = RadExpr(
-            2 * (_n + 1) / (_q * (_n - 1)) - 1,
-            sign * 2 / (_q * (_n - 1)),
-            rad_small,
-        )
-        at_root = rf_at_radexpr(kq, "k", endpoint)
-        steps.append(
-            StepCheck(
-                f"step7_{label}_endpoint_is_root",
-                at_root.is_zero,
-                "0" if at_root.is_zero else repr(at_root),
-            )
-        )
-    lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), rad_small)
-    hi_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, 2 / (_q * (_n - 1)), rad_small)
-    prod = lo_end * hi_end
+    pairs.append(("step7", x_hi - x_lo, -gap_factor * _kq))
+    for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
+        steps.append(_match_root(f"step7_{label}_endpoint_is_root", _kq, "k", endpoint))
+    prod = _lo_end * _hi_end
     prod_ok = rf_equal(prod.base, rf(1)) and prod.coef.is_zero
     steps.append(
         StepCheck(
@@ -1030,6 +1029,32 @@ def verify_refined_chain() -> PassReport:
         )
     )
 
+    # (x) F = alpha + beta*k + gamma/k; (xi) F' = beta - gamma/k^2 vanishes at
+    # k^2 = gamma/beta = 1 - 1/lam1; (xii) gamma, read off F as lim k*F at
+    # k = 0, is (1 - lam1) times a positive factor, so F'' = 2 gamma/k^3 <= 0
+    A_q = 4 * _n**2 + 4 * _n + _q
+    pos_factor = _q * _n * (_n - 1) / ((_q - 1) * A_q)
+    f_alpha = (_l1 * (A_q - _q * (2 * _n**2 - 2 * _n + 1)) + _q * _n**2) / ((_q - 1) * A_q)
+    f_beta, f_gamma = -_l1 * pos_factor, (1 - _l1) * pos_factor
+    for label, lhs, rhs, note in (
+        ("step10_objective_split", F_disp, f_alpha + f_beta * _k + f_gamma / _k, ""),
+        (
+            "step11_stationary_point",
+            f_beta * (1 - 1 / _l1),
+            f_gamma,
+            "F' = beta - gamma/k^2 vanishes at k^2 = 1 - 1/lam1",
+        ),
+        (
+            "step12_curvature_sign",
+            (F_disp * _k).limit_var_zero("k"),
+            f_gamma,
+            "cleared factor: qn(n-1)/((q-1)(4n^2+4n+q)), positive for n >= 2, q > 1; "
+            "so F'' = 2 gamma/k^3 <= 0 on k > 0 for lam1 >= 1",
+        ),
+    ):
+        steps.append(_match_rf(label, lhs, rhs, note))
+        pairs.append((label, lhs, rhs))
+
     insts = _instantiate(
         pairs,
         seed=71,
@@ -1060,12 +1085,11 @@ def verify_chain_consistency() -> PassReport:
         + _k * (_q * (2 * _n**2 - 2 * _n) - 4 * _n**2 - 4 * _n)
         + _q * _n * (_n - 1)
     )
-    kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
     steps.append(
         _match_rf(
             "same_k_quadratic",
             L0,
-            _n * (_n - 1) * _q * kq,
+            _n * (_n - 1) * _q * _kq,
             note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
         )
     )
@@ -1074,42 +1098,25 @@ def verify_chain_consistency() -> PassReport:
         1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / ((4 * _n**2 + 4 * _n + _q) * _k)
     ) / (_q - 1)
     F_const = _q * _n * (_k * _n + _n - 1) / ((_q - 1) * (4 * _n**2 + 4 * _n + _q) * _k)
-    rad_small = (Poly.var("n") + 1) * (
-        Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q")
-    )
-    lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), rad_small)
-    hi_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, 2 / (_q * (_n - 1)), rad_small)
-
-    for label, endpoint in (("lower", lo_end), ("upper", hi_end)):
-        at_end = rf_at_radexpr(F_lin, "k", endpoint)
+    for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
         steps.append(
-            StepCheck(
-                f"spectral_weight_vanishes_at_{label}_endpoint",
-                at_end.is_zero,
-                "0" if at_end.is_zero else repr(at_end),
-            )
+            _match_root(f"spectral_weight_vanishes_at_{label}_endpoint", F_lin, "k", endpoint)
         )
 
     # threshold agreement: objective at the lower endpoint vs 1/(2*C) with C
-    # the closed-form constant
-    F_at_lo = rf_at_radexpr(F_const, "k", lo_end)
-    two_c = RadExpr(
-        (_q - 1) * (2 * _n + _q + 2) / (_q * _n),
-        -2 * (_q - 1) / (_q * _n),
-        rad_small,
-    )
-    target = two_c.inverse()
-    thr_ok = rad_equal(F_at_lo, target)
+    # the closed-form constant, cross-multiplied as num * 2C == den
+    num, den = rf_at_radexpr(F_const, "k", _lo_end)
+    thr_ok = rad_equal(num * _two_c, den)
     steps.append(
         StepCheck(
             "threshold_agreement",
             thr_ok,
-            "0" if thr_ok else f"{F_at_lo!r} vs {target!r}",
+            "0" if thr_ok else f"{num * _two_c!r} vs {den!r}",
             "exact, via component-wise radical arithmetic",
         )
     )
 
-    pairs = [("same_k_quadratic", L0, _n * (_n - 1) * _q * kq)]
+    pairs = [("same_k_quadratic", L0, _n * (_n - 1) * _q * _kq)]
     insts = _instantiate(pairs, seed=83, extra_avoid=(Poly.var("n") - 1, Poly.var("q") - 1))
     return _finish("chain_consistency", steps, insts)
 

@@ -356,10 +356,11 @@ class RadExpr:
     """base + coef*sqrt(rad) with a shared polynomial radicand.
 
     Closed under ring operations because sqrt(rad)**2 collapses back to rad.
-    Equality of two RadExprs over the same radicand is component-wise; this is
-    sound whenever sqrt(rad) is irrational over the function field, which
-    holds for every radicand used here (checked by the callers at sample
-    points: the radicand is not a perfect square).
+    Equality of two RadExprs over the same radicand is tested component-wise.
+    That is sufficient for equality of the values, whatever the radicand; if
+    sqrt(rad) were rational over the function field (a perfect-square
+    radicand), equal values could still differ component-wise, so such a
+    radicand could only cause a spurious failure, never a false pass.
     """
 
     __slots__ = ("base", "coef", "rad")
@@ -401,17 +402,6 @@ class RadExpr:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RadExpr":
-        # 1/(p + s*sqrt(r)) = (p - s*sqrt(r))/(p^2 - s^2 r)
-        radrf = RationalFunction(self.rad)
-        norm = self.base * self.base - self.coef * self.coef * radrf
-        if norm.is_zero:
-            raise DomainError("RadExpr has zero norm; cannot invert")
-        return RadExpr(self.base / norm, -self.coef / norm, self.rad)
-
-    def __truediv__(self, other) -> "RadExpr":
-        return self * self._coerce(other).inverse()
-
     @property
     def is_zero(self) -> bool:
         return self.base.is_zero and self.coef.is_zero
@@ -445,10 +435,19 @@ def poly_at_radexpr(poly: Poly, name: str, value: RadExpr) -> RadExpr:
     return result
 
 
-def rf_at_radexpr(expr: RationalFunction, name: str, value: RadExpr) -> RadExpr:
+def rf_at_radexpr(
+    expr: RationalFunction, name: str, value: RadExpr
+) -> tuple[RadExpr, RadExpr]:
+    """expr at `name` = value as the pair (num, den); nothing is divided out.
+
+    Raises DomainError when den's norm p^2 - s^2 r vanishes, the one case in
+    which den could be zero.
+    """
     num = poly_at_radexpr(expr.num, name, value)
     den = poly_at_radexpr(expr.den, name, value)
-    return num / den
+    if (den.base * den.base - den.coef * den.coef * RationalFunction(den.rad)).is_zero:
+        raise DomainError("denominator has zero norm at the radical point")
+    return num, den
 
 
 def rescale_radicand(expr: RadExpr, new_rad: Poly, factor: RationalFunction) -> RadExpr:

@@ -3,21 +3,23 @@
 Subcommands:
     constants       closed-form constants at (n, q), optionally over a q grid
     interval        feasible k interval endpoints and their root identities
-    optimize-k      maximize the threshold over k (or evaluate at a fixed k)
+    optimize-k      threshold at the closed-form best k (or at a fixed k)
     algebra-verify  run every exact derivation verifier
     sphere-verify   quadrature, transform, and inequality checks on the sphere
     pde-solve       Newton solve of -box u + lambda u = u^q from a random start
     all             everything above in one report
 
 Flags can also come from a config file (key = value per line, '#' starts a
-comment); explicit flags win. The KSL_OUT environment variable overrides the
-output directory. Exit status: 0 when every invoked check passes, 1 on a
-failed check or a domain error (reported verbatim on stderr), 2 on bad usage.
+comment); explicit flags win. Every float option, from either source, must be
+a finite number. The KSL_OUT environment variable overrides the output
+directory. Exit status: 0 when every invoked check passes, 1 on a failed
+check or a domain error (reported verbatim on stderr), 2 on bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -117,14 +119,24 @@ class UsageError(Exception):
 # ---------------------------------------------------------------- parsing
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_k(text: str):
     s = text.strip()
     if s == "auto":
         return "auto"
     try:
-        return float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"k must be a number or 'auto', got {text!r}")
+        return _finite_float(s)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"k must be a finite number or 'auto', got {text!r}")
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -132,28 +144,28 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         if ":" in s:
             lo_s, hi_s, count_s = s.split(":")
-            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+            lo, hi, count = _finite_float(lo_s), _finite_float(hi_s), int(count_s)
             if count < 2 or not hi > lo:
                 raise ValueError
             step = (hi - lo) / (count - 1)
             return tuple(lo + i * step for i in range(count))
-        vals = tuple(float(p) for p in s.split(",") if p.strip())
+        vals = tuple(_finite_float(p) for p in s.split(",") if p.strip())
         if not vals:
             raise ValueError
         return vals
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            f"grid must be 'lo:hi:count' or comma-separated values, got {text!r}"
+            f"grid must be 'lo:hi:count' or comma-separated finite values, got {text!r}"
         )
 
 
 _CONVERTERS = {
     "n": int,
-    "q": float,
+    "q": _finite_float,
     "q_grid": _parse_grid,
     "k": _parse_k,
-    "lambda1": float,
-    "lam": float,
+    "lambda1": _finite_float,
+    "lam": _finite_float,
     "L": int,
     "seed": int,
     "out": str,
@@ -167,7 +179,7 @@ _CONFIG_ALIASES = {"lambda": "lam", "q-grid": "q_grid"}
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None, help="complex dimension (default 2)")
-    common.add_argument("--q", type=float, default=None, help="exponent (default 2)")
+    common.add_argument("--q", type=_finite_float, default=None, help="exponent (default 2)")
     common.add_argument(
         "--q-grid",
         type=_parse_grid,
@@ -177,9 +189,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--k", type=_parse_k, default=None, help="interpolation weight, number or 'auto'"
     )
-    common.add_argument("--lambda1", type=float, default=None, help="spectral gap (default 1)")
     common.add_argument(
-        "--lambda", dest="lam", type=float, default=None, help="equation parameter (default 0.5)"
+        "--lambda1", type=_finite_float, default=None, help="spectral gap (default 1)"
+    )
+    common.add_argument(
+        "--lambda",
+        dest="lam",
+        type=_finite_float,
+        default=None,
+        help="equation parameter (default 0.5)",
     )
     common.add_argument("--L", type=int, default=None, help="band limit (default 16)")
     common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")

@@ -15,6 +15,7 @@ lower-bound parameter, at least 1 in this normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -176,8 +177,8 @@ def lambda1_coefficient(dims: Dimensions, k: float) -> float:
     1 - (n+(n-1)k)(kn+n-1)q / ((4n^2+4n+q)k). Nonnegative exactly on the
     feasible k interval, zero at both endpoints.
     """
-    if not k > 0:
-        raise DomainError(f"k must be positive, got k = {k}")
+    if not 0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got k = {k}")
     with mp.workdps(50):
         n, q = _mpq(dims)
         kk = mp.mpf(k)
@@ -203,6 +204,8 @@ def _require_k_feasible(dims: Dimensions, k: float) -> None:
 
 def f_of_k(dims: Dimensions, k: float, lambda1: float) -> float:
     """Threshold objective F(k); reciprocal of twice the generalized constant."""
+    if not math.isfinite(lambda1):
+        raise DomainError(f"lambda1 must be finite, got {lambda1}")
     _require_k_feasible(dims, k)
     with mp.workdps(50):
         return float(_f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1)))
@@ -214,67 +217,36 @@ def cs_general(dims: Dimensions, k: float, lambda1: float) -> float:
     At k equal to the lower interval endpoint the lambda1 weight vanishes and
     the value reduces to cs_bm regardless of lambda1.
     """
-    if lambda1 < 1:
-        raise DomainError(f"lambda1 must be >= 1, got {lambda1}")
+    if not 1 <= lambda1 < math.inf:
+        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
     _require_k_feasible(dims, k)
     with mp.workdps(50):
         return float(1 / (2 * _f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1))))
 
 
 def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
-    """Maximize F(k) over the feasible interval.
+    """Maximize F(k) over the feasible interval, in closed form.
 
-    Grid scan (10^4 points including both endpoints) followed by a
-    golden-section polish of the best bracket; the objective can fail
-    concavity for large lambda1, so the grid pass is not optional.
-    Ties within 1e-9 of the maximum resolve to the smallest k.
+    F(k) = alpha + beta*k + gamma/k with beta < 0 and gamma proportional to
+    (1 - lambda1) <= 0 (proved exactly by ``verify_refined_chain``), so F is
+    concave on k > 0 and stationary at k^2 = 1 - 1/lambda1. Its maximizer over
+    [k_lo, k_hi] is therefore k* = clip(sqrt(1 - 1/lambda1), k_lo, k_hi).
+    Ties within 1e-9 of the maximum resolve to k_lo.
     Returns (k_star, lambda_threshold) with lambda_threshold = F(k_star).
     """
     if dims.n == 1:
         raise DomainError("interval unbounded at n = 1; use limit semantics")
-    if lambda1 < 1:
-        raise DomainError(f"lambda1 must be >= 1, got {lambda1}")
+    if not 1 <= lambda1 < math.inf:
+        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
     with mp.workdps(50):
         lo, hi = _k_endpoints_mp(dims)
         lam1 = mp.mpf(lambda1)
-
-        def F(kk):
-            return _f_of_k_mp(dims, kk, lam1)
-
-        if hi - lo < mp.mpf("1e-30"):
-            mid = (lo + hi) / 2
-            return float(mid), float(F(mid))
-
-        npts = 10_000
-        step = (hi - lo) / (npts - 1)
-        ks = [lo + i * step for i in range(npts)]
-        vals = [F(kk) for kk in ks]
-        imax = max(range(npts), key=lambda i: vals[i])
-
-        a = ks[max(imax - 1, 0)]
-        b = ks[min(imax + 1, npts - 1)]
-        invphi = (mp.sqrt(5) - 1) / 2
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = F(c), F(d)
-        for _ in range(200):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = F(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = F(d)
-            if b - a < mp.mpf("1e-30"):
-                break
-        polished = (a + b) / 2
-
-        candidates = [lo, hi, polished]
-        best_val = max(F(kk) for kk in candidates)
-        tie = mp.mpf("1e-9")
-        k_star = min(kk for kk in candidates if F(kk) >= best_val - tie)
-        return float(k_star), float(F(k_star))
+        k_c = min(max(mp.sqrt(1 - 1 / lam1), lo), hi)
+        f_lo = _f_of_k_mp(dims, lo, lam1)
+        f_c = _f_of_k_mp(dims, k_c, lam1)
+        if f_lo >= f_c - mp.mpf("1e-9"):
+            return float(lo), float(f_lo)
+        return float(k_c), float(f_c)
 
 
 def epsilon_max(dims: Dimensions) -> float:
@@ -333,8 +305,8 @@ def x_bounds(dims: Dimensions, k: float) -> tuple[float, float]:
     x_lo <= x_hi exactly when k lies in the feasible interval.
     """
     _require_n2(dims, "x_bounds")
-    if not k > 0:
-        raise DomainError(f"k must be positive, got k = {k}")
+    if not 0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got k = {k}")
     with mp.workdps(50):
         n, q = _mpq(dims)
         kk = mp.mpf(k)
@@ -353,6 +325,8 @@ def spectral_lambda_bound(dims: Dimensions, k: float, x: float, lambda1: float) 
     term is nonpositive for lambda1 >= 1 and feasible k, so the bound is
     maximized at x = x_hi, where it equals f_of_k.
     """
+    if not math.isfinite(lambda1):
+        raise DomainError(f"lambda1 must be finite, got {lambda1}")
     x_lo, x_hi = x_bounds(dims, k)
     tol = 1e-9 * max(1.0, abs(x_hi))
     if not (x_lo - tol <= x <= x_hi + tol):

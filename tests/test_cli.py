@@ -181,6 +181,25 @@ class TestExitCodes:
     def test_bad_k_value_is_exit_2(self, capsys):
         assert run(["optimize-k", "--k", "sideways"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize-k", "--lambda1", "nan"],
+            ["optimize-k", "--lambda1", "inf"],
+            ["optimize-k", "--q", "nan"],
+            ["optimize-k", "--k=-inf"],
+            ["pde-solve", "--lambda", "nan", "--L", "8"],
+            ["constants", "--q-grid", "1.5,nan"],
+            ["constants", "--q-grid", "1.2:inf:3"],
+        ],
+    )
+    def test_non_finite_float_is_exit_2_without_report(self, argv, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_capture([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert "finite" in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_values_read_and_cli_overrides(self, capsys, tmp_path):
@@ -206,6 +225,18 @@ class TestConfigFile:
             ["constants", "--config", str(tmp_path / "nope.cfg")], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["lambda = nan", "lambda1 = inf", "q = -inf", "k = nan"])
+    def test_non_finite_value_is_exit_2_without_report(self, line, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code, _, err = run_capture(
+            ["pde-solve", "--config", str(cfg), "--L", "8", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not out.exists()
 
     def test_lambda_alias(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -217,10 +217,27 @@ class TestOptimizeK:
         assert threshold == pytest.approx(grid_threshold, abs=1e-8)
 
     def test_against_grid_oracle_lam2(self):
-        k_star, threshold = optimize_k(dims(2, 2.0), 2.0)
-        grid_k, grid_threshold = brute_force_threshold(2, 2.0, 2.0)
-        assert threshold == pytest.approx(grid_threshold, abs=1e-6)
-        assert k_star == pytest.approx(grid_k, abs=1e-4)
+        cases = [(2, 2.0, 2.0)] + [
+            (n, q, lam1)
+            for n, q in [(2, 2.0), (3, 1.5), (5, 1.3)]
+            for lam1 in (1 + 1e-6, 10.0, 1e4)
+        ]
+        for n, q, lam1 in cases:
+            k_star, threshold = optimize_k(dims(n, q), lam1)
+            grid_k, grid_threshold = brute_force_threshold(n, q, lam1)
+            assert threshold == pytest.approx(grid_threshold, abs=1e-6)
+            assert threshold >= grid_threshold - 1e-12 * max(1.0, lam1)
+            assert k_star == pytest.approx(grid_k, abs=1e-4)
+
+    def test_tie_resolves_to_k_lo(self):
+        # at lambda1 = 1 + 1e-12 the stationary point lies below k_lo; at the
+        # second lambda1 it lies ~1e-7 above k_lo, where F gains only ~1e-14
+        d = dims(2, 2.0)
+        k_lo = k_interval(d).k_lo
+        for lam1 in (1 + 1e-12, 1 / (1 - k_lo**2 * (1 + 1e-6))):
+            k_star, threshold = optimize_k(d, lam1)
+            assert k_star == k_lo
+            assert threshold == f_of_k(d, k_lo, lam1)
 
     def test_degenerate_interval(self):
         k_star, _ = optimize_k(dims(2, 3.0), 1.0)
@@ -235,6 +252,26 @@ class TestOptimizeK:
     def test_n1_domain_error(self):
         with pytest.raises(DomainError):
             optimize_k(dims(1, 2.0), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    d = dims(2, 2.0)
+    calls = [
+        lambda: optimize_k(d, bad),
+        lambda: f_of_k(d, bad, 1.0),
+        lambda: f_of_k(d, 1.0, bad),
+        lambda: cs_general(d, bad, 1.0),
+        lambda: cs_general(d, 1.0, bad),
+        lambda: lambda1_coefficient(d, bad),
+        lambda: x_bounds(d, bad),
+        lambda: spectral_lambda_bound(d, bad, 1.0, 1.0),
+        lambda: spectral_lambda_bound(d, 1.0, bad, 1.0),
+        lambda: spectral_lambda_bound(d, 1.0, 1.0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestEpsilonMax:

@@ -163,16 +163,6 @@ class TestRadExpr:
         assert rf_equal(sq.base, RationalFunction(self.RAD))
         assert sq.coef.is_zero
 
-    def test_inverse_roundtrip(self):
-        e = RadExpr(v("n") + 2, rf(3), self.RAD)
-        prod = e * e.inverse()
-        assert rf_equal(prod.base, rf(1))
-        assert prod.coef.is_zero
-
-    def test_inverse_zero_norm_rejected(self):
-        with pytest.raises(DomainError):
-            RadExpr(rf(0), rf(0), self.RAD).inverse()
-
     def test_mixed_radicands_rejected(self):
         other = Poly.var("q") ** 2 + 2
         with pytest.raises(ValueError):
@@ -189,7 +179,21 @@ class TestRadExpr:
         n = v("n")
         quad = v("k") ** 2 - 2 * n * v("k") + n**2 - RationalFunction(self.RAD)
         root = RadExpr(n, rf(1), self.RAD)
-        assert rf_at_radexpr(quad, "k", root).is_zero
+        num, den = rf_at_radexpr(quad, "k", root)
+        assert num.is_zero
+        assert rad_equal(den, RadExpr(rf(1), rf(0), self.RAD))
+        num, _ = rf_at_radexpr(quad, "k", RadExpr(n + 1, rf(1), self.RAD))
+        assert not num.is_zero
+
+    def test_rf_at_radexpr_zero_norm_denominator_rejected(self):
+        # 1/(k^2 - 2nk + n^2 - rad): the denominator vanishes at k = n + sqrt(rad)
+        n = v("n")
+        quad = v("k") ** 2 - 2 * n * v("k") + n**2 - RationalFunction(self.RAD)
+        root = RadExpr(n, rf(1), self.RAD)
+        with pytest.raises(DomainError, match="zero norm"):
+            rf_at_radexpr(rf(1) / quad, "k", root)
+        num, den = rf_at_radexpr(rf(1) / (quad + 1), "k", root)
+        assert rad_equal(num, den)
 
     def test_rescale_radicand(self):
         small = Poly.var("q") ** 2 + 1
