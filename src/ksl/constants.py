@@ -204,8 +204,8 @@ def _require_k_feasible(dims: Dimensions, k: float) -> None:
 
 def f_of_k(dims: Dimensions, k: float, lambda1: float) -> float:
     """Threshold objective F(k); reciprocal of twice the generalized constant."""
-    if not math.isfinite(lambda1):
-        raise DomainError(f"lambda1 must be finite, got {lambda1}")
+    if not 1 <= lambda1 < math.inf:
+        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
     _require_k_feasible(dims, k)
     with mp.workdps(50):
         return float(_f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1)))

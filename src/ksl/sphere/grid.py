@@ -28,6 +28,8 @@ from ..errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 AREA = 4.0 * np.pi
+# ceiling on the Legendre tables and area weights of both subgrids
+MAX_TABLE_BYTES = 512 * 2**20
 
 
 def legendre_tables(L: int, mu: np.ndarray) -> tuple[list, list]:
@@ -95,6 +97,17 @@ class QuadratureGrid:
             raise DomainError(f"band limit must be an integer >= 2, got {L}")
         if not isinstance(oversample, int) or oversample < 1:
             raise DomainError(f"oversampling factor must be a positive integer, got {oversample}")
+        # float64 plm + dplm (ntheta * (L+1)(L+2)) and area weights (ntheta * nphi)
+        # on the base and the lazily built oversampled subgrid
+        nbytes = sum(
+            8 * (k * (L + 1)) * ((L + 1) * (L + 2) + 2 * k * (L + 1))
+            for k in (1, oversample)
+        )
+        if nbytes > MAX_TABLE_BYTES:
+            raise DomainError(
+                f"band limit L = {L} at oversample {oversample} needs {nbytes} bytes of "
+                f"quadrature tables, above the limit of {MAX_TABLE_BYTES} bytes"
+            )
         self.L = L
         self.oversample = oversample
         self.base = _SubGrid(L, L + 1, 2 * (L + 1))

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from ..errors import DomainError
 from .field import SphereField
-from .grid import AREA, QuadratureGrid
+from .grid import AREA, TWO_PI, QuadratureGrid
 
 
 def sphere_average(f: SphereField) -> float:
@@ -127,51 +127,44 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
 def measure_lambda1(grid: QuadratureGrid) -> float:
     """Smallest Rayleigh quotient of the holomorphic energy on mean-zero fields.
 
-    Assembles stiffness and mass matrices over the full mean-zero harmonic
-    basis by pointwise quadrature (not by the spectral shortcut, so this is
-    an actual measurement of the discretization) and solves the generalized
-    symmetric eigenproblem.
+    Assembles stiffness and mass matrices over the mean-zero harmonic basis by
+    pointwise quadrature on the base grid (not by the spectral shortcut
+    l(l+1)/2, so this is an actual measurement of the discretization) and
+    solves the generalized symmetric eigenproblem one block at a time: the
+    zonal block (m = 0, l = 1..L), then a cos block and a sin block for each
+    order m = 1..L, 2L+1 blocks of size at most L.
+
+    The blocks are exact, not an approximation: the equispaced azimuthal rule
+    with nphi = 2(L+1) points sums cos(m phi)cos(m' phi), cos(m phi)sin(m' phi)
+    and sin(m phi)sin(m' phi) to zero for m != m' whenever m + m' <= 2L < nphi,
+    and the cos/sin pair of one order to zero as well, so every matrix entry
+    between two blocks vanishes up to round-off. Each block entry is still the
+    tensor-product quadrature sum, factored into a Gauss-Legendre sum in theta
+    and a sum over the sampled cos(m phi) / sin(m phi) values in phi.
     """
     sub = grid.base
-    L = grid.L
-    npts = sub.ntheta * sub.nphi
-    nbasis = (L + 1) ** 2 - 1
-    V = np.zeros((npts, nbasis))
-    Gt = np.zeros((npts, nbasis))
-    Gp = np.zeros((npts, nbasis))
+    dphi = TWO_PI / sub.nphi
     inv_sin = 1.0 / sub.sintheta
-
-    col = 0
-    for m in range(L + 1):
-        if m == 0:
-            # zonal block, l = 1..L
-            vals = sub.plm[0][1:] / np.sqrt(2.0 * np.pi)
-            dvals = sub.dplm[0][1:] / np.sqrt(2.0 * np.pi)
-            for i in range(vals.shape[0]):
-                V[:, col] = np.repeat(vals[i], sub.nphi)
-                Gt[:, col] = np.repeat(dvals[i], sub.nphi)
-                col += 1
-            continue
+    lam = np.inf
+    for m in range(grid.L + 1):
+        # Y_lm = N_lm(cos theta) trig(m phi) / sqrt(norm); m = 0 drops Y_00
+        rows = sub.plm[m][1:] if m == 0 else sub.plm[m]
+        drows = sub.dplm[m][1:] if m == 0 else sub.dplm[m]
+        norm = TWO_PI if m == 0 else np.pi
+        P = (rows * sub.wmu) @ rows.T
+        D = (drows * sub.wmu) @ drows.T
+        Q = m * m * ((rows * inv_sin * sub.wmu) @ (rows * inv_sin).T)
         cos_m = np.cos(m * sub.phi)
         sin_m = np.sin(m * sub.phi)
-        vals = sub.plm[m] / np.sqrt(np.pi)
-        dvals = sub.dplm[m] / np.sqrt(np.pi)
-        for i in range(vals.shape[0]):
-            V[:, col] = np.outer(vals[i], cos_m).ravel()
-            Gt[:, col] = np.outer(dvals[i], cos_m).ravel()
-            Gp[:, col] = np.outer(vals[i] * inv_sin, -m * sin_m).ravel()
-            col += 1
-            V[:, col] = np.outer(vals[i], sin_m).ravel()
-            Gt[:, col] = np.outer(dvals[i], sin_m).ravel()
-            Gp[:, col] = np.outer(vals[i] * inv_sin, m * cos_m).ravel()
-            col += 1
-    assert col == nbasis
-
-    w = sub.area_weights.ravel()
-    M = V.T @ (w[:, None] * V)
-    K = 0.5 * (Gt.T @ (w[:, None] * Gt) + Gp.T @ (w[:, None] * Gp))
-    eigs = scipy.linalg.eigh(K, M, eigvals_only=True)
-    return float(eigs[0])
+        # d/dphi sends the cos part to sin and back, so the phi factors swap
+        parts = [(cos_m, sin_m)] if m == 0 else [(cos_m, sin_m), (sin_m, cos_m)]
+        for trig, dtrig in parts:
+            t = dphi * (trig @ trig) / norm
+            dt = dphi * (dtrig @ dtrig) / norm
+            K = 0.5 * (t * D + dt * Q)
+            eig = scipy.linalg.eigh(K, t * P, eigvals_only=True, subset_by_index=[0, 0])
+            lam = min(lam, float(eig[0]))
+    return lam
 
 
 def random_band_limited(

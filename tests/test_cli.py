@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, formats, config merging, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,24 @@ class TestExitCodes:
         assert rep["payload"]["constants.error.status"] == "fail"
         assert "q <= (n+1)/(n-1)" in rep["payload"]["constants.error.message"]
 
+    def test_fixed_k_with_lambda1_below_one_is_exit_1(self, capsys, tmp_path):
+        code, rep = run_json(
+            ["optimize-k", "--k", "1.0", "--lambda1", "0.5"], capsys, tmp_path
+        )
+        assert code == 1
+        payload = rep["payload"]
+        assert payload["optimize-k.error.status"] == "fail"
+        assert "lambda1 must be finite and >= 1" in payload["optimize-k.error.message"]
+        assert "pass" not in payload.values()
+
+    @pytest.mark.parametrize("command", ["sphere-verify", "pde-solve"])
+    def test_band_limit_above_memory_ceiling_is_exit_1(self, command, capsys, tmp_path):
+        code, rep = run_json([command, "--L", "100000"], capsys, tmp_path)
+        assert code == 1
+        payload = rep["payload"]
+        assert payload[f"{command}.error.status"] == "fail"
+        assert "bytes of quadrature tables" in payload[f"{command}.error.message"]
+
     def test_bad_flag_is_exit_2(self, capsys):
         assert run(["constants", "--bogus"]) == 2
 
@@ -199,6 +221,22 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in err
         assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_version(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksl", "--version"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "ksl 0.1.0"
 
 
 class TestConfigFile:

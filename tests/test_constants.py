@@ -178,6 +178,11 @@ class TestFOfK:
         with pytest.raises(DomainError):
             f_of_k(dims(2, 2.0), 5.0, 1.0)
 
+    @pytest.mark.parametrize("lam1", [0.5, 1 - 1e-9])
+    def test_rejects_lambda1_below_one(self, lam1):
+        with pytest.raises(DomainError, match="lambda1 must be finite and >= 1"):
+            f_of_k(dims(2, 2.0), 1.0, lam1)
+
 
 class TestCsGeneral:
     def test_independent_of_lambda1_at_k_lo(self):

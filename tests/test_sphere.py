@@ -7,9 +7,11 @@ never calls scipy.special; only this test module does, as an oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from ksl.errors import DomainError
@@ -29,6 +31,7 @@ from ksl.sphere import (
     sobolev_check,
     sphere_average,
 )
+from ksl.sphere.grid import MAX_TABLE_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,18 @@ class TestGridInvariants:
     def test_rejects_small_band_limit(self):
         with pytest.raises(DomainError):
             make_grid(1)
+
+    @pytest.mark.parametrize("L, oversample", [(280, 2), (100_000, 2), (2, 10**6)])
+    def test_rejects_tables_above_memory_ceiling(self, L, oversample):
+        # the check runs before any table is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"limit of {MAX_TABLE_BYTES} bytes"):
+                make_grid(L, oversample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_weights_sum_to_area(self, grid8):
         ones = np.ones((grid8.base.ntheta, grid8.base.nphi))
@@ -181,9 +196,58 @@ class TestGradEnergy:
             grad_energy(coordinate_z(grid16), method="magic")
 
 
+def dense_lambda1_matrices(L):
+    """Stiffness and mass over the whole mean-zero basis, one dense pair.
+
+    Columns run over the (m, cos/sin) blocks: block 0 is zonal, 2m-1 and 2m
+    are the cos and sin parts of order m. Returns (K, M, block) with block[j]
+    the block of column j.
+    """
+    ntheta, nphi = L + 1, 2 * (L + 1)
+    mu, wmu = np.polynomial.legendre.leggauss(ntheta)
+    plm, dplm = legendre_tables(L, mu)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    inv_sin = 1.0 / np.sqrt(1.0 - mu * mu)
+    ones = np.ones(nphi) / np.sqrt(2.0 * np.pi)
+    cols, block = [], []
+    for m in range(L + 1):
+        if m == 0:
+            for p, dp in zip(plm[0][1:], dplm[0][1:]):
+                cols.append((np.outer(p, ones), np.outer(dp, ones), np.zeros((ntheta, nphi))))
+                block.append(0)
+            continue
+        c, s = np.cos(m * phi) / np.sqrt(np.pi), np.sin(m * phi) / np.sqrt(np.pi)
+        for p, dp in zip(plm[m], dplm[m]):
+            cols.append((np.outer(p, c), np.outer(dp, c), np.outer(p * inv_sin, -m * s)))
+            block.append(2 * m - 1)
+            cols.append((np.outer(p, s), np.outer(dp, s), np.outer(p * inv_sin, m * c)))
+            block.append(2 * m)
+    V, Gt, Gp = (np.stack([col[i].ravel() for col in cols], axis=1) for i in range(3))
+    w = np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()[:, None]
+    M = V.T @ (w * V)
+    K = 0.5 * (Gt.T @ (w * Gt) + Gp.T @ (w * Gp))
+    return K, M, np.array(block)
+
+
 class TestLambda1:
     def test_measured_value_is_one(self, grid16):
         assert abs(measure_lambda1(grid16) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    def test_blocks_match_dense_oracle(self, L):
+        K, M, _ = dense_lambda1_matrices(L)
+        dense = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
+        assert abs(measure_lambda1(make_grid(L)) - dense) < 1e-12
+
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    def test_entries_between_blocks_vanish(self, L):
+        K, M, block = dense_lambda1_matrices(L)
+        between = block[:, None] != block[None, :]
+        for A in (K, M):
+            assert np.max(np.abs(A[between])) < 1e-12 * np.max(np.diag(A))
+
+    def test_large_band_limit(self):
+        assert abs(measure_lambda1(make_grid(64)) - 1.0) < 1e-8
 
 
 class TestSobolevCheck:
