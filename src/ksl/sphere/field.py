@@ -28,6 +28,9 @@ class SphereField:
             raise DomainError(
                 f"coefficient array must have shape {grid.coeff_shape()}, got {coeffs.shape}"
             )
+        # slots that hold no basis function: m > l, and the sin part at m = 0
+        if np.any(np.triu(coeffs, 1)) or np.any(coeffs[1, :, 0]):
+            raise DomainError("coefficient array is nonzero at m > l or in the sin part at m = 0")
         f = cls(grid)
         f._coeffs = coeffs.copy()
         return f

@@ -18,6 +18,13 @@ associated Legendre part N_lm is orthonormal on [-1, 1] and is generated by
 the standard stable three-term recurrence; theta-derivatives come from the
 degree-lowering relation, safe at the interior Gauss nodes where sin(theta)
 never vanishes.
+
+Transforms: each subgrid keeps one padded, m-major table P[m, t, l] =
+N_lm(mu_t), zero for l < m. The theta sum of every order is then one batched
+matmul against the coefficients viewed as (m, l, cos/sin), and the phi sum is
+one real FFT, as in SHTns (Schaeffer, G^3 14 (2013) 751). The gradient takes
+its theta-derivative from the same table through the degree-lowering
+relation, so no derivative table is stored.
 """
 
 from __future__ import annotations
@@ -32,20 +39,50 @@ AREA = 4.0 * np.pi
 MAX_TABLE_BYTES = 512 * 2**20
 
 
+def _lowering_factors(L: int) -> np.ndarray:
+    """e[m, l] of the degree-lowering relation, zero for l <= m.
+
+    d/dtheta N_lm = (l mu N_lm - e_lm N_{l-1,m}) / sin(theta) with
+    e_lm = sqrt((2l+1)(l^2-m^2)/(2l-1)).
+    """
+    l = np.arange(L + 1.0)[None, :]
+    m = np.arange(L + 1.0)[:, None]
+    return np.sqrt(np.maximum((2.0 * l + 1.0) * (l * l - m * m), 0.0) / np.abs(2.0 * l - 1.0))
+
+
 def legendre_tables(L: int, mu: np.ndarray) -> tuple[list, list]:
     """Orthonormal associated Legendre values and theta-derivatives.
 
     Returns (plm, dplm), lists indexed by order m; plm[m] has shape
     (L+1-m, len(mu)) with row i holding N_{m+i, m}(mu), where
     int_{-1}^{1} N_lm^2 dmu = 1 and no Condon-Shortley phase is applied.
-    dplm[m] holds d/dtheta of the same rows.
+    dplm[m] holds d/dtheta of the same rows, one row at a time from the
+    degree-lowering relation. The tests use both lists as the oracle for the
+    batched transforms; `_SubGrid` reads the value recurrence one order at a
+    time and keeps no derivative rows.
     """
+    mu = np.asarray(mu, dtype=float)
+    s = np.sqrt(1.0 - mu * mu)
+    plm = list(_legendre_orders(L, mu))
+    dplm = []
+    for m, rows in enumerate(plm):
+        drows = np.zeros_like(rows)
+        for l in range(m, L + 1):
+            acc = l * mu * rows[l - m]
+            if l > m:
+                e = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
+                acc = acc - e * rows[l - m - 1]
+            drows[l - m] = acc / s
+        dplm.append(drows)
+    return plm, dplm
+
+
+def _legendre_orders(L: int, mu: np.ndarray):
+    """The Legendre recurrence: yields plm[m] for m = 0..L."""
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(1.0 - mu * mu)
     if np.any(s == 0.0):
         raise DomainError("Legendre tables need interior nodes (sin theta > 0)")
-    plm: list[np.ndarray] = []
-    dplm: list[np.ndarray] = []
     diag = np.full(mu.shape, np.sqrt(0.5))
     for m in range(L + 1):
         rows = np.zeros((L + 1 - m, mu.size))
@@ -56,24 +93,23 @@ def legendre_tables(L: int, mu: np.ndarray) -> tuple[list, list]:
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             rows[l - m] = a * (mu * rows[l - m - 1] - b * rows[l - m - 2])
-        drows = np.zeros_like(rows)
-        for l in range(m, L + 1):
-            acc = l * mu * rows[l - m]
-            if l > m:
-                e = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
-                acc = acc - e * rows[l - m - 1]
-            drows[l - m] = acc / s
-        plm.append(rows)
-        dplm.append(drows)
+        yield rows
         if m < L:
             diag = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * diag
-    return plm, dplm
 
 
 class _SubGrid:
-    """One node set with its transform tables; base and oversampled share L."""
+    """One node set with its transform table; base and oversampled share L.
 
-    __slots__ = ("ntheta", "nphi", "mu", "wmu", "sintheta", "phi", "area_weights", "plm", "dplm")
+    `P[m, t, l]` is N_lm(mu_t), zero for l < m: one padded, m-major table, so
+    the theta-sum of every order is one batched matmul. Profiles are arrays
+    (m, t, cos/sin) of the theta-dependence each order carries.
+    """
+
+    __slots__ = (
+        "ntheta", "nphi", "mu", "wmu", "sintheta", "phi", "area_weights",
+        "P", "lower", "coeff_scale", "fourier_scale",
+    )
 
     def __init__(self, L: int, ntheta: int, nphi: int):
         mu, wmu = np.polynomial.legendre.leggauss(ntheta)
@@ -86,7 +122,53 @@ class _SubGrid:
         self.area_weights = np.broadcast_to(
             (wmu * (TWO_PI / nphi))[:, None], (ntheta, nphi)
         ).copy()
-        self.plm, self.dplm = legendre_tables(L, mu)
+        # one order at a time, so no full set of per-order lists is ever held
+        self.P = np.zeros((L + 1, ntheta, L + 1))
+        for m, rows in enumerate(_legendre_orders(L, mu)):
+            self.P[m, :, m:] = rows.T
+        self.lower = _lowering_factors(L)
+        # per-order (cos, sin) factors between profiles and rfft columns, read
+        # as (real, imag) pairs: the basis norm 1/sqrt(2 pi) at m = 0 and
+        # 1/sqrt(pi) above, 0 for the sin part of m = 0 (no basis function),
+        # and the sign of sin(m phi) in the imaginary part
+        norm = np.full((L + 1, 1, 2), (1.0 / np.sqrt(np.pi), -1.0 / np.sqrt(np.pi)))
+        norm[0, 0] = (1.0 / np.sqrt(TWO_PI), 0.0)
+        self.coeff_scale = norm * (TWO_PI / nphi)
+        self.fourier_scale = norm * (nphi / 2.0)
+        self.fourier_scale[0] *= 2.0  # irfft counts m = 0 once, the others twice
+
+    def fourier_columns(self, values: np.ndarray) -> np.ndarray:
+        """Quadrature-weighted profiles (m, t, cos/sin) of grid values (t, phi)."""
+        nm = self.P.shape[0]
+        F = np.fft.rfft(np.asarray(values, dtype=float), axis=1)[:, :nm]
+        pairs = F.view(float).reshape(self.ntheta, nm, 2).transpose(1, 0, 2)
+        return pairs * self.coeff_scale * self.wmu[:, None]
+
+    def fourier_sum(self, profiles: np.ndarray) -> np.ndarray:
+        """Grid values (t, phi) of sum_m profile_m(t) trig(m phi)."""
+        nm = profiles.shape[0]
+        F = np.zeros((self.ntheta, self.nphi // 2 + 1), dtype=complex)
+        pairs = F.view(float).reshape(self.ntheta, -1, 2)
+        pairs[:, :nm] = (profiles * self.fourier_scale).transpose(1, 0, 2)
+        return np.fft.irfft(F, n=self.nphi, axis=1)
+
+    def legendre_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Theta profiles of coefficient columns x[m, l, k], each (m, t, k).
+
+        Returns (sum_l x N_lm(mu_t), sum_l x dN_lm/dtheta(mu_t)) from one
+        matmul over three stacked column sets: x, l x, and e_lm x moved down
+        one degree, so that the derivative is (mu A - B) / sin(theta).
+        """
+        nm, nl, k = x.shape
+        cols = np.zeros((nm, nl, 3 * k))
+        cols[..., :k] = x
+        cols[..., k : 2 * k] = np.arange(nl, dtype=float)[:, None] * x
+        cols[:, :-1, 2 * k :] = self.lower[:, 1:, None] * x[:, 1:]
+        sums = self.P @ cols
+        dtheta = self.mu[:, None] * sums[..., k : 2 * k]
+        dtheta -= sums[..., 2 * k :]
+        dtheta /= self.sintheta[:, None]
+        return sums[..., :k], dtheta
 
 
 class QuadratureGrid:
@@ -97,11 +179,10 @@ class QuadratureGrid:
             raise DomainError(f"band limit must be an integer >= 2, got {L}")
         if not isinstance(oversample, int) or oversample < 1:
             raise DomainError(f"oversampling factor must be a positive integer, got {oversample}")
-        # float64 plm + dplm (ntheta * (L+1)(L+2)) and area weights (ntheta * nphi)
-        # on the base and the lazily built oversampled subgrid
+        # float64 padded Legendre table (ntheta * (L+1)^2) and area weights
+        # (ntheta * nphi) on the base and the lazily built oversampled subgrid
         nbytes = sum(
-            8 * (k * (L + 1)) * ((L + 1) * (L + 2) + 2 * k * (L + 1))
-            for k in (1, oversample)
+            8 * (k * (L + 1)) * ((L + 1) ** 2 + 2 * k * (L + 1)) for k in (1, oversample)
         )
         if nbytes > MAX_TABLE_BYTES:
             raise DomainError(
@@ -131,52 +212,29 @@ class QuadratureGrid:
         return (2, self.L + 1, self.L + 1)
 
     # transforms -----------------------------------------------------------
+    # Coefficients are c[s, l, m] (s = 0 cos, 1 sin); the Legendre matmul
+    # works on the m-major view c.transpose(2, 1, 0) of shape (m, l, cos/sin).
+    # Each transform is one batched matmul and its real FFTs; none calls
+    # another.
 
     def analysis(self, values: np.ndarray, sub: _SubGrid | None = None) -> np.ndarray:
         sub = sub or self.base
-        L = self.L
-        F = np.fft.rfft(np.asarray(values, dtype=float), axis=1)
-        coeffs = np.zeros(self.coeff_shape())
-        g0 = F[:, 0].real / sub.nphi
-        coeffs[0, :, 0] = np.sqrt(TWO_PI) * (sub.plm[0] @ (sub.wmu * g0))
-        for m in range(1, L + 1):
-            gc = 2.0 * F[:, m].real / sub.nphi
-            gs = -2.0 * F[:, m].imag / sub.nphi
-            coeffs[0, m:, m] = np.sqrt(np.pi) * (sub.plm[m] @ (sub.wmu * gc))
-            coeffs[1, m:, m] = np.sqrt(np.pi) * (sub.plm[m] @ (sub.wmu * gs))
-        return coeffs
+        return (sub.P.transpose(0, 2, 1) @ sub.fourier_columns(values)).transpose(2, 1, 0)
 
     def synthesis(self, coeffs: np.ndarray, sub: _SubGrid | None = None) -> np.ndarray:
         sub = sub or self.base
-        L = self.L
-        Fm = np.zeros((sub.ntheta, sub.nphi // 2 + 1), dtype=complex)
-        Fm[:, 0] = (sub.plm[0].T @ coeffs[0, :, 0]) / np.sqrt(TWO_PI) * sub.nphi
-        for m in range(1, L + 1):
-            gc = (sub.plm[m].T @ coeffs[0, m:, m]) / np.sqrt(np.pi)
-            gs = (sub.plm[m].T @ coeffs[1, m:, m]) / np.sqrt(np.pi)
-            Fm[:, m] = (gc - 1j * gs) * (sub.nphi / 2.0)
-        return np.fft.irfft(Fm, n=sub.nphi, axis=1)
+        return sub.fourier_sum(sub.P @ coeffs.transpose(2, 1, 0))
 
     def synth_gradient(
         self, coeffs: np.ndarray, sub: _SubGrid | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise (d/dtheta, (1/sin theta) d/dphi) of the synthesized field."""
         sub = sub or self.base
-        L = self.L
-        Ft = np.zeros((sub.ntheta, sub.nphi // 2 + 1), dtype=complex)
-        Fp = np.zeros_like(Ft)
-        Ft[:, 0] = (sub.dplm[0].T @ coeffs[0, :, 0]) / np.sqrt(TWO_PI) * sub.nphi
-        for m in range(1, L + 1):
-            gc = (sub.plm[m].T @ coeffs[0, m:, m]) / np.sqrt(np.pi)
-            gs = (sub.plm[m].T @ coeffs[1, m:, m]) / np.sqrt(np.pi)
-            dc = (sub.dplm[m].T @ coeffs[0, m:, m]) / np.sqrt(np.pi)
-            ds = (sub.dplm[m].T @ coeffs[1, m:, m]) / np.sqrt(np.pi)
-            Ft[:, m] = (dc - 1j * ds) * (sub.nphi / 2.0)
-            # d/dphi swaps the trig pair: cos-profile m*gs, sin-profile -m*gc
-            Fp[:, m] = (m * gs + 1j * m * gc) * (sub.nphi / 2.0)
-        dtheta = np.fft.irfft(Ft, n=sub.nphi, axis=1)
-        dphi = np.fft.irfft(Fp, n=sub.nphi, axis=1)
-        return dtheta, dphi / sub.sintheta[:, None]
+        g, dg = sub.legendre_sums(coeffs.transpose(2, 1, 0))
+        # d/dphi swaps the trig pair: cos-profile m*gs, sin-profile -m*gc
+        ms = np.arange(self.L + 1.0)[:, None, None]
+        gphi = ms * np.stack((g[..., 1], -g[..., 0]), axis=2)
+        return sub.fourier_sum(dg), sub.fourier_sum(gphi) / sub.sintheta[:, None]
 
     # quadrature -----------------------------------------------------------
 

@@ -32,7 +32,7 @@ def grad_energy(f: SphereField, method: str = "spectral") -> float:
     """Average of |grad f|^2 over the sphere.
 
     The spectral path sums l(l+1) |f_lm|^2; the quadrature path squares the
-    pointwise gradient synthesized from the derivative tables. The two agree
+    pointwise gradient synthesized on the grid. The two agree
     to transform accuracy and the tests hold them together.
     """
     grid = f.grid
@@ -145,11 +145,14 @@ def measure_lambda1(grid: QuadratureGrid) -> float:
     sub = grid.base
     dphi = TWO_PI / sub.nphi
     inv_sin = 1.0 / sub.sintheta
+    # unit coefficient columns give the padded tables N_lm and dN_lm/dtheta
+    eye = np.broadcast_to(np.eye(grid.L + 1), (grid.L + 1,) * 3)
+    values, dtheta = sub.legendre_sums(eye)
     lam = np.inf
     for m in range(grid.L + 1):
         # Y_lm = N_lm(cos theta) trig(m phi) / sqrt(norm); m = 0 drops Y_00
-        rows = sub.plm[m][1:] if m == 0 else sub.plm[m]
-        drows = sub.dplm[m][1:] if m == 0 else sub.dplm[m]
+        rows = values[m, :, max(m, 1) :].T
+        drows = dtheta[m, :, max(m, 1) :].T
         norm = TWO_PI if m == 0 else np.pi
         P = (rows * sub.wmu) @ rows.T
         D = (drows * sub.wmu) @ drows.T
@@ -173,12 +176,18 @@ def random_band_limited(
     """Gaussian coefficient draw with power-law decay; reproducible by seed."""
     rng = np.random.default_rng(seed)
     lmax = grid.L if lmax is None else min(lmax, grid.L)
+    # draw order: for each l, cos m = 0..l, then sin m = 1..l; degree l's
+    # 2l+1 draws start at position l^2
+    ls = np.arange(lmax + 1)
+    l_idx = np.repeat(ls, 2 * ls + 1)
+    k = np.arange(l_idx.size) - l_idx**2
+    is_sin = k > l_idx
+    # Python's float power, which np.power does not match bit for bit
+    amp = np.array([1.0 / (1.0 + l) ** decay for l in range(lmax + 1)])
     coeffs = np.zeros(grid.coeff_shape())
-    for l in range(lmax + 1):
-        amp = 1.0 / (1.0 + l) ** decay
-        coeffs[0, l, : l + 1] = amp * rng.standard_normal(l + 1)
-        if l >= 1:
-            coeffs[1, l, 1 : l + 1] = amp * rng.standard_normal(l)
+    coeffs[is_sin.astype(int), l_idx, np.where(is_sin, k - l_idx, k)] = (
+        rng.standard_normal(l_idx.size) * amp[l_idx]
+    )
     return SphereField.from_coeffs(grid, coeffs)
 
 

@@ -1,9 +1,10 @@
 """Grid, transform, operator, and inequality tests on the unit sphere.
 
 Oracles: scipy.special.lpmv for the Legendre tables (with the Condon-Shortley
-phase stripped), closed-form moments of low-degree fields, and dual-path
-agreement between spectral and quadrature evaluations. The package itself
-never calls scipy.special; only this test module does, as an oracle.
+phase stripped), closed-form moments of low-degree fields, dual-path
+agreement between spectral and quadrature evaluations, and per-order loop
+transforms fed by `legendre_tables` for the batched kernel. The package
+itself never calls scipy.special; only this test module does, as an oracle.
 """
 
 import math
@@ -79,6 +80,85 @@ class TestLegendreTables:
         for m in (0, 2):
             fd = (plm_p[m] - plm_m[m]) / (2 * h)
             np.testing.assert_allclose(dplm[m], fd, atol=1e-6)
+
+
+def loop_analysis(grid, values, sub):
+    """Per-order reference for `QuadratureGrid.analysis`."""
+    plm, _ = legendre_tables(grid.L, sub.mu)
+    F = np.fft.rfft(np.asarray(values, dtype=float), axis=1)
+    coeffs = np.zeros(grid.coeff_shape())
+    g0 = F[:, 0].real / sub.nphi
+    coeffs[0, :, 0] = np.sqrt(2.0 * np.pi) * (plm[0] @ (sub.wmu * g0))
+    for m in range(1, grid.L + 1):
+        gc = 2.0 * F[:, m].real / sub.nphi
+        gs = -2.0 * F[:, m].imag / sub.nphi
+        coeffs[0, m:, m] = np.sqrt(np.pi) * (plm[m] @ (sub.wmu * gc))
+        coeffs[1, m:, m] = np.sqrt(np.pi) * (plm[m] @ (sub.wmu * gs))
+    return coeffs
+
+
+def loop_synthesis(grid, coeffs, sub):
+    """Per-order reference for `QuadratureGrid.synthesis`."""
+    plm, _ = legendre_tables(grid.L, sub.mu)
+    Fm = np.zeros((sub.ntheta, sub.nphi // 2 + 1), dtype=complex)
+    Fm[:, 0] = (plm[0].T @ coeffs[0, :, 0]) / np.sqrt(2.0 * np.pi) * sub.nphi
+    for m in range(1, grid.L + 1):
+        gc = (plm[m].T @ coeffs[0, m:, m]) / np.sqrt(np.pi)
+        gs = (plm[m].T @ coeffs[1, m:, m]) / np.sqrt(np.pi)
+        Fm[:, m] = (gc - 1j * gs) * (sub.nphi / 2.0)
+    return np.fft.irfft(Fm, n=sub.nphi, axis=1)
+
+
+def loop_synth_gradient(grid, coeffs, sub):
+    """Per-order reference for `QuadratureGrid.synth_gradient`, from `dplm`."""
+    plm, dplm = legendre_tables(grid.L, sub.mu)
+    Ft = np.zeros((sub.ntheta, sub.nphi // 2 + 1), dtype=complex)
+    Fp = np.zeros_like(Ft)
+    Ft[:, 0] = (dplm[0].T @ coeffs[0, :, 0]) / np.sqrt(2.0 * np.pi) * sub.nphi
+    for m in range(1, grid.L + 1):
+        gc = (plm[m].T @ coeffs[0, m:, m]) / np.sqrt(np.pi)
+        gs = (plm[m].T @ coeffs[1, m:, m]) / np.sqrt(np.pi)
+        dc = (dplm[m].T @ coeffs[0, m:, m]) / np.sqrt(np.pi)
+        ds = (dplm[m].T @ coeffs[1, m:, m]) / np.sqrt(np.pi)
+        Ft[:, m] = (dc - 1j * ds) * (sub.nphi / 2.0)
+        Fp[:, m] = (m * gs + 1j * m * gc) * (sub.nphi / 2.0)
+    dtheta = np.fft.irfft(Ft, n=sub.nphi, axis=1)
+    dphi = np.fft.irfft(Fp, n=sub.nphi, axis=1)
+    return dtheta, dphi / sub.sintheta[:, None]
+
+
+class TestBatchedKernel:
+    """The one-matmul transforms against the per-order loops."""
+
+    @pytest.fixture(scope="class", params=[2, 3, 16, 64])
+    def grid(self, request):
+        return make_grid(request.param)
+
+    @pytest.mark.parametrize("subgrid", ["base", "over"])
+    def test_transforms_match_loops(self, grid, subgrid):
+        sub = getattr(grid, subgrid)
+        coeffs = random_band_limited(grid, seed=grid.L).coeffs
+        np.testing.assert_allclose(
+            grid.synthesis(coeffs, sub), loop_synthesis(grid, coeffs, sub), rtol=0, atol=1e-13
+        )
+        for got, want in zip(
+            grid.synth_gradient(coeffs, sub), loop_synth_gradient(grid, coeffs, sub)
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        values = np.random.default_rng(grid.L).standard_normal((sub.ntheta, sub.nphi))
+        np.testing.assert_allclose(
+            grid.analysis(values, sub), loop_analysis(grid, values, sub), rtol=0, atol=1e-13
+        )
+
+    def test_legendre_sums_match_tables(self, grid16):
+        # unit coefficient columns give every N_lm and dN_lm/dtheta row
+        L = grid16.L
+        values, dtheta = grid16.base.legendre_sums(np.broadcast_to(np.eye(L + 1), (L + 1,) * 3))
+        plm, dplm = legendre_tables(L, grid16.base.mu)
+        for m in range(L + 1):
+            np.testing.assert_array_equal(values[m, :, :m], 0.0)
+            np.testing.assert_allclose(values[m, :, m:].T, plm[m], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dtheta[m, :, m:].T, dplm[m], rtol=0, atol=1e-12)
 
 
 class TestGridInvariants:
@@ -316,10 +396,38 @@ class TestPerturbation:
             perturbation_tcoeff(f, 2.0, 0.5)
 
 
+def loop_random_coeffs(grid, seed, lmax=None, decay=2.0):
+    """Per-degree reference for the draw order of `random_band_limited`."""
+    rng = np.random.default_rng(seed)
+    lmax = grid.L if lmax is None else min(lmax, grid.L)
+    coeffs = np.zeros(grid.coeff_shape())
+    for l in range(lmax + 1):
+        amp = 1.0 / (1.0 + l) ** decay
+        coeffs[0, l, : l + 1] = amp * rng.standard_normal(l + 1)
+        if l >= 1:
+            coeffs[1, l, 1 : l + 1] = amp * rng.standard_normal(l)
+    return coeffs
+
+
 class TestFieldBasics:
     def test_from_values_shape_checked(self, grid8):
         with pytest.raises(DomainError):
             SphereField.from_values(grid8, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("slot", [(0, 2, 5), (1, 3, 0)], ids=["m_above_l", "sin_m0"])
+    def test_from_coeffs_rejects_unused_slots(self, grid8, slot):
+        coeffs = np.zeros(grid8.coeff_shape())
+        coeffs[slot] = 1.0
+        with pytest.raises(DomainError, match="m > l"):
+            SphereField.from_coeffs(grid8, coeffs)
+
+    @pytest.mark.parametrize("L", [16, 64])
+    @pytest.mark.parametrize("lmax", [None, 8])
+    def test_random_band_limited_matches_loop(self, L, lmax):
+        grid = make_grid(L)
+        for seed in (0, 3, 12345, 2**31 - 5):
+            f = random_band_limited(grid, seed, lmax=lmax)
+            assert np.array_equal(f.coeffs, loop_random_coeffs(grid, seed, lmax=lmax))
 
     def test_mixed_grids_rejected(self, grid8, grid16):
         with pytest.raises(DomainError):
