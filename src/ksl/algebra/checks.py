@@ -283,6 +283,12 @@ def verify_substitution_identities(idx: int) -> PassReport:
     mixed-Hessian contraction identity, which enters as a trusted axiom and
     is cross-checked through the elimination derivation.
     """
+    elim = verify_grad_box_elimination() if idx == 3 else None
+    return _substitution_identities(idx, elim)
+
+
+def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
+    """Identity idx; (3) records `elim.passed` as its elimination cross-check."""
     name = f"substitution_identities_{idx}"
     steps: list[StepCheck] = []
     pairs: list[tuple[str, RationalFunction, RationalFunction]] = []
@@ -322,7 +328,6 @@ def verify_substitution_identities(idx: int) -> PassReport:
         pairs += p
         # cross-check: the two independent routes to the solved gradient-box
         # form (direct elimination vs solving identities (1)+(2)) agree
-        elim = verify_grad_box_elimination()
         steps.append(
             StepCheck(
                 "cross_check_via_elimination",
@@ -1122,16 +1127,21 @@ def verify_chain_consistency() -> PassReport:
 
 
 def run_all() -> list[PassReport]:
-    """Every exact verifier, plus the two in-range monotonicity examples."""
+    """Every exact verifier, plus the two in-range monotonicity examples.
+
+    The elimination report is computed once and also serves as identity (3)'s
+    cross-check.
+    """
+    elim = verify_grad_box_elimination()
     reports = [
         verify_substitution_identities(1),
         verify_substitution_identities(2),
-        verify_substitution_identities(3),
+        _substitution_identities(3, elim),
         verify_antihol_completion_bound(),
         verify_midpoint_obstruction(),
         verify_mixed_completion_bound(),
         verify_base_chain(),
-        verify_grad_box_elimination(),
+        elim,
         verify_refined_chain(),
         verify_chain_consistency(),
         verify_radical_gap_monotone(Fraction(1), Fraction(3), Fraction(1)),

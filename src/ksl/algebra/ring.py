@@ -5,6 +5,17 @@ zero of single variables, and equality testing. No GCDs, no factorization:
 rational functions are kept unnormalized and compared by cross-multiplication,
 which is exact and needs nothing beyond polynomial arithmetic.
 
+A :class:`Poly` packs each monomial into one int, with an 8-bit field per
+variable of ``VARS`` and the first variable in the most significant field.
+A product of two monomials is then one integer addition, and integer order is
+the lexicographic order of the exponent tuples. An exponent may be 0 to
+``MAX_EXP`` (127); the top bit of each field is a guard bit, which a product
+sets when an exponent passes that ceiling. Every product checks the guard bits
+once and raises ``ValueError``, so an exponent never carries into the next
+variable. Coefficients are integers over one positive common denominator per
+polynomial, reduced to lowest terms at construction, so ``==`` and ``hash``
+compare structure.
+
 Square roots never enter the ring. Identities that involve one radical are
 handled by :class:`RadExpr`, a pair (base, coef) representing
 ``base + coef*sqrt(rad)`` with a shared polynomial radicand; equality of two
@@ -14,6 +25,9 @@ such expressions reduces to component-wise rational-function equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 from ..errors import DomainError
 
@@ -22,9 +36,15 @@ from ..errors import DomainError
 # threshold is expressed through the spectral parameter and the ratio
 # substitution a = x*y, beta = y.
 VARS = ("gamma", "a", "b", "beta", "k", "eps", "lam", "q", "n", "lam1", "x", "y")
-NVARS = len(VARS)
-_VAR_INDEX = {name: i for i, name in enumerate(VARS)}
-_ZERO_EXP = (0,) * NVARS
+
+# packed monomials: VARS[i] owns bits [8*(11-i), 8*(11-i) + 8); the top bit of
+# each field is its guard
+_BITS = 8
+_MASK = (1 << _BITS) - 1
+MAX_EXP = _MASK >> 1
+_SHIFTS = tuple(_BITS * (len(VARS) - 1 - i) for i in range(len(VARS)))
+_SHIFT = dict(zip(VARS, _SHIFTS))
+_GUARDS = sum((MAX_EXP + 1) << s for s in _SHIFTS)
 
 
 def _as_fraction(value) -> Fraction:
@@ -35,20 +55,62 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class Poly:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+def _pack(exp) -> int:
+    if len(exp) != len(VARS):
+        raise ValueError(f"exponent vector needs {len(VARS)} entries, got {len(exp)}")
+    packed = 0
+    for e, s in zip(exp, _SHIFTS):
+        if not 0 <= e <= MAX_EXP:
+            raise ValueError(f"exponent {e} outside 0..{MAX_EXP}")
+        packed |= e << s
+    return packed
 
-    __slots__ = ("terms", "_hash")
+
+def _unpack(mono: int) -> tuple[int, ...]:
+    return tuple((mono >> s) & _MASK for s in _SHIFTS)
+
+
+class Poly:
+    """Immutable sparse polynomial over Q: packed monomial -> int, over ``den``.
+
+    ``terms`` maps each packed monomial (see the module docstring) to a nonzero
+    integer numerator and ``den`` is the positive common denominator, so the
+    coefficient of a monomial is ``terms[m] / den``. The gcd of ``den`` and
+    every numerator is 1, and the zero polynomial has ``den == 1``. The
+    constructor takes exponent tuples (one entry per variable of ``VARS``, each
+    in 0..``MAX_EXP``) mapped to ints or Fractions; an exponent outside that
+    range, from the constructor or from a product, raises ``ValueError``.
+    """
+
+    __slots__ = ("terms", "den", "_hash")
 
     def __init__(self, terms: dict | None = None):
-        cleaned = {}
-        if terms:
-            for exp, coef in terms.items():
-                coef = _as_fraction(coef)
-                if coef != 0:
-                    cleaned[exp] = coef
-        object.__setattr__(self, "terms", cleaned)
+        coefs = {_pack(exp): _as_fraction(c) for exp, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in coefs.values())) if coefs else 1
+        self._init(
+            {m: c.numerator * (den // c.denominator) for m, c in coefs.items()}, den
+        )
+
+    def _init(self, num: dict[int, int], den: int) -> None:
+        """Store num/den (den > 0) in lowest terms, dropping zero numerators."""
+        if 0 in num.values():
+            num = {m: c for m, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        object.__setattr__(self, "terms", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, num: dict[int, int], den: int) -> "Poly":
+        p = object.__new__(cls)
+        p._init(num, den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -57,13 +119,12 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly({_ZERO_EXP: _as_fraction(value)})
+        value = _as_fraction(value)
+        return Poly._make({0: value.numerator}, value.denominator)
 
     @staticmethod
     def var(name: str) -> "Poly":
-        exp = [0] * NVARS
-        exp[_VAR_INDEX[name]] = 1
-        return Poly({tuple(exp): Fraction(1)})
+        return Poly._make({1 << _SHIFT[name]: 1}, 1)
 
     # predicates
 
@@ -73,26 +134,30 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return all(exp == _ZERO_EXP for exp in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.terms.get(_ZERO_EXP, Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     # ring arithmetic
 
     def __add__(self, other) -> "Poly":
         other = _coerce_poly(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-        return Poly(out)
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = {m: c * s1 for m, c in self.terms.items()} if s1 != 1 else dict(self.terms)
+        get = out.get
+        for m, c in other.terms.items():
+            out[m] = get(m, 0) + c * s2
+        return Poly._make(out, d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({exp: -coef for exp, coef in self.terms.items()})
+        return Poly._make({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce_poly(other))
@@ -102,35 +167,48 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = _coerce_poly(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return Poly(out)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return ZERO
+        pairs = iter(small.items())
+        m2, c2 = next(pairs)
+        out = {m1 + m2: c1 * c2 for m1, c1 in big.items()}
+        get = out.get
+        for m2, c2 in pairs:
+            for m1, c1 in big.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        # factors keep their guard bits clear, so a field sum is at most
+        # 2*MAX_EXP and sets its own guard bit, never the next field's bits
+        if reduce(or_, out) & _GUARDS:
+            raise ValueError(f"exponent above {MAX_EXP} in a product")
+        return Poly._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
         if power < 0:
             raise ValueError("negative power on Poly; use RationalFunction")
-        result = Poly.const(1)
+        result = ONE
         base = self
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", hash((self.den, frozenset(self.terms.items()))))
         return self._hash
 
     # structure queries
@@ -138,63 +216,66 @@ class Poly:
     def min_degree_in(self, name: str) -> int:
         if self.is_zero:
             return 0
-        i = _VAR_INDEX[name]
-        return min(exp[i] for exp in self.terms)
-
-    def max_degree_in(self, name: str) -> int:
-        if self.is_zero:
-            return 0
-        i = _VAR_INDEX[name]
-        return max(exp[i] for exp in self.terms)
+        s = _SHIFT[name]
+        return min((m >> s) & _MASK for m in self.terms)
 
     def shift_down(self, name: str, amount: int) -> "Poly":
         """Divide by name**amount; every monomial must carry at least that power."""
-        if amount == 0:
+        if amount == 0 or not self.terms:
             return self
-        i = _VAR_INDEX[name]
-        out = {}
-        for exp, coef in self.terms.items():
-            if exp[i] < amount:
-                raise ValueError(f"monomial not divisible by {name}^{amount}")
-            new = list(exp)
-            new[i] -= amount
-            out[tuple(new)] = coef
-        return Poly(out)
+        if not 0 < amount <= self.min_degree_in(name):
+            raise ValueError(f"monomial not divisible by {name}^{amount}")
+        step = amount << _SHIFT[name]
+        return Poly._make({m - step: c for m, c in self.terms.items()}, self.den)
 
     def coeffs_in(self, name: str) -> dict[int, "Poly"]:
         """Univariate view: power of name -> polynomial in the rest."""
-        i = _VAR_INDEX[name]
+        s = _SHIFT[name]
         parts: dict[int, dict] = {}
-        for exp, coef in self.terms.items():
-            new = list(exp)
-            p = new[i]
-            new[i] = 0
-            parts.setdefault(p, {})[tuple(new)] = coef
-        return {p: Poly(t) for p, t in parts.items()}
+        for m, c in self.terms.items():
+            p = (m >> s) & _MASK
+            parts.setdefault(p, {})[m - (p << s)] = c
+        return {p: Poly._make(t, self.den) for p, t in parts.items()}
 
     def set_var_zero(self, name: str) -> "Poly":
-        i = _VAR_INDEX[name]
-        return Poly({exp: coef for exp, coef in self.terms.items() if exp[i] == 0})
+        field = _MASK << _SHIFT[name]
+        return Poly._make({m: c for m, c in self.terms.items() if not m & field}, self.den)
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
-        vals = [_as_fraction(point[name]) for name in VARS]
-        total = Fraction(0)
-        for exp, coef in self.terms.items():
-            term = coef
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        """Value at point, in integers over one common denominator.
+
+        Only the variables that occur are read. A variable of top degree t at
+        the value a/b contributes the table a**e * b**(t-e), e = 0..t, so every
+        term shares the denominator den * prod b**t.
+        """
+        if not self.terms:
+            return Fraction(0)
+        present = reduce(or_, self.terms)
+        tables = []
+        scale = self.den
+        for name, s in _SHIFT.items():
+            if (present >> s) & _MASK:
+                top = max((m >> s) & _MASK for m in self.terms)
+                value = _as_fraction(point[name])
+                a, b = value.numerator, value.denominator
+                tables.append((s, [a**e * b ** (top - e) for e in range(top + 1)]))
+                scale *= b**top
+        total = 0
+        for m, c in self.terms.items():
+            for s, table in tables:
+                c *= table[(m >> s) & _MASK]
+            total += c
+        return Fraction(total, scale)
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
         chunks = []
-        for exp in sorted(self.terms, reverse=True):
-            coef = self.terms[exp]
+        # packed order is the exponent tuples' lexicographic order
+        for m in sorted(self.terms, reverse=True):
+            coef = Fraction(self.terms[m], self.den)
             factors = [
-                f"{name}^{e}" if e > 1 else name for name, e in zip(VARS, exp) if e
+                f"{name}^{e}" if e > 1 else name for name, e in zip(VARS, _unpack(m)) if e
             ]
             body = "*".join(factors)
             if not body:

@@ -141,9 +141,6 @@ class FormalExpr:
         rest = FormalExpr({t: w for t, w in self.coeffs.items() if t != term})
         return rest + expansion.scale(c)
 
-    def map_coeffs(self, fn) -> "FormalExpr":
-        return FormalExpr({term: fn(c) for term, c in self.coeffs.items()})
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

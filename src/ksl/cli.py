@@ -13,7 +13,8 @@ Flags can also come from a config file (key = value per line, '#' starts a
 comment); explicit flags win. Every float option, from either source, must be
 a finite number. The KSL_OUT environment variable overrides the output
 directory. Exit status: 0 when every invoked check passes, 1 on a failed
-check or a domain error (reported verbatim on stderr), 2 on bad usage.
+check or a domain error (reported verbatim on stderr), 2 on bad usage. Under
+`all`, a domain error replaces only the records of the stage that raised it.
 """
 
 from __future__ import annotations
@@ -445,29 +446,33 @@ def _cmd_pde_solve(cfg: RunConfig) -> list[Record]:
     ]
 
 
-def _cmd_all(cfg: RunConfig) -> list[Record]:
-    recs = []
-    for handler in (
-        _cmd_constants,
-        _cmd_interval,
-        _cmd_optimize_k,
-        _cmd_algebra_verify,
-        _cmd_sphere_verify,
-        _cmd_pde_solve,
-    ):
-        recs.extend(handler(cfg))
-    return recs
-
-
-_HANDLERS = {
+_STAGES = {
     "constants": _cmd_constants,
     "interval": _cmd_interval,
     "optimize-k": _cmd_optimize_k,
     "algebra-verify": _cmd_algebra_verify,
     "sphere-verify": _cmd_sphere_verify,
     "pde-solve": _cmd_pde_solve,
-    "all": _cmd_all,
 }
+
+
+def _error_record(subcommand: str, exc: DomainError) -> Record:
+    return Record(subcommand, "error", {"status": "fail", "message": str(exc)})
+
+
+def _cmd_all(cfg: RunConfig) -> list[Record]:
+    """Every stage; a DomainError replaces that stage's records alone."""
+    recs = []
+    for subcommand, handler in _STAGES.items():
+        try:
+            recs.extend(handler(cfg))
+        except DomainError as exc:
+            recs.append(_error_record(subcommand, exc))
+            print(str(exc), file=sys.stderr)
+    return recs
+
+
+_HANDLERS = {**_STAGES, "all": _cmd_all}
 
 
 # ---------------------------------------------------------------- driver
@@ -505,7 +510,7 @@ def run(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         # the failure still lands in a structured report, then the module's
         # message goes to stderr verbatim
-        records = [Record(cfg.subcommand, "error", {"status": "fail", "message": str(exc)})]
+        records = [_error_record(cfg.subcommand, exc)]
         _emit(cfg, records)
         print(str(exc), file=sys.stderr)
         return 1

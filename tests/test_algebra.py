@@ -22,6 +22,7 @@ from ksl.algebra import (
     verify_refined_chain,
     verify_substitution_identities,
 )
+from ksl.algebra import checks
 from ksl.algebra.checks import (
     display_completion_quadruple,
     display_mixed_quadruple,
@@ -67,6 +68,24 @@ class TestVerifiersPass:
         elapsed = time.monotonic() - start
         assert all(r.passed for r in reports)
         assert elapsed < 30.0
+
+    def test_elimination_runs_once_per_run_all(self, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return verify_grad_box_elimination()
+
+        monkeypatch.setattr(checks, "verify_grad_box_elimination", counted)
+        reports = run_all()
+        assert len(calls) == 1
+        by_name = {r.name: r for r in reports}
+        cross = by_name["substitution_identities_3"].steps[-1]
+        assert cross.name == "cross_check_via_elimination"
+        assert cross.ok == by_name["grad_box_elimination"].passed
+        # called on its own, identity (3) still runs its own cross-check
+        verify_substitution_identities(3)
+        assert len(calls) == 2
 
 
 class TestTargetedIdentities:

@@ -347,3 +347,22 @@ class TestAllCommand:
             if key.endswith(".status") and val != "pass"
         ]
         assert fails == []
+
+    def test_failed_stage_keeps_the_others(self, capsys, tmp_path):
+        code, out, err = run_capture(["all", "--L", "300", "--out", str(tmp_path)], capsys)
+        assert code == 1
+        payload = json.loads(out)["payload"]
+        sections = {key.split(".")[0] for key in payload}
+        assert {"constants", "algebra", "sphere-verify", "pde-solve"} <= sections
+        assert "sphere" not in sections and "pde" not in sections
+        for command in ("sphere-verify", "pde-solve"):
+            assert payload[f"{command}.error.status"] == "fail"
+            message = payload[f"{command}.error.message"]
+            assert "bytes of quadrature tables" in message
+            assert message in err.splitlines()
+        statuses = {
+            key: val
+            for key, val in payload.items()
+            if key.endswith(".status") and ".error." not in key
+        }
+        assert statuses and all(val == "pass" for val in statuses.values())

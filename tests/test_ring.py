@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksl.algebra.ring import (
+    MAX_EXP,
     ONE,
     Poly,
     RadExpr,
@@ -30,7 +31,7 @@ def _small_fraction():
 
 
 @st.composite
-def polys(draw, max_terms=4, max_power=3):
+def term_dicts(draw, max_terms=4, max_power=3):
     nterms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(nterms):
@@ -39,12 +40,108 @@ def polys(draw, max_terms=4, max_power=3):
         for idx in draw(st.lists(st.integers(0, len(VARS) - 1), max_size=2)):
             exp[idx] += draw(st.integers(1, max_power))
         terms[tuple(exp)] = draw(_small_fraction())
-    return Poly(terms)
+    return terms
+
+
+def polys(max_terms=4, max_power=3):
+    return term_dicts(max_terms, max_power).map(Poly)
 
 
 @st.composite
 def points(draw):
     return {name: draw(_small_fraction()) for name in VARS}
+
+
+class TuplePoly:
+    """Reference polynomial: exponent tuple -> nonzero Fraction.
+
+    This is the layout the packed Poly replaced, kept as an oracle for it.
+    """
+
+    def __init__(self, terms):
+        self.terms = {exp: Fraction(c) for exp, c in terms.items() if c != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exp, coef in other.terms.items():
+            out[exp] = out.get(exp, Fraction(0)) + coef
+        return TuplePoly(out)
+
+    def __neg__(self):
+        return TuplePoly({exp: -coef for exp, coef in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
+        return TuplePoly(out)
+
+    def __pow__(self, power):
+        result = TuplePoly({(0,) * len(VARS): 1})
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def min_degree_in(self, name):
+        i = VARS.index(name)
+        return min((exp[i] for exp in self.terms), default=0)
+
+    def shift_down(self, name, amount):
+        i = VARS.index(name)
+        out = {}
+        for exp, coef in self.terms.items():
+            if exp[i] < amount:
+                raise ValueError(f"monomial not divisible by {name}^{amount}")
+            out[exp[:i] + (exp[i] - amount,) + exp[i + 1 :]] = coef
+        return TuplePoly(out)
+
+    def coeffs_in(self, name):
+        i = VARS.index(name)
+        parts = {}
+        for exp, coef in self.terms.items():
+            parts.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1 :]] = coef
+        return {p: TuplePoly(t) for p, t in parts.items()}
+
+    def set_var_zero(self, name):
+        i = VARS.index(name)
+        return TuplePoly({exp: c for exp, c in self.terms.items() if exp[i] == 0})
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for exp, coef in self.terms.items():
+            term = coef
+            for name, e in zip(VARS, exp):
+                term *= point[name] ** e
+            total += term
+        return total
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        chunks = []
+        for exp in sorted(self.terms, reverse=True):
+            coef = self.terms[exp]
+            factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(VARS, exp) if e]
+            body = "*".join(factors)
+            if not body:
+                chunks.append(str(coef))
+            elif coef == 1:
+                chunks.append(body)
+            elif coef == -1:
+                chunks.append(f"-{body}")
+            else:
+                chunks.append(f"{coef}*{body}")
+        return " + ".join(chunks).replace("+ -", "- ")
+
+
+def assert_same(packed, oracle):
+    assert repr(packed) == repr(oracle)
+    assert packed == Poly(oracle.terms)
 
 
 class TestPoly:
@@ -94,6 +191,97 @@ class TestPoly:
     def test_repr_is_deterministic(self):
         p = Poly.var("a") * 2 - Poly.var("beta") + 1
         assert repr(p) == repr(Poly.var("a") * 2 - Poly.var("beta") + 1)
+
+
+class TestPackedAgainstOracle:
+    @given(
+        term_dicts(),
+        term_dicts(),
+        points(),
+        st.integers(0, 4),
+        st.sampled_from(VARS),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_operations_match_oracle(self, t1, t2, pt, power, name, amount):
+        p1, p2 = Poly(t1), Poly(t2)
+        o1, o2 = TuplePoly(t1), TuplePoly(t2)
+        assert_same(p1, o1)
+        for packed, oracle in [
+            (p1, o1),
+            (p1 + p2, o1 + o2),
+            (p1 - p2, o1 - o2),
+            (p1 * p2, o1 * o2),
+            (p1**power, o1**power),
+            (p1.set_var_zero(name), o1.set_var_zero(name)),
+        ]:
+            assert_same(packed, oracle)
+            assert packed.evaluate(pt) == oracle.evaluate(pt)
+        assert p1.min_degree_in(name) == o1.min_degree_in(name)
+        parts, expected_parts = p1.coeffs_in(name), o1.coeffs_in(name)
+        assert parts.keys() == expected_parts.keys()
+        for p in parts:
+            assert_same(parts[p], expected_parts[p])
+        # shift_down divides exactly or refuses, as the oracle does
+        try:
+            expected = o1.shift_down(name, amount)
+        except ValueError:
+            with pytest.raises(ValueError):
+                p1.shift_down(name, amount)
+        else:
+            assert_same(p1.shift_down(name, amount), expected)
+        raised = p1 * Poly.var(name) ** amount
+        assert_same(raised.shift_down(name, amount), o1)
+
+    def test_canonical_form(self):
+        x = Poly.var("x")
+        half_x = x * Fraction(1, 2)
+        assert half_x * 2 == x and hash(half_x * 2) == hash(x)
+        third, half = Poly.const(Fraction(3, 6)), Poly.const(Fraction(1, 2))
+        assert third == half and hash(third) == hash(half)
+        # common factors of the numerators cancel against the denominator
+        p = x * Fraction(2, 4) + Poly.var("y") * Fraction(6, 12)
+        assert p.den == 2 and sorted(p.terms.values()) == [1, 1]
+        assert (p * 4).den == 1 and sorted((p * 4).terms.values()) == [2, 2]
+        assert p - p == Poly() and (p - p).den == 1
+
+
+class TestExponentCeiling:
+    def test_documented_ceiling(self):
+        assert MAX_EXP == 127
+
+    @pytest.mark.parametrize("name", ["gamma", "k", "y"])
+    def test_power_at_ceiling(self, name):
+        p = Poly.var(name) ** MAX_EXP
+        exp = [0] * len(VARS)
+        exp[VARS.index(name)] = MAX_EXP
+        assert p == Poly({tuple(exp): 1})
+        assert p.min_degree_in(name) == MAX_EXP
+        assert repr(p) == f"{name}^{MAX_EXP}"
+        assert p.shift_down(name, MAX_EXP) == ONE
+
+    @pytest.mark.parametrize("name", ["gamma", "k", "y"])
+    def test_past_ceiling_raises(self, name):
+        # an exponent never carries into the next variable's field
+        with pytest.raises(ValueError):
+            Poly.var(name) ** (MAX_EXP + 1)
+        with pytest.raises(ValueError):
+            (Poly.var(name) ** 100 + 1) * (Poly.var(name) ** 28 - 1)
+        with pytest.raises(ValueError):
+            Poly.var(name) ** MAX_EXP * Poly.var(name) ** MAX_EXP
+
+    @pytest.mark.parametrize("e", [-1, MAX_EXP + 1, 2 * MAX_EXP + 2])
+    @pytest.mark.parametrize("name", ["gamma", "k", "y"])
+    def test_constructor_exponent_outside_range(self, name, e):
+        exp = [0] * len(VARS)
+        exp[VARS.index(name)] = e
+        with pytest.raises(ValueError):
+            Poly({tuple(exp): 1})
+
+    def test_mixed_product_below_ceiling(self):
+        k, n = Poly.var("k"), Poly.var("n")
+        p = (k**100 * n**5) * (k**27 * n**3)
+        assert repr(p) == "k^127*n^8"
 
 
 class TestRationalFunction:
