@@ -42,6 +42,7 @@ from .constants import (
 from .errors import DomainError
 from .report import Record, build_report, render_csv, render_json
 from .sphere import (
+    QuadratureGrid,
     SphereField,
     avg_square,
     box_op,
@@ -371,8 +372,9 @@ def _cmd_algebra_verify(cfg: RunConfig) -> list[Record]:
     return recs
 
 
-def _cmd_sphere_verify(cfg: RunConfig) -> list[Record]:
-    grid = make_grid(cfg.L)
+def _cmd_sphere_verify(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[Record]:
+    if grid is None:
+        grid = make_grid(cfg.L)
     recs = []
 
     lam1 = measure_lambda1(grid)
@@ -417,8 +419,9 @@ def _cmd_sphere_verify(cfg: RunConfig) -> list[Record]:
     return recs
 
 
-def _cmd_pde_solve(cfg: RunConfig) -> list[Record]:
-    grid = make_grid(cfg.L)
+def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[Record]:
+    if grid is None:
+        grid = make_grid(cfg.L)
     u0 = random_positive_field(grid, cfg.seed)
     rep = newton_solve(cfg.lam, cfg.q, u0)
     if rep.is_constant and rep.constant_value is not None:
@@ -460,12 +463,22 @@ def _error_record(subcommand: str, exc: DomainError) -> Record:
     return Record(subcommand, "error", {"status": "fail", "message": str(exc)})
 
 
+# stages that run on the grid at cfg.L; `all` builds it once for them
+_GRID_STAGES = ("sphere-verify", "pde-solve")
+
+
 def _cmd_all(cfg: RunConfig) -> list[Record]:
     """Every stage; a DomainError replaces that stage's records alone."""
     recs = []
+    grid = None
     for subcommand, handler in _STAGES.items():
         try:
-            recs.extend(handler(cfg))
+            if subcommand in _GRID_STAGES:
+                if grid is None:
+                    grid = make_grid(cfg.L)
+                recs.extend(handler(cfg, grid))
+            else:
+                recs.extend(handler(cfg))
         except DomainError as exc:
             recs.append(_error_record(subcommand, exc))
             print(str(exc), file=sys.stderr)

@@ -21,10 +21,13 @@ never vanishes.
 
 Transforms: each subgrid keeps one padded, m-major table P[m, t, l] =
 N_lm(mu_t), zero for l < m. The theta sum of every order is then one batched
-matmul against the coefficients viewed as (m, l, cos/sin), and the phi sum is
-one real FFT, as in SHTns (Schaeffer, G^3 14 (2013) 751). The gradient takes
-its theta-derivative from the same table through the degree-lowering
-relation, so no derivative table is stored.
+matmul against the coefficients viewed as (m, l, cos/sin), as in SHTns
+(Schaeffer, G^3 14 (2013) 751). The phi sum is one real matrix product
+against a table of the basis's trig factors: it needs only the L+1 lowest
+frequencies of at most 4(L+1) points, and up to L = 128 that GEMM is cheaper
+than a real FFT and its complex-array glue (about even at L = 200). The
+gradient takes its theta-derivative from the same Legendre table through the
+degree-lowering relation, so no derivative table is stored.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 AREA = 4.0 * np.pi
-# ceiling on the Legendre tables and area weights of both subgrids
+# ceiling on the arrays stored by a grid and both of its subgrids
 MAX_TABLE_BYTES = 512 * 2**20
 
 
@@ -98,17 +101,41 @@ def _legendre_orders(L: int, mu: np.ndarray):
             diag = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * diag
 
 
+def table_bytes(L: int, oversample: int) -> int:
+    """Bytes of every array a grid stores, its oversampled subgrid built.
+
+    Per subgrid of ntheta x nphi nodes, with n = L+1: the Legendre table
+    (ntheta n^2), the trig table (2n nphi), the lowering factors (n^2), mu,
+    wmu, sin(theta) and the row weights (4 ntheta) and phi (nphi); the area
+    weights are a view of the row weights. The grid adds its two eigenvalue
+    rows (2n).
+    """
+    n = L + 1
+    words = 2 * n
+    for k in (1, oversample):
+        ntheta, nphi = k * n, 2 * k * n
+        words += ntheta * n * n + 2 * n * nphi + n * n + 4 * ntheta + nphi
+    return 8 * words
+
+
 class _SubGrid:
-    """One node set with its transform table; base and oversampled share L.
+    """One node set with its transform tables; base and oversampled share L.
 
     `P[m, t, l]` is N_lm(mu_t), zero for l < m: one padded, m-major table, so
     the theta-sum of every order is one batched matmul. Profiles are arrays
     (m, t, cos/sin) of the theta-dependence each order carries.
+
+    `to_grid[(m, cos/sin), j]` is trig(m phi_j) / sqrt(norm_m), the basis's
+    azimuthal factor (norm_m = 2 pi at m = 0, pi above; the sin row of m = 0
+    is zero). Synthesis multiplies profiles by it and analysis by its
+    transpose, so the phi sum is one real GEMM each way. An FFT would compute
+    all nphi/2 + 1 frequencies to keep L+1, and for these small arrays its
+    call and complex-array overhead cost more than the product.
     """
 
     __slots__ = (
-        "ntheta", "nphi", "mu", "wmu", "sintheta", "phi", "area_weights",
-        "P", "lower", "coeff_scale", "fourier_scale",
+        "ntheta", "nphi", "mu", "wmu", "sintheta", "phi", "row_weights", "area_weights",
+        "P", "lower", "to_grid",
     )
 
     def __init__(self, L: int, ntheta: int, nphi: int):
@@ -119,38 +146,32 @@ class _SubGrid:
         self.wmu = wmu
         self.sintheta = np.sqrt(1.0 - mu * mu)
         self.phi = TWO_PI * np.arange(nphi) / nphi
-        self.area_weights = np.broadcast_to(
-            (wmu * (TWO_PI / nphi))[:, None], (ntheta, nphi)
-        ).copy()
+        # the quadrature weight of every node in row t, and its grid view
+        self.row_weights = (wmu * (TWO_PI / nphi))[:, None]
+        self.area_weights = np.broadcast_to(self.row_weights, (ntheta, nphi))
         # one order at a time, so no full set of per-order lists is ever held
         self.P = np.zeros((L + 1, ntheta, L + 1))
         for m, rows in enumerate(_legendre_orders(L, mu)):
             self.P[m, :, m:] = rows.T
         self.lower = _lowering_factors(L)
-        # per-order (cos, sin) factors between profiles and rfft columns, read
-        # as (real, imag) pairs: the basis norm 1/sqrt(2 pi) at m = 0 and
-        # 1/sqrt(pi) above, 0 for the sin part of m = 0 (no basis function),
-        # and the sign of sin(m phi) in the imaginary part
-        norm = np.full((L + 1, 1, 2), (1.0 / np.sqrt(np.pi), -1.0 / np.sqrt(np.pi)))
-        norm[0, 0] = (1.0 / np.sqrt(TWO_PI), 0.0)
-        self.coeff_scale = norm * (TWO_PI / nphi)
-        self.fourier_scale = norm * (nphi / 2.0)
-        self.fourier_scale[0] *= 2.0  # irfft counts m = 0 once, the others twice
+        # m phi_j reduced mod 2 pi in integers, so high orders lose no digits;
+        # sin(0) = 0 leaves the sin row of m = 0 zero
+        m = np.arange(L + 1)
+        angle = TWO_PI * (np.outer(m, np.arange(nphi)) % nphi) / nphi
+        norm = np.full((L + 1, 1), 1.0 / np.sqrt(np.pi))
+        norm[0] = 1.0 / np.sqrt(TWO_PI)
+        self.to_grid = np.stack((np.cos(angle) * norm, np.sin(angle) * norm), axis=1).reshape(
+            2 * (L + 1), nphi
+        )
 
     def fourier_columns(self, values: np.ndarray) -> np.ndarray:
         """Quadrature-weighted profiles (m, t, cos/sin) of grid values (t, phi)."""
-        nm = self.P.shape[0]
-        F = np.fft.rfft(np.asarray(values, dtype=float), axis=1)[:, :nm]
-        pairs = F.view(float).reshape(self.ntheta, nm, 2).transpose(1, 0, 2)
-        return pairs * self.coeff_scale * self.wmu[:, None]
+        cols = (np.asarray(values, dtype=float) @ self.to_grid.T) * self.row_weights
+        return cols.reshape(self.ntheta, -1, 2).transpose(1, 0, 2)
 
     def fourier_sum(self, profiles: np.ndarray) -> np.ndarray:
         """Grid values (t, phi) of sum_m profile_m(t) trig(m phi)."""
-        nm = profiles.shape[0]
-        F = np.zeros((self.ntheta, self.nphi // 2 + 1), dtype=complex)
-        pairs = F.view(float).reshape(self.ntheta, -1, 2)
-        pairs[:, :nm] = (profiles * self.fourier_scale).transpose(1, 0, 2)
-        return np.fft.irfft(F, n=self.nphi, axis=1)
+        return profiles.transpose(1, 0, 2).reshape(self.ntheta, -1) @ self.to_grid
 
     def legendre_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Theta profiles of coefficient columns x[m, l, k], each (m, t, k).
@@ -179,11 +200,7 @@ class QuadratureGrid:
             raise DomainError(f"band limit must be an integer >= 2, got {L}")
         if not isinstance(oversample, int) or oversample < 1:
             raise DomainError(f"oversampling factor must be a positive integer, got {oversample}")
-        # float64 padded Legendre table (ntheta * (L+1)^2) and area weights
-        # (ntheta * nphi) on the base and the lazily built oversampled subgrid
-        nbytes = sum(
-            8 * (k * (L + 1)) * ((L + 1) ** 2 + 2 * k * (L + 1)) for k in (1, oversample)
-        )
+        nbytes = table_bytes(L, oversample)
         if nbytes > MAX_TABLE_BYTES:
             raise DomainError(
                 f"band limit L = {L} at oversample {oversample} needs {nbytes} bytes of "
@@ -214,8 +231,8 @@ class QuadratureGrid:
     # transforms -----------------------------------------------------------
     # Coefficients are c[s, l, m] (s = 0 cos, 1 sin); the Legendre matmul
     # works on the m-major view c.transpose(2, 1, 0) of shape (m, l, cos/sin).
-    # Each transform is one batched matmul and its real FFTs; none calls
-    # another.
+    # Each transform is one batched Legendre matmul and its trig-table
+    # products; none calls another.
 
     def analysis(self, values: np.ndarray, sub: _SubGrid | None = None) -> np.ndarray:
         sub = sub or self.base

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ksl.cli
 from ksl.cli import run
 from ksl.report import Record, build_report, flatten, payload_bytes, render_csv
 
@@ -366,3 +367,18 @@ class TestAllCommand:
             if key.endswith(".status") and ".error." not in key
         }
         assert statuses and all(val == "pass" for val in statuses.values())
+
+    def test_grid_built_once_per_run(self, capsys, tmp_path, monkeypatch):
+        make_grid = ksl.cli.make_grid
+        calls = []
+
+        def counting_make_grid(L, *args):
+            calls.append(L)
+            return make_grid(L, *args)
+
+        monkeypatch.setattr(ksl.cli, "make_grid", counting_make_grid)
+        for expected in (1, 2):
+            code, _ = run_json(["all", "--L", "8"], capsys, tmp_path)
+            assert code == 0
+            # one grid per invocation, and none kept from the invocation before
+            assert calls == [8] * expected

@@ -32,7 +32,7 @@ from ksl.sphere import (
     sobolev_check,
     sphere_average,
 )
-from ksl.sphere.grid import MAX_TABLE_BYTES
+from ksl.sphere.grid import MAX_TABLE_BYTES, table_bytes
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,16 @@ class TestBatchedKernel:
             grid.analysis(values, sub), loop_analysis(grid, values, sub), rtol=0, atol=1e-13
         )
 
+    @pytest.mark.parametrize("subgrid", ["base", "over"])
+    def test_trig_table_discrete_orthogonality(self, grid, subgrid):
+        # equispaced phi nodes are exact for every product of two orders <= L
+        sub = getattr(grid, subgrid)
+        gram = sub.to_grid @ (sub.to_grid.T * (2.0 * np.pi / sub.nphi))
+        want = np.eye(2 * (grid.L + 1))
+        want[1, 1] = 0.0  # the sin slot of m = 0 holds no basis function
+        np.testing.assert_array_equal(sub.to_grid[1], 0.0)
+        np.testing.assert_allclose(gram, want, rtol=0, atol=1e-14)
+
     def test_legendre_sums_match_tables(self, grid16):
         # unit coefficient columns give every N_lm and dN_lm/dtheta row
         L = grid16.L
@@ -177,6 +187,26 @@ class TestGridInvariants:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("L", [8, 16])
+    def test_table_bytes_count_every_stored_array(self, L):
+        grid = make_grid(L)
+        arrays = list(vars(grid).values())
+        for sub in (grid.base, grid.over):
+            arrays += [getattr(sub, name) for name in sub.__slots__]
+        # count the memory each array holds once: a view (the area weights
+        # over the row weights) adds no bytes to the buffer it shows
+        buffers = {}
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                buffers[id(a)] = a.nbytes
+        assert grid.base.area_weights.base is not None
+        assert table_bytes(L, grid.oversample) == sum(buffers.values())
+
+    def test_ceiling_band_limit(self):
+        assert table_bytes(279, 2) <= MAX_TABLE_BYTES < table_bytes(280, 2)
 
     def test_weights_sum_to_area(self, grid8):
         ones = np.ones((grid8.base.ntheta, grid8.base.nphi))
