@@ -105,16 +105,16 @@ def table_bytes(L: int, oversample: int) -> int:
     """Bytes of every array a grid stores, its oversampled subgrid built.
 
     Per subgrid of ntheta x nphi nodes, with n = L+1: the Legendre table
-    (ntheta n^2), the trig table (2n nphi), the lowering factors (n^2), mu,
-    wmu, sin(theta) and the row weights (4 ntheta) and phi (nphi); the area
-    weights are a view of the row weights. The grid adds its two eigenvalue
-    rows (2n).
+    (ntheta n^2), the trig table (2n nphi), mu, wmu, sin(theta) and the row
+    weights (4 ntheta) and phi (nphi); the area weights are a view of the row
+    weights. Both subgrids share one table of lowering factors (n^2), and the
+    grid adds its two eigenvalue rows (2n).
     """
     n = L + 1
-    words = 2 * n
+    words = n * n + 2 * n
     for k in (1, oversample):
         ntheta, nphi = k * n, 2 * k * n
-        words += ntheta * n * n + 2 * n * nphi + n * n + 4 * ntheta + nphi
+        words += ntheta * n * n + 2 * n * nphi + 4 * ntheta + nphi
     return 8 * words
 
 
@@ -138,7 +138,7 @@ class _SubGrid:
         "P", "lower", "to_grid",
     )
 
-    def __init__(self, L: int, ntheta: int, nphi: int):
+    def __init__(self, L: int, ntheta: int, nphi: int, lower: np.ndarray):
         mu, wmu = np.polynomial.legendre.leggauss(ntheta)
         self.ntheta = ntheta
         self.nphi = nphi
@@ -153,7 +153,8 @@ class _SubGrid:
         self.P = np.zeros((L + 1, ntheta, L + 1))
         for m, rows in enumerate(_legendre_orders(L, mu)):
             self.P[m, :, m:] = rows.T
-        self.lower = _lowering_factors(L)
+        # the lowering factors depend on L alone: one table serves both subgrids
+        self.lower = lower
         # m phi_j reduced mod 2 pi in integers, so high orders lose no digits;
         # sin(0) = 0 leaves the sin row of m = 0 zero
         m = np.arange(L + 1)
@@ -208,7 +209,7 @@ class QuadratureGrid:
             )
         self.L = L
         self.oversample = oversample
-        self.base = _SubGrid(L, L + 1, 2 * (L + 1))
+        self.base = _SubGrid(L, L + 1, 2 * (L + 1), _lowering_factors(L))
         self._over: _SubGrid | None = None
         ls = np.arange(L + 1, dtype=float)
         # -box eigenvalues l(l+1)/2, so lambda_1 = 1 on the first mode
@@ -222,6 +223,7 @@ class QuadratureGrid:
                 self.L,
                 self.oversample * (self.L + 1),
                 self.oversample * 2 * (self.L + 1),
+                self.base.lower,
             )
         return self._over
 

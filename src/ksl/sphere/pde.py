@@ -116,11 +116,19 @@ def newton_solve(
 
     The Jacobian action w -> (-box + lambda) w - q u^{q-1} w is applied
     spectrally (the multiplication runs through the oversampled grid). Each
-    linear step is solved by GMRES preconditioned with (-box + lambda)^{-1},
-    which is diagonal in harmonic space, so the inner iteration count does
-    not grow with L. Each step is solved only to the Eisenstat-Walker
-    (choice 2) relative residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where
-    |F| is the coefficient 2-norm of the residual; eta_0 = 0.5, and eta_k
+    linear step J d = -F is solved by GMRES right-preconditioned with M, the
+    Jacobian with its multiplier frozen at its mean: M = -box + lambda -
+    mean(q u^{q-1}), diagonal in harmonic space. GMRES solves (J M^-1) y = -F
+    and the step is d = M^-1 y, so its residual is the true Newton residual
+    |F + J d| (Knoll & Keyes, J. Comput. Phys. 193 (2004) 357). At a constant
+    u the multiplier is constant, so M = J exactly. At the constant solution
+    lambda^(1/(q-1)) both are -box + lambda - q lambda, invertible unless
+    (q - 1) lambda is an eigenvalue l(l+1)/2, so always below the threshold;
+    near it one inner iteration per step suffices at any L. A degree whose
+    entry of M is exactly zero keeps its entry of -box + lambda instead.
+    Each step is solved only to the Eisenstat-Walker (choice 2) relative
+    residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where |F| is the
+    coefficient 2-norm of the residual; eta_0 = 0.5, and eta_k
     is kept at least 0.9 eta_{k-1}^2 while that exceeds 0.1, at least
     0.5 tol / |F_k|, and at most 0.5. A step is accepted at scale s when
     the field stays positive and |F| drops by the factor 1 - 1e-4 s;
@@ -138,7 +146,6 @@ def newton_solve(
     shape = grid.coeff_shape()
     size = int(np.prod(shape))
     diag = grid.minus_box_eigs[None, :, None] + lam
-    precond = LinearOperator((size, size), matvec=lambda r: (r.reshape(shape) / diag).ravel())
     coeffs = u0.coeffs.copy()
     vals = grid.synthesis(coeffs, grid.over)
     res = _residual_coeffs(grid, coeffs, vals, diag, q)
@@ -178,28 +185,31 @@ def newton_solve(
             eta = min(_EW_ETA_MAX, max(eta, 0.5 * tol / rnorm))
 
         jac_weight = q * vals ** (q - 1.0)
+        # the Jacobian with its multiplier frozen at its mean; a degree whose
+        # shifted entry is exactly zero keeps its unshifted one
+        shifted = diag - grid.average(jac_weight, grid.over)
+        shifted = np.where(shifted == 0.0, diag, shifted)
 
-        def matvec(w_flat: np.ndarray) -> np.ndarray:
-            w = w_flat.reshape(shape)
+        def matvec(y_flat: np.ndarray) -> np.ndarray:
+            w = y_flat.reshape(shape) / shifted
             wvals = grid.synthesis(w, grid.over)
             return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
 
         inner_norms: list[float] = []
         op = LinearOperator((size, size), matvec=matvec)
-        step, info = gmres(
+        y, info = gmres(
             op,
             -res.ravel(),
             rtol=eta,
             atol=0.0,
             restart=100,
             maxiter=500,
-            M=precond,
             callback=inner_norms.append,
             callback_type="pr_norm",
         )
         if info != 0:
             return finish(False, rsup, f"linear solver stalled (info = {info})")
-        step = step.reshape(shape)
+        step = y.reshape(shape) / shifted
 
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):

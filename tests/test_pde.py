@@ -164,30 +164,42 @@ class TestNewtonSolve:
     )
     def test_hard_starts_reach_constant(self, L, lam, seed):
         # Newton with exact unpreconditioned linear solves and positivity-only
-        # step control fails on the L=16 starts and needs 27 steps at L=32
+        # step control fails on the L=16 starts and needs 27 steps at L=32;
+        # GMRES left-preconditioned by the mean-frozen Jacobian loses starts
+        # of the scan below, so these also guard the right preconditioning
         u0 = random_positive_field(make_grid(L), seed)
         rep = newton_solve(lam, 2.0, u0)
         assert rep.converged, rep.message
         assert rep.is_constant
         assert abs(rep.constant_value - lam) < 1e-8
 
-    def test_trace_records_each_accepted_step(self, grid16):
-        # from this start a full step raises the residual norm at some iterate
-        u0 = random_positive_field(grid16, seed=6)
-        rep = newton_solve(0.4, 2.0, u0)
+    @staticmethod
+    def check_trace(rep):
         assert rep.converged
         assert len(rep.trace) == rep.iterations > 0
         norms = [step.residual_norm for step in rep.trace]
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert all(step.inner_iterations >= 1 for step in rep.trace)
         assert all(0.0 < step.scale <= 1.0 for step in rep.trace)
+
+    def test_trace_records_each_accepted_step(self, grid16):
+        # every step from this start is taken at full scale
+        u0 = random_positive_field(grid16, seed=6)
+        self.check_trace(newton_solve(0.4, 2.0, u0))
         exact = newton_solve(0.9, 2.0, SphereField.constant(grid16, 0.9))
         assert exact.trace == ()
 
+    def test_trace_records_halved_steps(self, grid16):
+        # from this start a full step raises the residual norm at some iterate
+        rep = newton_solve(0.9, 2.0, random_positive_field(grid16, seed=22))
+        self.check_trace(rep)
+        assert any(step.scale < 1.0 for step in rep.trace)
+
     def test_inner_iterations_independent_of_band_limit(self, grid8):
-        # the same start functions on a 16x finer coefficient space: with the
-        # (-box + lambda)^-1 preconditioner the Krylov work per Newton step
-        # stays flat, where unpreconditioned GMRES grows like L^2
+        # the same start functions on a 16x finer coefficient space: the
+        # right preconditioner is diagonal in harmonic space, so the Krylov
+        # work per Newton step stays flat, where unpreconditioned GMRES grows
+        # like L^2
         def worst_inner(grid):
             worst = 0
             for seed in range(4):
@@ -198,3 +210,41 @@ class TestNewtonSolve:
             return worst
 
         assert worst_inner(make_grid(32)) <= worst_inner(grid8)
+
+    @pytest.mark.parametrize("lam, c", [(0.9, 0.95), (0.5, 0.75)])
+    def test_constant_start_on_a_zero_shifted_entry(self, grid16, lam, c):
+        # mean(q u^{q-1}) = 2c = 1 + lam is the l = 1 entry of -box + lambda,
+        # so the mean-frozen Jacobian has an exact zero there; that degree
+        # keeps its unshifted entry instead of dividing by zero
+        rep = newton_solve(lam, 2.0, SphereField.constant(grid16, c))
+        assert rep.converged, rep.message
+        assert rep.constant_value == pytest.approx(lam, abs=1e-8)
+        assert all(step.inner_iterations == 1 for step in rep.trace)
+
+    @pytest.mark.parametrize("L", [8, 16, 32])
+    @pytest.mark.parametrize("lam", [0.4, 0.9])
+    def test_near_constant_start_one_inner_iteration(self, L, lam):
+        # GMRES is right-preconditioned by the Jacobian with its multiplier
+        # frozen at its mean: exact at the constant solution, so near it each
+        # Newton step is one Krylov iteration at any band limit
+        grid = make_grid(L)
+        u0 = SphereField.constant(grid, lam) + 1e-3 * coordinate_z(grid)
+        rep = newton_solve(lam, 2.0, u0)
+        assert rep.converged and rep.iterations > 0, rep.message
+        assert [step.inner_iterations for step in rep.trace] == [1] * rep.iterations
+
+
+@pytest.mark.parametrize(
+    "q, lam, starts",
+    [(2.0, 0.4, 110), (2.0, 0.5, 110), (2.0, 0.9, 110), (2.5, 0.5, 20), (3.0, 0.7, 20)],
+)
+def test_start_scan_reaches_constant(grid16, q, lam, starts):
+    # below the threshold the constant lambda^(1/(q-1)) is the only positive
+    # solution, so every start must land on it
+    expected = lam ** (1.0 / (q - 1.0))
+    missed = []
+    for seed in range(starts):
+        rep = newton_solve(lam, q, random_positive_field(grid16, seed))
+        if not (rep.converged and rep.is_constant and abs(rep.constant_value - expected) < 1e-8):
+            missed.append((seed, rep.message, rep.constant_value))
+    assert missed == []

@@ -205,6 +205,9 @@ class TestGridInvariants:
         assert grid.base.area_weights.base is not None
         assert table_bytes(L, grid.oversample) == sum(buffers.values())
 
+    def test_subgrids_share_lowering_factors(self, grid8):
+        assert grid8.over.lower is grid8.base.lower
+
     def test_ceiling_band_limit(self):
         assert table_bytes(279, 2) <= MAX_TABLE_BYTES < table_bytes(280, 2)
 
