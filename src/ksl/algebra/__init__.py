@@ -1,6 +1,6 @@
 """Exact verification engine for the coefficient algebra.
 
-ring:   sparse polynomials, rational functions, single-radical expressions.
+ring:   sparse polynomials, rational functions, quadratic-surd root checks.
 terms:  the formal integral calculus and its axioms.
 checks: the derivation-chain verifiers and their reports.
 """
@@ -24,8 +24,6 @@ from .ring import (
     Poly,
     RadExpr,
     RationalFunction,
-    rad_equal,
-    rescale_radicand,
     rf,
     rf_equal,
     v,
@@ -62,8 +60,6 @@ __all__ = [
     "ibp",
     "mixcross_identity",
     "pure_hessian_upper_bound",
-    "rad_equal",
-    "rescale_radicand",
     "rf",
     "rf_equal",
     "run_all",

@@ -8,13 +8,15 @@ pass also carries at least three numeric instantiations at random rational
 points that avoid all excluded denominators; agreement there is exact
 Fraction equality, not a tolerance.
 
-Square-root identities are checked with :class:`RadExpr` arithmetic: the
-radical is isolated, arithmetic happens component-wise over a shared
-radicand, and whenever a radicand is rescaled (r2 = f^2 * r1) the squared
-relation is verified exactly and the positivity of f at admissible sample
-points is recorded as a step. Cleared positive factors in the inequality
-equivalences are recorded in the step notes, because dividing by them is
-where the inequality direction comes from.
+Square-root identities are root checks: a quadratic surd k = base +
+coef*sqrt(r) is a root of its monic quadratic m(k), and an expression
+vanishes there when its numerator's remainder modulo m is zero. A second
+surd over the same radical, such as the constant C, becomes a rational
+function of k through sqrt(r) = (k - base)/coef. Where a radicand is
+rescaled (r2 = f^2 * r1) the squared relation is verified exactly and the
+positivity of f at admissible sample points is recorded as a step. Cleared
+positive factors in the inequality equivalences are recorded in the step
+notes, because dividing by them is where the inequality direction comes from.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .ring import (
     RadExpr,
     RationalFunction,
     VARS,
-    rad_equal,
-    rescale_radicand,
     rf,
     rf_at_radexpr,
     rf_equal,
@@ -100,12 +100,12 @@ _x = v("x")
 _y = v("y")
 
 # the radicand of the closed-form constant C; twice C over it; the monic
-# k-quadratic and its roots, the feasible interval's endpoints
+# k-quadratic and its roots, the feasible interval's conjugate endpoints
 _rad_small = (Poly.var("n") + 1) * (Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q"))
 _two_c = RadExpr((_q - 1) * (2 * _n + _q + 2) / (_q * _n), -2 * (_q - 1) / (_q * _n), _rad_small)
 _kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
 _lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), _rad_small)
-_hi_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, 2 / (_q * (_n - 1)), _rad_small)
+_hi_end = RadExpr(_lo_end.base, -_lo_end.coef, _rad_small)
 
 # denominators excluded from every instantiation, per the localization the
 # whole calculus lives in
@@ -188,6 +188,16 @@ def _match_root(
 ) -> StepCheck:
     num, _ = rf_at_radexpr(expr, var, point)
     return StepCheck(name, num.is_zero, "0" if num.is_zero else repr(num), note)
+
+
+def _two_c_at(endpoint: RadExpr, factor: RationalFunction | int = 1) -> RationalFunction:
+    """2C as a rational function of k, exact at k = endpoint.
+
+    The endpoint is base + coef*sqrt(factor^2 * r) with r the radicand of C,
+    so there sqrt(r) = (k - base)/(factor*coef).
+    """
+    sqrt_r = (_k - endpoint.base) / (factor * endpoint.coef)
+    return _two_c.base + _two_c.coef * sqrt_r
 
 
 def _finish(name: str, steps: list[StepCheck], insts: list[dict]) -> PassReport:
@@ -677,16 +687,11 @@ def verify_base_chain() -> PassReport:
         rad2,
     )
     steps.append(_match_root("step8_lower_bound_is_root", L0, "k", k_lo_big))
-    try:
-        k_lo_small = rescale_radicand(k_lo_big, _rad_small, _n)
-        rescale_ok = True
-    except DomainError:
-        rescale_ok = False
     steps.append(
-        StepCheck(
+        _match_rf(
             "step8_radicand_rescaling",
-            rescale_ok,
-            "0" if rescale_ok else "radicand relation failed",
+            rf(rad2),
+            _n**2 * rf(_rad_small),
             "big radicand = n^2 * small radicand; factor n > 0",
         )
     )
@@ -704,18 +709,18 @@ def verify_base_chain() -> PassReport:
             "q = 1 + j/(2(n-1)) for j = 1..4, the last on the boundary",
         )
     )
-    if rescale_ok:
-        lhs_inner = (k_lo_small * ((_n - 1) / _n) + 1) * (_q - 1)
-        thr_ok = rad_equal(lhs_inner, _two_c)
-        steps.append(
-            StepCheck(
-                "step8_threshold_identity",
-                thr_ok,
-                "0" if thr_ok else "component mismatch",
-                "reciprocals agree iff these agree; radical isolated, compared "
-                "component-wise over the shared radicand",
-            )
+    # with sqrt(big radicand) = n*sqrt(small radicand), 2C is a function of k
+    steps.append(
+        _match_root(
+            "step8_threshold_identity",
+            (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(k_lo_big, _n),
+            "k",
+            k_lo_big,
+            "reciprocals agree iff these agree; 2C written in k through "
+            "sqrt(small radicand) = (k - base)/(n*coef), remainder modulo the "
+            "lower bound's quadratic",
         )
+    )
 
     insts = _instantiate(pairs, seed=53, extra_avoid=(Poly.var("n") + 1,))
     return _finish("base_chain", steps, insts)
@@ -985,13 +990,12 @@ def verify_refined_chain() -> PassReport:
     pairs.append(("step7", x_hi - x_lo, -gap_factor * _kq))
     for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
         steps.append(_match_root(f"step7_{label}_endpoint_is_root", _kq, "k", endpoint))
-    prod = _lo_end * _hi_end
-    prod_ok = rf_equal(prod.base, rf(1)) and prod.coef.is_zero
+    # conjugate endpoints: the product is base^2 - coef^2 * radicand
     steps.append(
-        StepCheck(
+        _match_rf(
             "step7_endpoint_product_one",
-            prod_ok,
-            "0" if prod_ok else repr(prod),
+            _lo_end.base * _lo_end.base - _lo_end.coef * _lo_end.coef * rf(_lo_end.rad),
+            rf(1),
             "constant term of the monic k-quadratic",
         )
     )
@@ -1109,15 +1113,14 @@ def verify_chain_consistency() -> PassReport:
         )
 
     # threshold agreement: objective at the lower endpoint vs 1/(2*C) with C
-    # the closed-form constant, cross-multiplied as num * 2C == den
-    num, den = rf_at_radexpr(F_const, "k", _lo_end)
-    thr_ok = rad_equal(num * _two_c, den)
+    # the closed-form constant, as F * 2C - 1 vanishing there
     steps.append(
-        StepCheck(
+        _match_root(
             "threshold_agreement",
-            thr_ok,
-            "0" if thr_ok else f"{num * _two_c!r} vs {den!r}",
-            "exact, via component-wise radical arithmetic",
+            F_const * _two_c_at(_lo_end) - 1,
+            "k",
+            _lo_end,
+            "exact, as a remainder modulo the lower endpoint's quadratic",
         )
     )
 

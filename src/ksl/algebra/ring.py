@@ -16,10 +16,10 @@ variable. Coefficients are integers over one positive common denominator per
 polynomial, reduced to lowest terms at construction, so ``==`` and ``hash``
 compare structure.
 
-Square roots never enter the ring. Identities that involve one radical are
-handled by :class:`RadExpr`, a pair (base, coef) representing
-``base + coef*sqrt(rad)`` with a shared polynomial radicand; equality of two
-such expressions reduces to component-wise rational-function equality.
+Square roots never enter the ring. A :class:`RadExpr` only names a quadratic
+surd ``base + coef*sqrt(rad)``; "expr vanishes there" is decided by
+:func:`rf_at_radexpr` as a remainder modulo the surd's monic quadratic, that
+is, by arithmetic in Q(params)[t]/(m(t)).
 """
 
 from __future__ import annotations
@@ -434,14 +434,11 @@ def rf_equal(e1: RationalFunction, e2: RationalFunction) -> bool:
 
 
 class RadExpr:
-    """base + coef*sqrt(rad) with a shared polynomial radicand.
+    """The number base + coef*sqrt(rad): a record with no arithmetic.
 
-    Closed under ring operations because sqrt(rad)**2 collapses back to rad.
-    Equality of two RadExprs over the same radicand is tested component-wise.
-    That is sufficient for equality of the values, whatever the radicand; if
-    sqrt(rad) were rational over the function field (a perfect-square
-    radicand), equal values could still differ component-wise, so such a
-    radicand could only cause a spurious failure, never a false pass.
+    It is one root of the monic quadratic
+    m(t) = t^2 - 2*base*t + (base^2 - coef^2*rad), whose other root is the
+    conjugate base - coef*sqrt(rad). :func:`rf_at_radexpr` works modulo m.
     """
 
     __slots__ = ("base", "coef", "rad")
@@ -454,91 +451,41 @@ class RadExpr:
     def __setattr__(self, name, value):
         raise AttributeError("RadExpr is immutable")
 
-    def _check_same_rad(self, other: "RadExpr"):
-        if self.rad != other.rad:
-            raise ValueError("mixed radicands in RadExpr arithmetic")
-
-    def __add__(self, other) -> "RadExpr":
-        other = self._coerce(other)
-        self._check_same_rad(other)
-        return RadExpr(self.base + other.base, self.coef + other.coef, self.rad)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RadExpr":
-        return RadExpr(-self.base, -self.coef, self.rad)
-
-    def __sub__(self, other) -> "RadExpr":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "RadExpr":
-        other = self._coerce(other)
-        self._check_same_rad(other)
-        radrf = RationalFunction(self.rad)
-        return RadExpr(
-            self.base * other.base + self.coef * other.coef * radrf,
-            self.base * other.coef + self.coef * other.base,
-            self.rad,
-        )
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero and self.coef.is_zero
-
-    def _coerce(self, value) -> "RadExpr":
-        if isinstance(value, RadExpr):
-            return value
-        return RadExpr(_coerce_rf(value), ZERO_RF, self.rad)
-
     def __repr__(self) -> str:
         return f"({self.base!r}) + ({self.coef!r})*sqrt({self.rad!r})"
 
 
-def rad_equal(e1: RadExpr, e2: RadExpr) -> bool:
-    if e1.rad != e2.rad:
-        return False
-    return rf_equal(e1.base, e2.base) and rf_equal(e1.coef, e2.coef)
-
-
-def poly_at_radexpr(poly: Poly, name: str, value: RadExpr) -> RadExpr:
-    """Horner evaluation of poly with `name` replaced by a RadExpr."""
+def _remainder(
+    poly: Poly, name: str, trace: RationalFunction, norm: RationalFunction
+) -> tuple[RationalFunction, RationalFunction]:
+    """poly modulo t^2 - trace*t + norm in t = `name`, as (a, b) of a*t + b."""
     parts = poly.coeffs_in(name)
-    zero = RadExpr(ZERO_RF, ZERO_RF, value.rad)
-    if not parts:
-        return zero
-    result = zero
-    for power in range(max(parts), -1, -1):
-        result = result * value
-        if power in parts:
-            result = result + RadExpr(RationalFunction(parts[power]), ZERO_RF, value.rad)
-    return result
+    a = b = ZERO_RF
+    for power in range(max(parts, default=-1), -1, -1):
+        # Horner: (a*t + b)*t + c with t^2 -> trace*t - norm
+        a, b = a * trace + b, RationalFunction(parts.get(power, ZERO)) - a * norm
+    return a, b
 
 
 def rf_at_radexpr(
-    expr: RationalFunction, name: str, value: RadExpr
-) -> tuple[RadExpr, RadExpr]:
-    """expr at `name` = value as the pair (num, den); nothing is divided out.
+    expr: RationalFunction, name: str, root: RadExpr
+) -> tuple[RationalFunction, RationalFunction]:
+    """expr.num and expr.den modulo the root's quadratic, each as a*t + b in t = `name`.
 
-    Raises DomainError when den's norm p^2 - s^2 r vanishes, the one case in
-    which den could be zero.
+    The quadratic is t^2 - trace*t + norm with trace = 2*base and
+    norm = base^2 - coef^2*rad; base, coef and rad must not involve `name`.
+    A zero numerator remainder means expr vanishes at both conjugate roots.
+    The converse fails only when coef^2*rad is a square, where m factors and
+    a root of one factor can leave a nonzero remainder: a spurious failure,
+    never a false pass. Raises DomainError when the denominator remainder has
+    zero norm, the one case in which it could vanish at the root.
     """
-    num = poly_at_radexpr(expr.num, name, value)
-    den = poly_at_radexpr(expr.den, name, value)
-    if (den.base * den.base - den.coef * den.coef * RationalFunction(den.rad)).is_zero:
+    trace = 2 * root.base
+    norm = root.base * root.base - root.coef * root.coef * RationalFunction(root.rad)
+    t = v(name)
+    a, b = _remainder(expr.den, name, trace, norm)
+    if (a * a * norm + a * b * trace + b * b).is_zero:
         raise DomainError("denominator has zero norm at the radical point")
-    return num, den
-
-
-def rescale_radicand(expr: RadExpr, new_rad: Poly, factor: RationalFunction) -> RadExpr:
-    """Rewrite base + coef*sqrt(rad) over sqrt(new_rad) using rad = factor^2 * new_rad.
-
-    The caller is responsible for the sign convention factor >= 0 on the
-    admissible region; this function verifies the squared relation exactly
-    and raises if it fails.
-    """
-    radrf = RationalFunction(expr.rad)
-    if not rf_equal(radrf, factor * factor * RationalFunction(new_rad)):
-        raise DomainError("radicand rescaling identity does not hold")
-    return RadExpr(expr.base, expr.coef * factor, new_rad)
+    den = a * t + b
+    a, b = _remainder(expr.num, name, trace, norm)
+    return a * t + b, den

@@ -131,6 +131,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_k(text: str):
     s = text.strip()
     if s == "auto":
@@ -169,7 +179,7 @@ _CONVERTERS = {
     "lambda1": _finite_float,
     "lam": _finite_float,
     "L": int,
-    "seed": int,
+    "seed": _seed,
     "out": str,
     "format": str,
 }
@@ -202,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="equation parameter (default 0.5)",
     )
     common.add_argument("--L", type=int, default=None, help="band limit (default 16)")
-    common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    common.add_argument("--seed", type=_seed, default=None, help="random seed (default 0)")
     common.add_argument("--out", default=None, help="output directory (default 'reports')")
     common.add_argument("--format", choices=["json", "csv"], default=None)
     common.add_argument("--config", default=None, help="config file, key = value per line")

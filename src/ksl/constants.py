@@ -180,15 +180,17 @@ def lambda1_coefficient(dims: Dimensions, k: float) -> float:
     if not 0 < k < math.inf:
         raise DomainError(f"k must be positive and finite, got k = {k}")
     with mp.workdps(50):
-        n, q = _mpq(dims)
-        kk = mp.mpf(k)
-        val = 1 - (n + (n - 1) * kk) * (kk * n + n - 1) * q / ((4 * n**2 + 4 * n + q) * kk)
-        return float(val)
+        return float(_lambda1_coefficient_mp(dims, mp.mpf(k)))
+
+
+def _lambda1_coefficient_mp(dims: Dimensions, kk):
+    n, q = _mpq(dims)
+    return 1 - (n + (n - 1) * kk) * (kk * n + n - 1) * q / ((4 * n**2 + 4 * n + q) * kk)
 
 
 def _f_of_k_mp(dims: Dimensions, kk, lam1):
     n, q = _mpq(dims)
-    coef = 1 - (n + (n - 1) * kk) * (kk * n + n - 1) * q / ((4 * n**2 + 4 * n + q) * kk)
+    coef = _lambda1_coefficient_mp(dims, kk)
     return (coef * lam1 + q * n * (kk * n + n - 1) / ((4 * n**2 + 4 * n + q) * kk)) / (q - 1)
 
 
@@ -272,14 +274,17 @@ def k_lower_bound_eps0(dims: Dimensions) -> float:
     """
     _require_n2(dims, "k_lower_bound_eps0")
     with mp.workdps(50):
-        n, q = _mpq(dims)
-        rad = _boundary_zero(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n), (n**2 + n) ** 2)
-        if rad < 0:
-            raise DomainError(
-                f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
-            )
-        val = (2 * n**2 + 2 * n - q * (n**2 - n) - 2 * mp.sqrt(rad)) / (n * (n - 1) * q)
-        return float(val)
+        return float(_k_lower_bound_eps0_mp(dims))
+
+
+def _k_lower_bound_eps0_mp(dims: Dimensions):
+    n, q = _mpq(dims)
+    rad = _boundary_zero(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n), (n**2 + n) ** 2)
+    if rad < 0:
+        raise DomainError(
+            f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
+        )
+    return (2 * n**2 + 2 * n - q * (n**2 - n) - 2 * mp.sqrt(rad)) / (n * (n - 1) * q)
 
 
 def base_threshold(dims: Dimensions) -> float:
@@ -291,9 +296,7 @@ def base_threshold(dims: Dimensions) -> float:
     _require_n2(dims, "base_threshold")
     with mp.workdps(50):
         n, q = _mpq(dims)
-        rad = _boundary_zero(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n), (n**2 + n) ** 2)
-        k_lo = (2 * n**2 + 2 * n - q * (n**2 - n) - 2 * mp.sqrt(rad)) / (n * (n - 1) * q)
-        val = 1 / ((q - 1) * (1 + (n - 1) / n * k_lo))
+        val = 1 / ((q - 1) * (1 + (n - 1) / n * _k_lower_bound_eps0_mp(dims)))
         return float(val)
 
 

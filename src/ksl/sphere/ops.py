@@ -124,15 +124,15 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
     return lhs_t2, rhs_t2
 
 
-def measure_lambda1(grid: QuadratureGrid) -> float:
-    """Smallest Rayleigh quotient of the holomorphic energy on mean-zero fields.
+def _energy_blocks(grid: QuadratureGrid):
+    """Yield (m, K, M) for each block of the holomorphic energy on mean-zero fields.
 
-    Assembles stiffness and mass matrices over the mean-zero harmonic basis by
-    pointwise quadrature on the base grid (not by the spectral shortcut
-    l(l+1)/2, so this is an actual measurement of the discretization) and
-    solves the generalized symmetric eigenproblem one block at a time: the
+    Stiffness K and mass M are assembled over the harmonic basis by pointwise
+    quadrature on the base grid (not by the spectral shortcut l(l+1)/2, so
+    their eigenvalues are an actual measurement of the discretization): the
     zonal block (m = 0, l = 1..L), then a cos block and a sin block for each
-    order m = 1..L, 2L+1 blocks of size at most L.
+    order m = 1..L, 2L+1 blocks of size at most L. The exact eigenvalues of
+    an order-m block are l(l+1)/2 for l = max(m, 1)..L.
 
     The blocks are exact, not an approximation: the equispaced azimuthal rule
     with nphi = 2(L+1) points sums cos(m phi)cos(m' phi), cos(m phi)sin(m' phi)
@@ -148,7 +148,6 @@ def measure_lambda1(grid: QuadratureGrid) -> float:
     # unit coefficient columns give the padded tables N_lm and dN_lm/dtheta
     eye = np.broadcast_to(np.eye(grid.L + 1), (grid.L + 1,) * 3)
     values, dtheta = sub.legendre_sums(eye)
-    lam = np.inf
     for m in range(grid.L + 1):
         # Y_lm = N_lm(cos theta) trig(m phi) / sqrt(norm); m = 0 drops Y_00
         rows = values[m, :, max(m, 1) :].T
@@ -164,9 +163,19 @@ def measure_lambda1(grid: QuadratureGrid) -> float:
         for trig, dtrig in parts:
             t = dphi * (trig @ trig) / norm
             dt = dphi * (dtrig @ dtrig) / norm
-            K = 0.5 * (t * D + dt * Q)
-            eig = scipy.linalg.eigh(K, t * P, eigvals_only=True, subset_by_index=[0, 0])
-            lam = min(lam, float(eig[0]))
+            yield m, 0.5 * (t * D + dt * Q), t * P
+
+
+def measure_lambda1(grid: QuadratureGrid) -> float:
+    """Smallest Rayleigh quotient of the holomorphic energy on mean-zero fields.
+
+    Solves the generalized symmetric eigenproblem of each block of
+    :func:`_energy_blocks` for its smallest eigenvalue only.
+    """
+    lam = np.inf
+    for _, K, M in _energy_blocks(grid):
+        eig = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])
+        lam = min(lam, float(eig[0]))
     return lam
 
 

@@ -27,7 +27,7 @@ from ksl.algebra.checks import (
     display_completion_quadruple,
     display_mixed_quadruple,
 )
-from ksl.algebra.ring import VARS, rf, rf_equal, v
+from ksl.algebra.ring import VARS, RadExpr, rf, rf_equal, v
 from ksl.errors import DomainError
 
 ALL_EXACT = [
@@ -144,6 +144,32 @@ class TestTargetedIdentities:
         report = verify_chain_consistency()
         agree = [s for s in report.steps if s.name == "threshold_agreement"]
         assert len(agree) == 1 and agree[0].ok
+
+
+class TestPerturbedEndpoint:
+    """A lower endpoint with its radical weight scaled by 1001/1000 is no root."""
+
+    @pytest.fixture(autouse=True)
+    def perturb(self, monkeypatch):
+        end = checks._lo_end
+        moved = RadExpr(end.base, end.coef * Fraction(1001, 1000), end.rad)
+        monkeypatch.setattr(checks, "_lo_end", moved)
+
+    @pytest.mark.parametrize(
+        "verifier, step",
+        [
+            (verify_refined_chain, "step7_lower_endpoint_is_root"),
+            (verify_chain_consistency, "spectral_weight_vanishes_at_lower_endpoint"),
+            (verify_chain_consistency, "threshold_agreement"),
+        ],
+        ids=["endpoint_is_root", "spectral_weight", "threshold_agreement"],
+    )
+    def test_step_fails(self, verifier, step):
+        report = verifier()
+        [check] = [s for s in report.steps if s.name == step]
+        assert not check.ok
+        assert check.residual != "0"
+        assert not report.passed
 
 
 class TestMonotonicityVerifier:

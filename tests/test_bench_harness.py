@@ -1,0 +1,47 @@
+"""Smoke tests of the benchmark harness under bench/, which they leave untouched.
+
+`--trace 1` depends on bench/tracing.py finding every name it wraps, so a
+refactor that renames or removes one breaks the benchmark, not the suite;
+these tests make it break the suite too.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_wraps_and_restores_every_name(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+        assert patched
+        assert all(_current(owner, attr) is not original for owner, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    assert not tracer._patched
+    assert all(_current(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_gate_self_test_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--self-test"],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

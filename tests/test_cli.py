@@ -224,6 +224,17 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["sphere-verify", "all"])
+    def test_negative_seed_is_exit_2_without_report(self, command, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_capture(
+            [command, "--seed", "-1", "--L", "8", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "non-negative" in err
+        assert not out.exists()
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_prints_version(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -275,6 +286,17 @@ class TestConfigFile:
         )
         assert code == 2
         assert "finite" in err
+        assert not out.exists()
+
+    def test_negative_seed_is_exit_2_without_report(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        out = tmp_path / "out"
+        code, _, err = run_capture(
+            ["sphere-verify", "--config", str(cfg), "--L", "8", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "non-negative" in err
         assert not out.exists()
 
     def test_lambda_alias(self, capsys, tmp_path):

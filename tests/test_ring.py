@@ -14,8 +14,6 @@ from ksl.algebra.ring import (
     RationalFunction,
     VARS,
     ZERO,
-    rad_equal,
-    rescale_radicand,
     rf,
     rf_at_radexpr,
     rf_equal,
@@ -345,22 +343,21 @@ class TestRationalFunction:
 class TestRadExpr:
     RAD = Poly.var("q") ** 2 + 1
 
-    def test_square_collapses_radical(self):
-        e = RadExpr(rf(0), rf(1), self.RAD)  # sqrt(rad) itself
-        sq = e * e
-        assert rf_equal(sq.base, RationalFunction(self.RAD))
-        assert sq.coef.is_zero
+    @staticmethod
+    def minimal_poly(root: RadExpr) -> RationalFunction:
+        t = v("k")
+        return t * t - 2 * root.base * t + root.base**2 - root.coef**2 * RationalFunction(root.rad)
 
-    def test_mixed_radicands_rejected(self):
-        other = Poly.var("q") ** 2 + 2
-        with pytest.raises(ValueError):
-            RadExpr(rf(1), rf(1), self.RAD) + RadExpr(rf(1), rf(1), other)
-
-    def test_rad_equal_componentwise(self):
-        e1 = RadExpr(v("n"), rf(1, 2), self.RAD)
-        e2 = RadExpr(v("n"), Fraction(1, 2), self.RAD)
-        assert rad_equal(e1, e2)
-        assert not rad_equal(e1, RadExpr(v("n"), rf(-1, 2), self.RAD))
+    @given(polys(), polys(), polys(), polys(), polys(), polys())
+    @settings(max_examples=40, deadline=None)
+    def test_rf_at_radexpr_returns_remainder(self, p, a, b, base, coef, rad):
+        # P*m + (a*t + b) leaves a*t + b, with a, b and the root free of t = k
+        a, b, base, coef, rad = (x.set_var_zero("k") for x in (a, b, base, coef, rad))
+        root = RadExpr(base, coef, rad)
+        rem = rf(a) * v("k") + rf(b)
+        num, den = rf_at_radexpr(rf(p) * self.minimal_poly(root) + rem, "k", root)
+        assert rf_equal(num, rem)
+        assert rf_equal(den, rf(1))
 
     def test_rf_at_radexpr_on_quadratic_root(self):
         # k^2 - 2nk + (n^2 - rad) has roots n +- sqrt(rad)
@@ -369,9 +366,15 @@ class TestRadExpr:
         root = RadExpr(n, rf(1), self.RAD)
         num, den = rf_at_radexpr(quad, "k", root)
         assert num.is_zero
-        assert rad_equal(den, RadExpr(rf(1), rf(0), self.RAD))
+        assert rf_equal(den, rf(1))
+        # n + 1 + sqrt(rad) is not a root of quad
         num, _ = rf_at_radexpr(quad, "k", RadExpr(n + 1, rf(1), self.RAD))
         assert not num.is_zero
+
+    def test_rf_at_radexpr_zero_numerator(self):
+        num, den = rf_at_radexpr(rf(0) / v("k"), "k", RadExpr(v("n"), rf(1), self.RAD))
+        assert num.is_zero
+        assert rf_equal(den, v("k"))
 
     def test_rf_at_radexpr_zero_norm_denominator_rejected(self):
         # 1/(k^2 - 2nk + n^2 - rad): the denominator vanishes at k = n + sqrt(rad)
@@ -381,17 +384,8 @@ class TestRadExpr:
         with pytest.raises(DomainError, match="zero norm"):
             rf_at_radexpr(rf(1) / quad, "k", root)
         num, den = rf_at_radexpr(rf(1) / (quad + 1), "k", root)
-        assert rad_equal(num, den)
-
-    def test_rescale_radicand(self):
-        small = Poly.var("q") ** 2 + 1
-        big = Poly.var("n") ** 2 * small
-        e = RadExpr(rf(5), rf(2), big)
-        out = rescale_radicand(e, small, v("n"))
-        assert out.rad == small
-        assert rf_equal(out.coef, 2 * v("n"))
-        with pytest.raises(DomainError):
-            rescale_radicand(e, small, v("n") + 1)
+        assert rf_equal(num, rf(1))
+        assert rf_equal(den, rf(1))
 
     def test_numeric_consistency(self):
         import math

@@ -33,6 +33,7 @@ from ksl.sphere import (
     sphere_average,
 )
 from ksl.sphere.grid import MAX_TABLE_BYTES, table_bytes
+from ksl.sphere.ops import _energy_blocks
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +362,18 @@ class TestLambda1:
 
     def test_large_band_limit(self):
         assert abs(measure_lambda1(make_grid(64)) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("L", [8, 16])
+    def test_every_block_spectrum_is_exact(self, L):
+        # measure_lambda1 sees only the minimum, which comes from m = 1; the
+        # whole spectrum of each block must be l(l+1)/2, l = max(m, 1)..L
+        blocks = list(_energy_blocks(make_grid(L)))
+        assert len(blocks) == 2 * L + 1
+        for m, K, M in blocks:
+            ls = np.arange(max(m, 1), L + 1)
+            expected = ls * (ls + 1) / 2.0
+            eig = scipy.linalg.eigh(K, M, eigvals_only=True)
+            assert np.max(np.abs(eig - expected) / expected) < 1e-10, f"order {m}"
 
 
 class TestSobolevCheck:
