@@ -3,10 +3,12 @@
 Each ``verify_*`` function replays one derivation of the coefficient algebra
 from the axioms in :mod:`ksl.algebra.terms`, compares the outcome against the
 independently transcribed target coefficients with exact rational-function
-equality, and packages the outcome as a :class:`PassReport`. Every symbolic
-pass also carries at least three numeric instantiations at random rational
-points that avoid all excluded denominators; agreement there is exact
-Fraction equality, not a tolerance.
+equality, and packages the outcome as a :class:`PassReport`. Steps are
+recorded on one `_Derivation` per verifier, and the sampling rule holds by
+construction: every rational-function identity it records is also evaluated
+at three random rational points that avoid all excluded denominators, with
+exact Fraction equality, not a tolerance. Root steps and recorded facts
+(sample values, positivity, the elimination cross-check) are not sampled.
 
 Square-root identities are root checks: a quadratic surd k = base +
 coef*sqrt(r) is a root of its monic quadratic m(k), and an expression
@@ -34,7 +36,6 @@ from .ring import (
     VARS,
     rf,
     rf_at_radexpr,
-    rf_equal,
     v,
 )
 from .terms import (
@@ -124,8 +125,16 @@ def _random_point(rng: random.Random) -> dict[str, Fraction]:
     }
 
 
+def _holds_at(pairs: list[tuple[RationalFunction, RationalFunction]], pt: dict) -> bool:
+    return all(lhs.evaluate(pt) == rhs.evaluate(pt) for lhs, rhs in pairs)
+
+
+def _record(pt: dict, agree: bool) -> dict:
+    return {"point": {name: str(val) for name, val in pt.items()}, "agree": agree}
+
+
 def _instantiate(
-    pairs: list[tuple[str, RationalFunction, RationalFunction]],
+    pairs: list[tuple[RationalFunction, RationalFunction]],
     seed: int,
     count: int = 3,
     extra_avoid: tuple[Poly, ...] = (),
@@ -148,46 +157,70 @@ def _instantiate(
         if any(p.evaluate(pt) == 0 for p in extra_avoid):
             continue
         try:
-            agree = all(lhs.evaluate(pt) == rhs.evaluate(pt) for _, lhs, rhs in pairs)
+            agree = _holds_at(pairs, pt)
         except ZeroDivisionError:
             continue
-        records.append(
-            {
-                "point": {name: str(val) for name, val in pt.items()},
-                "agree": agree,
-            }
-        )
+        records.append(_record(pt, agree))
     return records
 
 
-def _match_expr(
-    prefix: str, derived: FormalExpr, expected: FormalExpr
-) -> tuple[list[StepCheck], list[tuple[str, RationalFunction, RationalFunction]]]:
-    steps = []
-    pairs = []
-    for term in sorted(derived.terms() | expected.terms(), key=repr):
-        dcoef = derived.coefficient(term)
-        ecoef = expected.coefficient(term)
-        ok = rf_equal(dcoef, ecoef)
-        residual = "0" if ok else repr(dcoef.num * ecoef.den - ecoef.num * dcoef.den)
-        steps.append(StepCheck(f"{prefix}[{term!r}]", ok, residual))
-        pairs.append((f"{prefix}[{term!r}]", dcoef, ecoef))
-    return steps, pairs
+class _Derivation:
+    """The steps of one derivation, recorded as they are checked.
 
+    An `identity` (or each term of an `expr`) is an exact rational-function
+    comparison and keeps its two sides as a sample pair, so every identity
+    step is also instantiated by `finish`. A `root` step, decided modulo a
+    surd's quadratic, and a `fact` (a sample value, a positivity check or a
+    cross-check) are recorded only.
+    """
 
-def _match_rf(
-    name: str, derived: RationalFunction, expected: RationalFunction, note: str = ""
-) -> StepCheck:
-    ok = rf_equal(derived, expected)
-    residual = "0" if ok else repr(derived.num * expected.den - expected.num * derived.den)
-    return StepCheck(name, ok, residual, note)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.steps: list[StepCheck] = []
+        self.pairs: list[tuple[RationalFunction, RationalFunction]] = []
 
+    def identity(
+        self, name: str, lhs: RationalFunction, rhs: RationalFunction, note: str = ""
+    ) -> None:
+        cross = lhs.num * rhs.den - rhs.num * lhs.den
+        self.fact(name, cross.is_zero, repr(cross), note)
+        self.pairs.append((lhs, rhs))
 
-def _match_root(
-    name: str, expr: RationalFunction, var: str, point: RadExpr, note: str = ""
-) -> StepCheck:
-    num, _ = rf_at_radexpr(expr, var, point)
-    return StepCheck(name, num.is_zero, "0" if num.is_zero else repr(num), note)
+    def expr(self, prefix: str, derived: FormalExpr, expected: FormalExpr, note: str = "") -> None:
+        for term in sorted(derived.terms() | expected.terms(), key=repr):
+            self.identity(
+                f"{prefix}[{term!r}]", derived.coefficient(term), expected.coefficient(term), note
+            )
+
+    def root(
+        self, name: str, expr: RationalFunction, var: str, point: RadExpr, note: str = ""
+    ) -> None:
+        num, _ = rf_at_radexpr(expr, var, point)
+        self.fact(name, num.is_zero, repr(num), note)
+
+    def fact(self, name: str, ok: bool, residual: str, note: str = "") -> None:
+        """A recorded verdict; `residual` is reported only when it fails."""
+        self.steps.append(StepCheck(name, ok, "0" if ok else residual, note))
+
+    def holds_at(self, pt: dict[str, Fraction]) -> bool:
+        """Whether every recorded identity holds at one worked point."""
+        return _holds_at(self.pairs, pt)
+
+    def finish(
+        self,
+        seed: int | None,
+        extra_avoid: tuple[Poly, ...] = (),
+        worked: tuple[tuple[dict, bool], ...] = (),
+    ) -> PassReport:
+        """The report: every identity sampled at three seeded points, then
+        one record per worked (point, agree) pair.
+
+        With no identity recorded nothing is sampled and `seed` may be None.
+        """
+        insts = _instantiate(self.pairs, seed, extra_avoid=extra_avoid) if self.pairs else []
+        insts += [_record(pt, agree) for pt, agree in worked]
+        passed = all(s.ok for s in self.steps) and all(r["agree"] for r in insts)
+        return PassReport(name=self.name, passed=passed, steps=self.steps, instantiations=insts)
 
 
 def _two_c_at(endpoint: RadExpr, factor: RationalFunction | int = 1) -> RationalFunction:
@@ -198,11 +231,6 @@ def _two_c_at(endpoint: RadExpr, factor: RationalFunction | int = 1) -> Rational
     """
     sqrt_r = (_k - endpoint.base) / (factor * endpoint.coef)
     return _two_c.base + _two_c.coef * sqrt_r
-
-
-def _finish(name: str, steps: list[StepCheck], insts: list[dict]) -> PassReport:
-    passed = all(s.ok for s in steps) and all(r["agree"] for r in insts)
-    return PassReport(name=name, passed=passed, steps=steps, instantiations=insts)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +327,10 @@ def verify_substitution_identities(idx: int) -> PassReport:
 
 def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
     """Identity idx; (3) records `elim.passed` as its elimination cross-check."""
-    name = f"substitution_identities_{idx}"
-    steps: list[StepCheck] = []
-    pairs: list[tuple[str, RationalFunction, RationalFunction]] = []
+    d = _Derivation(f"substitution_identities_{idx}")
 
     if idx == 1:
-        derived = eq_in_gradbox()
-        s, p = _match_expr("expand_box_in_gradient_energy", derived, display_sub1())
-        steps += s
-        pairs += p
+        d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), display_sub1())
     elif idx == 2:
         raw = ibp(eq_in_boxsq())
         intermediate = FormalExpr(
@@ -317,73 +340,57 @@ def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
                 GRADBOX: _be + 1,
             }
         )
-        s, p = _match_expr("after_parts_integration", raw, intermediate)
-        steps += s
-        pairs += p
+        d.expr("after_parts_integration", raw, intermediate)
         final = raw.replace(GRADBOX, display_sub1())
-        s, p = _match_expr("after_first_identity", final, display_sub2())
-        steps += s
-        pairs += p
+        d.expr("after_first_identity", final, display_sub2())
         lam_zero = display_sub2().coefficient(K_PLAIN).substitute("lam", rf(0))
-        steps.append(
-            _match_rf("plain_energy_weight_vanishes_without_lam", lam_zero, rf(0))
-        )
+        d.identity("plain_energy_weight_vanishes_without_lam", lam_zero, rf(0))
     elif idx == 3:
-        derived = mixcross_identity()
         expected = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
-        s, p = _match_expr("trusted_axiom_transcription", derived, expected)
-        for check in s:
-            check.note = "axiom, not derived; proof needs geometry outside this engine"
-        steps += s
-        pairs += p
+        d.expr(
+            "trusted_axiom_transcription",
+            mixcross_identity(),
+            expected,
+            "axiom, not derived; proof needs geometry outside this engine",
+        )
         # cross-check: the two independent routes to the solved gradient-box
         # form (direct elimination vs solving identities (1)+(2)) agree
-        steps.append(
-            StepCheck(
-                "cross_check_via_elimination",
-                elim.passed,
-                "0" if elim.passed else "see elimination report",
-                "consistency of the calculus built on this axiom",
-            )
+        d.fact(
+            "cross_check_via_elimination",
+            elim.passed,
+            "see elimination report",
+            "consistency of the calculus built on this axiom",
         )
     else:
         raise DomainError(f"idx must be 1, 2 or 3, got {idx}")
 
-    insts = _instantiate(pairs, seed=100 + idx) if pairs else []
-    return _finish(name, steps, insts)
+    return d.finish(seed=100 + idx)
 
 
 def verify_antihol_completion_bound() -> PassReport:
     """Completion of the square on the pure-type Hessian (parameter a)."""
-    steps: list[StepCheck] = []
+    d = _Derivation("antihol_completion_bound")
 
     # |pure Hessian + a grad pair/v|^2 expanded; the two conjugate cross
     # terms are real and equal, hence the single 2a weight
     expansion = FormalExpr({ANTIHESS2: rf(1), ANTICROSS: 2 * _a, GRAD4: _a**2})
     e1 = expansion.replace(ANTICROSS, anticross_identity())
     e2 = e1.replace(ANTIHESS2, pure_hessian_upper_bound())
-    steps.append(
-        StepCheck(
-            "upper_bound_applied_with_positive_weight",
-            rf_equal(e1.coefficient(ANTIHESS2), rf(1)),
-            "0",
-            "bound usable because the pure-Hessian weight is +1",
-        )
+    d.identity(
+        "upper_bound_applied_with_positive_weight",
+        e1.coefficient(ANTIHESS2),
+        rf(1),
+        "bound usable because the pure-Hessian weight is +1",
     )
     e3 = e2.replace(MIXCROSS, mixcross_identity())
-    s, pairs = _match_expr(
-        "pre_equation_form", e3, display_pure_completion_intermediate()
-    )
-    steps += s
+    d.expr("pre_equation_form", e3, display_pure_completion_intermediate())
 
     e4 = e3.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
     quad = display_completion_quadruple()
     expected = FormalExpr(
         {GRAD4: quad.A, K_EQ: quad.B, K_PLAIN: quad.C, MIXHESS2: quad.D}
     )
-    s, p = _match_expr("final_coefficients", e4, expected)
-    steps += s
-    pairs += p
+    d.expr("final_coefficients", e4, expected)
 
     # parameter-off cross-check: a = 0 must reproduce the bare combination
     bare = (
@@ -394,16 +401,13 @@ def verify_antihol_completion_bound() -> PassReport:
         .replace(BOXSQ, display_sub2())
     )
     for term in (GRAD4, K_EQ, K_PLAIN, MIXHESS2):
-        steps.append(
-            _match_rf(
-                f"parameter_off[{term!r}]",
-                e4.coefficient(term).substitute("a", rf(0)),
-                bare.coefficient(term),
-            )
+        d.identity(
+            f"parameter_off[{term!r}]",
+            e4.coefficient(term).substitute("a", rf(0)),
+            bare.coefficient(term),
         )
 
-    insts = _instantiate(pairs, seed=23)
-    return _finish("antihol_completion_bound", steps, insts)
+    return d.finish(seed=23)
 
 
 def verify_midpoint_obstruction() -> PassReport:
@@ -414,60 +418,38 @@ def verify_midpoint_obstruction() -> PassReport:
     nonpositive. Also checks the identity that chains the two nonpositivity
     conditions together.
     """
+    d = _Derivation("midpoint_obstruction")
     quad = display_completion_quadruple()
-    steps = []
-    b1_mid = quad.B.substitute("gamma", 2 * _a)
-    steps.append(_match_rf("mixed_energy_weight_at_midpoint", b1_mid, _q))
-    d1_mid = quad.D.substitute("gamma", 2 * _a)
-    steps.append(_match_rf("hessian_weight_at_midpoint", d1_mid, rf(0)))
+    d.identity("mixed_energy_weight_at_midpoint", quad.B.substitute("gamma", 2 * _a), _q)
+    d.identity("hessian_weight_at_midpoint", quad.D.substitute("gamma", 2 * _a), rf(0))
     # C1 - [(2 - 2a/gamma)(q-1) lam - 1] = -lam * B1, which is how the B- and
     # C-conditions combine into the displayed constraint on lam
     combined = quad.C - ((2 - 2 * _a / _g) * (_q - 1) * _lam - 1)
-    steps.append(_match_rf("condition_combination_identity", combined, -_lam * quad.B))
+    d.identity("condition_combination_identity", combined, -_lam * quad.B)
 
-    pairs = [
-        ("midpoint_value", b1_mid, _q),
-        ("combination", combined, -_lam * quad.B),
-    ]
-    insts = _instantiate(pairs, seed=31)
-    # the worked example: a = 3, beta = 1, q = 2 evaluates the midpoint form to 2
+    # the worked example a = 3, beta = 1, q = 2, where the midpoint form is q = 2
     pt = {name: Fraction(1) for name in VARS}
     pt.update({"a": Fraction(3), "gamma": Fraction(6), "beta": Fraction(1), "q": Fraction(2)})
-    val = quad.B.evaluate(pt)
-    insts.append({"point": {k: str(x) for k, x in pt.items()}, "agree": val == 2})
-    return _finish("midpoint_obstruction", steps, insts)
+    return d.finish(seed=31, worked=((pt, d.holds_at(pt)),))
 
 
 def verify_mixed_completion_bound() -> PassReport:
     """Completion of the square on the mixed Hessian via the trace inequality."""
-    steps: list[StepCheck] = []
-    e0 = cauchy_schwarz_defect()
-    e1 = e0.replace(MIXCROSS, mixcross_identity())
-    s, pairs = _match_expr("pre_equation_form", e1, display_mixed_intermediate())
-    steps += s
+    d = _Derivation("mixed_completion_bound")
+    e1 = cauchy_schwarz_defect().replace(MIXCROSS, mixcross_identity())
+    d.expr("pre_equation_form", e1, display_mixed_intermediate())
 
     e2 = e1.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
     quad = display_mixed_quadruple()
     expected = FormalExpr(
         {GRAD4: quad.A, K_EQ: quad.B, K_PLAIN: quad.C, MIXHESS2: quad.D}
     )
-    s, p = _match_expr("final_coefficients", e2, expected)
-    steps += s
-    pairs += p
+    d.expr("final_coefficients", e2, expected)
 
-    steps.append(
-        _match_rf(
-            "parameter_off_quartic",
-            quad.A.substitute("b", rf(0)),
-            -((_be + 1) ** 2) / _n,
-        )
-    )
-    steps.append(
-        _match_rf("parameter_off_hessian", quad.D.substitute("b", rf(0)), rf(1))
-    )
+    d.identity("parameter_off_quartic", quad.A.substitute("b", rf(0)), -((_be + 1) ** 2) / _n)
+    d.identity("parameter_off_hessian", quad.D.substitute("b", rf(0)), rf(1))
 
-    insts = _instantiate(pairs, seed=47)
-    return _finish("mixed_completion_bound", steps, insts)
+    return d.finish(seed=47)
 
 
 def _combined_base_quadruple() -> CoefficientSet:
@@ -498,8 +480,7 @@ def verify_base_chain() -> PassReport:
     k-discriminant at eps = 0 and the slack ceiling; (viii) the k lower bound
     is a root and the resulting threshold equals the closed-form constant.
     """
-    steps: list[StepCheck] = []
-    pairs: list[tuple[str, RationalFunction, RationalFunction]] = []
+    d = _Derivation("base_chain")
 
     # (i) combine, split the mixed-Hessian weight into trace-free + trace
     q1 = display_completion_quadruple()
@@ -526,17 +507,14 @@ def verify_base_chain() -> PassReport:
     expected = FormalExpr(
         {GRAD4: comb.A, K_EQ: comb.B, K_PLAIN: comb.C, TRACEFREE: comb.D}
     )
-    s, p = _match_expr("step1_combined", split, expected)
-    steps += s
-    pairs += p
+    d.expr("step1_combined", split, expected)
 
     # (ii) the b-choice forces the trace-free weight to -eps
     b_choice = ((_g * _ep / 2 + _a - _g / 2) / _k) + _g / 2
     A_b = comb.A.substitute("b", b_choice)
     B_b = comb.B.substitute("b", b_choice)
     C_b = comb.C.substitute("b", b_choice)
-    D_b = comb.D.substitute("b", b_choice)
-    steps.append(_match_rf("step2_tracefree_weight", D_b, -_ep))
+    d.identity("step2_tracefree_weight", comb.D.substitute("b", b_choice), -_ep)
     theta = 1 + ((_n - 1) / _n) * (_k + _ep)
     A_ii = (
         _g * (_g - 1)
@@ -555,15 +533,13 @@ def verify_base_chain() -> PassReport:
         + (_g / _be - 1) * theta
         - (2 * b_choice * _k / _be) * (1 - 1 / _n)
     ) * _lam - 1
-    steps.append(_match_rf("step2_quartic_weight", A_b, A_ii))
-    steps.append(_match_rf("step2_mixed_energy_weight", B_b, B_ii))
-    steps.append(_match_rf("step2_plain_energy_weight", C_b, C_ii))
-    pairs += [("step2_A", A_b, A_ii), ("step2_B", B_b, B_ii), ("step2_C", C_b, C_ii)]
+    d.identity("step2_quartic_weight", A_b, A_ii)
+    d.identity("step2_mixed_energy_weight", B_b, B_ii)
+    d.identity("step2_plain_energy_weight", C_b, C_ii)
 
     # (iii) weights at gamma = 0 (continuity in gamma; the pole cancels)
     A0 = A_b.limit_var_zero("gamma")
     B0 = B_b.limit_var_zero("gamma")
-    C0 = C_b.limit_var_zero("gamma")
     A0_disp = (
         2 * _a
         + _a**2
@@ -573,80 +549,50 @@ def verify_base_chain() -> PassReport:
     )
     B0_disp = -(2 * _a / _be) * ((_n + 1) / _n) + _q * theta
     C0_disp = ((2 * _a / _be) * ((_n + 1) / _n) - theta) * _lam - 1
-    steps.append(_match_rf("step3_quartic_weight_at_zero", A0, A0_disp))
-    steps.append(_match_rf("step3_mixed_energy_weight_at_zero", B0, B0_disp))
-    steps.append(_match_rf("step3_plain_energy_weight_at_zero", C0, C0_disp))
-    pairs += [("step3_A", A0, A0_disp), ("step3_B", B0, B0_disp), ("step3_C", C0, C0_disp)]
+    d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
+    d.identity("step3_mixed_energy_weight_at_zero", B0, B0_disp)
+    d.identity("step3_plain_energy_weight_at_zero", C_b.limit_var_zero("gamma"), C0_disp)
 
     # (iv) the a-choice kills the mixed energy weight
     a_choice = _q * theta * _n * _be / (2 * (_n + 1))
-    steps.append(
-        _match_rf("step4_mixed_energy_killed", B0.substitute("a", a_choice), rf(0))
-    )
+    d.identity("step4_mixed_energy_killed", B0.substitute("a", a_choice), rf(0))
 
     # (v) quartic weight = theta * (quadratic in beta); theta > 0 is the
     # cleared factor (positive whenever k, eps >= 0)
-    A0_a = A0.substitute("a", a_choice)
-    quad_beta = (
-        _be**2
-        * (_q**2 * theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1)
-        + _be * (2 - _q / (_n + 1))
-        + 1
+    lead_beta = _q**2 * theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1
+    quad_beta = _be**2 * lead_beta + _be * (2 - _q / (_n + 1)) + 1
+    d.identity(
+        "step5_quartic_factors",
+        A0.substitute("a", a_choice),
+        theta * quad_beta,
+        note="cleared factor: 1 + ((n-1)/n)(k+eps), positive for k > 0, eps >= 0",
     )
-    steps.append(
-        _match_rf(
-            "step5_quartic_factors",
-            A0_a,
-            theta * quad_beta,
-            note="cleared factor: 1 + ((n-1)/n)(k+eps), positive for k > 0, eps >= 0",
-        )
-    )
-    pairs.append(("step5", A0_a, theta * quad_beta))
 
     # (vi) discriminant of the beta-quadratic vs the displayed k-inequality;
     # cleared factor q/(k(n+1)^2), positive on the admissible region
-    disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * (
-        _q**2 * theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1
-    )
-    L = (
-        _n * (_n - 1) * _q * _k**2
-        + _k * (_q * (2 * _n**2 + _n * (_n - 1) * _ep - 2 * _n) - 4 * _n**2 - 4 * _n)
-        + _q * _ep * (_n - 1) ** 2
-        + _q * _n * (_n - 1)
-    )
-    steps.append(
-        _match_rf(
-            "step6_discriminant_is_k_inequality",
-            disc_beta * _k * (_n + 1) ** 2,
-            -_q * L,
-            note=(
-                "cleared factor: q/(k(n+1)^2); side condition recorded: the "
-                "k-quadratic's leading weight n(n-1)q is positive for n >= 2"
-            ),
-        )
-    )
-    pairs.append(("step6", disc_beta * _k * (_n + 1) ** 2, -_q * L))
-
-    # (vii) k-discriminant of the inequality at eps = 0, and the eps ceiling
+    disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * lead_beta
     Ak = _n * (_n - 1) * _q
     Bk = _q * (2 * _n**2 + _n * (_n - 1) * _ep - 2 * _n) - 4 * _n**2 - 4 * _n
     Ck = _q * _ep * (_n - 1) ** 2 + _q * _n * (_n - 1)
+    L = Ak * _k**2 + Bk * _k + Ck
+    d.identity(
+        "step6_discriminant_is_k_inequality",
+        disc_beta * _k * (_n + 1) ** 2,
+        -_q * L,
+        note=(
+            "cleared factor: q/(k(n+1)^2); side condition recorded: the "
+            "k-quadratic's leading weight n(n-1)q is positive for n >= 2"
+        ),
+    )
+
+    # (vii) k-discriminant of the inequality at eps = 0, and the eps ceiling
     delta = Bk**2 - 4 * Ak * Ck
-    delta0 = delta.substitute("eps", rf(0))
     delta0_disp = (4 * _n**2 + 4 * _n) ** 2 - 16 * (_n**2 + _n) * _q * (_n**2 - _n)
-    steps.append(_match_rf("step7_discriminant_at_zero_slack", delta0, delta0_disp))
-    pairs.append(("step7", delta0, delta0_disp))
+    d.identity("step7_discriminant_at_zero_slack", delta.substitute("eps", rf(0)), delta0_disp)
     pt22 = {name: Fraction(1) for name in VARS}
     pt22.update({"n": Fraction(2), "q": Fraction(2)})
     val22 = delta0_disp.evaluate(pt22)
-    steps.append(
-        StepCheck(
-            "step7_sample_value",
-            val22 == 192,
-            "0" if val22 == 192 else str(val22),
-            "24^2 - 16*6*2*2 = 192 at n = 2, q = 2",
-        )
-    )
+    d.fact("step7_sample_value", val22 == 192, str(val22), "24^2 - 16*6*2*2 = 192 at n = 2, q = 2")
     # the slack ceiling is an exact root of the eps-quadratic delta(eps)
     rad_eps = Poly.var("q") ** 2 + 4 * Poly.var("q") * Poly.var("n") * (
         Poly.var("n") + 1
@@ -656,28 +602,22 @@ def verify_base_chain() -> PassReport:
         -2 * (_n - 1) / (_n * (_n - 1) * _q),
         rad_eps,
     )
-    steps.append(
-        _match_root(
-            "step7_slack_ceiling_is_root",
-            delta,
-            "eps",
-            eps_max,
-            "delta(eps) is an upward parabola in eps; feasibility is eps <= ceiling",
-        )
+    d.root(
+        "step7_slack_ceiling_is_root",
+        delta,
+        "eps",
+        eps_max,
+        "delta(eps) is an upward parabola in eps; feasibility is eps <= ceiling",
     )
-    lead_eps = delta.num.coeffs_in("eps").get(2, Poly())
-    steps.append(
-        _match_rf(
-            "step7_eps_parabola_opens_up",
-            rf(lead_eps, delta.den),
-            (_q * _n * (_n - 1)) ** 2,
-            note="leading eps-weight is a square, positive on the admissible region",
-        )
+    d.identity(
+        "step7_eps_parabola_opens_up",
+        rf(delta.num.coeffs_in("eps").get(2, Poly()), delta.den),
+        (_q * _n * (_n - 1)) ** 2,
+        note="leading eps-weight is a square, positive on the admissible region",
     )
 
     # (viii) the k lower bound is a root of the zero-slack inequality, and
     # the threshold it induces equals the closed-form constant's threshold
-    L0 = L.substitute("eps", rf(0))
     rad2 = (Poly.var("n") ** 2 + Poly.var("n")) ** 2 - (
         Poly.var("n") ** 2 - Poly.var("n")
     ) * Poly.var("q") * (Poly.var("n") ** 2 + Poly.var("n"))
@@ -686,44 +626,37 @@ def verify_base_chain() -> PassReport:
         -2 / (_n * (_n - 1) * _q),
         rad2,
     )
-    steps.append(_match_root("step8_lower_bound_is_root", L0, "k", k_lo_big))
-    steps.append(
-        _match_rf(
-            "step8_radicand_rescaling",
-            rf(rad2),
-            _n**2 * rf(_rad_small),
-            "big radicand = n^2 * small radicand; factor n > 0",
-        )
+    d.root("step8_lower_bound_is_root", L.substitute("eps", rf(0)), "k", k_lo_big)
+    d.identity(
+        "step8_radicand_rescaling",
+        rf(rad2),
+        _n**2 * rf(_rad_small),
+        "big radicand = n^2 * small radicand; factor n > 0",
     )
     # sqrt(f^2 r) = |f| sqrt(r), so the rescaling keeps the sign of the radical
     # term only where the factor is positive
     samples = [(n, 1 + Fraction(j, 2 * (n - 1))) for n in (2, 3, 4, 7) for j in (1, 2, 3, 4)]
     base_pt = dict.fromkeys(VARS, Fraction(1))
     factor_ok = all(_n.evaluate({**base_pt, "n": Fraction(n), "q": q}) > 0 for n, q in samples)
-    steps.append(
-        StepCheck(
-            "step8_rescaling_factor_positive",
-            factor_ok,
-            "0" if factor_ok else "nonpositive at a sample point",
-            "factor n > 0 at 16 admissible points: n in {2, 3, 4, 7}, "
-            "q = 1 + j/(2(n-1)) for j = 1..4, the last on the boundary",
-        )
+    d.fact(
+        "step8_rescaling_factor_positive",
+        factor_ok,
+        "nonpositive at a sample point",
+        "factor n > 0 at 16 admissible points: n in {2, 3, 4, 7}, "
+        "q = 1 + j/(2(n-1)) for j = 1..4, the last on the boundary",
     )
     # with sqrt(big radicand) = n*sqrt(small radicand), 2C is a function of k
-    steps.append(
-        _match_root(
-            "step8_threshold_identity",
-            (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(k_lo_big, _n),
-            "k",
-            k_lo_big,
-            "reciprocals agree iff these agree; 2C written in k through "
-            "sqrt(small radicand) = (k - base)/(n*coef), remainder modulo the "
-            "lower bound's quadratic",
-        )
+    d.root(
+        "step8_threshold_identity",
+        (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(k_lo_big, _n),
+        "k",
+        k_lo_big,
+        "reciprocals agree iff these agree; 2C written in k through "
+        "sqrt(small radicand) = (k - base)/(n*coef), remainder modulo the "
+        "lower bound's quadratic",
     )
 
-    insts = _instantiate(pairs, seed=53, extra_avoid=(Poly.var("n") + 1,))
-    return _finish("base_chain", steps, insts)
+    return d.finish(seed=53, extra_avoid=(Poly.var("n") + 1,))
 
 
 def verify_radical_gap_monotone(
@@ -762,24 +695,16 @@ def verify_radical_gap_monotone(
     values = [psi(t) for t in ts]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     derivative_pos = all(dpsi(t) > 0 for t in ts)
-    steps = [
-        StepCheck("strictly_increasing_between_samples", increasing),
-        StepCheck("closed_form_derivative_positive", derivative_pos),
-    ]
-    insts = [
-        {
-            "point": {"alpha": str(alpha), "beta_c": str(beta_c), "gamma_c": str(gamma_c)},
-            "agree": increasing and derivative_pos,
-            "samples": npts,
-            "t_max": t_max,
-        }
-    ]
-    return _finish("radical_gap_monotone", steps, insts)
+    d = _Derivation("radical_gap_monotone")
+    d.fact("strictly_increasing_between_samples", increasing, "a sample does not increase")
+    d.fact("closed_form_derivative_positive", derivative_pos, "nonpositive at a sample")
+    point = {"alpha": alpha, "beta_c": beta_c, "gamma_c": gamma_c}
+    return d.finish(seed=None, worked=((point, increasing and derivative_pos),))
 
 
 def verify_grad_box_elimination() -> PassReport:
     """Eliminating the gradient-box integral from the squared-box identity."""
-    steps: list[StepCheck] = []
+    d = _Derivation("grad_box_elimination")
 
     raw = ibp(eq_in_boxsq())
     disp6 = FormalExpr(
@@ -789,17 +714,14 @@ def verify_grad_box_elimination() -> PassReport:
             GRADBOX: _be + 1,
         }
     )
-    s, pairs = _match_expr("boxsq_after_parts", raw, disp6)
-    steps += s
+    d.expr("boxsq_after_parts", raw, disp6)
 
     # rearranged first identity: the equation-exponent energy through the rest
     keq_solved = FormalExpr(
         {GRADBOX: _be, K_PLAIN: _lam, GRAD4: -_be * (_be + 1)}
     )
     back = display_sub1().replace(K_EQ, keq_solved)
-    s, p = _match_expr("rearrangement_consistency", back, FormalExpr({GRADBOX: rf(1)}))
-    steps += s
-    pairs += p
+    d.expr("rearrangement_consistency", back, FormalExpr({GRADBOX: rf(1)}))
 
     eliminated = raw.replace(K_EQ, keq_solved)
     elim_disp = FormalExpr(
@@ -809,44 +731,30 @@ def verify_grad_box_elimination() -> PassReport:
             GRAD4: -(_be * _q - _be - _g - 1) * (_be + 1),
         }
     )
-    s, p = _match_expr("after_elimination", eliminated, elim_disp)
-    steps += s
-    pairs += p
+    d.expr("after_elimination", eliminated, elim_disp)
 
     # solve for the gradient-box integral and compare the displayed form
     solved = display_solved_gradbox()
     # plugging the solved form into the eliminated identity must return BOXSQ
     roundtrip = elim_disp.replace(GRADBOX, solved)
-    s, p = _match_expr("solve_roundtrip", roundtrip, FormalExpr({BOXSQ: rf(1)}))
-    steps += s
-    pairs += p
+    d.expr("solve_roundtrip", roundtrip, FormalExpr({BOXSQ: rf(1)}))
 
     # alternate derivation: solve the two substitution identities directly
     alt = display_sub2().replace(K_EQ, keq_solved)
-    s, p = _match_expr("alternate_derivation", alt, elim_disp)
-    steps += s
-    pairs += p
+    d.expr("alternate_derivation", alt, elim_disp)
 
-    steps.append(
-        _match_rf(
-            "plain_energy_weight_vanishes_without_lam",
-            solved.coefficient(K_PLAIN).substitute("lam", rf(0)),
-            rf(0),
-        )
+    d.identity(
+        "plain_energy_weight_vanishes_without_lam",
+        solved.coefficient(K_PLAIN).substitute("lam", rf(0)),
+        rf(0),
     )
 
-    insts = _instantiate(pairs, seed=61)
     # worked instantiation from the contract: gamma=1, beta=2, q=3, lam=1/5
     pt = {name: Fraction(1) for name in VARS}
     pt.update(
         {"gamma": Fraction(1), "beta": Fraction(2), "q": Fraction(3), "lam": Fraction(1, 5)}
     )
-    agree = all(
-        eliminated.coefficient(t).evaluate(pt) == elim_disp.coefficient(t).evaluate(pt)
-        for t in elim_disp.terms()
-    )
-    insts.append({"point": {k: str(x) for k, x in pt.items()}, "agree": agree})
-    return _finish("grad_box_elimination", steps, insts)
+    return d.finish(seed=61, worked=((pt, d.holds_at(pt)),))
 
 
 def _refined_quadruple() -> tuple[RationalFunction, ...]:
@@ -882,8 +790,7 @@ def verify_refined_chain() -> PassReport:
     (xii) gamma is (1 - lam1) times a positive factor, so the objective is
     concave and its maximizer on the interval is that point clipped to it.
     """
-    steps: list[StepCheck] = []
-    pairs: list[tuple[str, RationalFunction, RationalFunction]] = []
+    d = _Derivation("refined_chain")
 
     # (i) combine and eliminate
     pure = display_pure_completion_intermediate()
@@ -892,23 +799,17 @@ def verify_refined_chain() -> PassReport:
     e1 = combined.replace(GRADBOX, display_solved_gradbox())
     A, B, C, D = _refined_quadruple()
     expected = FormalExpr({GRAD4: A, BOXSQ: B, K_PLAIN: C, MIXHESS2: D})
-    s, p = _match_expr("step1_combined", e1, expected)
-    steps += s
-    pairs += p
+    d.expr("step1_combined", e1, expected)
 
     # (ii) zero the Hessian weight
     b_choice = (_g / 2) * (1 - 1 / _k) + _a / _k
-    steps.append(
-        _match_rf("step2_hessian_weight", D.substitute("b", b_choice), rf(0))
-    )
+    d.identity("step2_hessian_weight", D.substitute("b", b_choice), rf(0))
     A_b = A.substitute("b", b_choice)
     B_b = B.substitute("b", b_choice)
     C_b = C.substitute("b", b_choice)
     S_b = (3 * _g - 4 * _a + 2 * b_choice * _k * (1 - 1 / _n))
     den = _be * _q - _g
-    B_ii = 1 + (_n - 1) * _k / _n + S_b / den
-    steps.append(_match_rf("step2_box_weight_simplifies", B_b, B_ii))
-    pairs.append(("step2_B", B_b, B_ii))
+    d.identity("step2_box_weight_simplifies", B_b, 1 + (_n - 1) * _k / _n + S_b / den)
 
     # (iii) weights at gamma = 0
     A0 = A_b.limit_var_zero("gamma")
@@ -922,120 +823,90 @@ def verify_refined_chain() -> PassReport:
     )
     B0_disp = 1 + (_n - 1) * _k / _n - (2 * _a / (_be * _q)) * ((_n + 1) / _n)
     C0_disp = (_lam * (_q - 1) / (_be * _q)) * (2 * _a * (_n + 1) / _n) - 1
-    steps.append(_match_rf("step3_quartic_weight_at_zero", A0, A0_disp))
-    steps.append(_match_rf("step3_box_weight_at_zero", B0, B0_disp))
-    steps.append(_match_rf("step3_plain_energy_weight_at_zero", C0, C0_disp))
-    pairs += [("step3_A", A0, A0_disp), ("step3_B", B0, B0_disp), ("step3_C", C0, C0_disp)]
+    d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
+    d.identity("step3_box_weight_at_zero", B0, B0_disp)
+    d.identity("step3_plain_energy_weight_at_zero", C0, C0_disp)
 
     # (iv) ratio substitution a = x*y, beta = y; cleared factor x
-    A0_xy = A0.substitute("a", _x * _y).substitute("beta", _y)
-    quad_y = (
-        _y**2 * (_x + _x * ((_n - 1) / (_k * _n)) - 2 * ((_n + 1) / _n) + 2 * ((_n + 1) / (_q * _n)))
-        + _y * (2 + 2 * ((_n + 1) / (_q * _n)) - 2 * ((_q - 1) / _q) * ((_n + 1) / _n))
-        + 2 * ((_n + 1) / (_q * _n))
-    )
-    steps.append(
-        _match_rf(
-            "step4_quartic_is_x_times_quadratic",
-            A0_xy,
-            _x * quad_y,
-            note="cleared factor: x = a/beta, nonzero by construction",
-        )
-    )
-    pairs.append(("step4", A0_xy, _x * quad_y))
-
-    # (v) discriminant of the y-quadratic against the x upper bound;
-    # cleared factor 8(n+1)(nk+n-1)/(q k n^2) > 0
     y2 = _x + _x * ((_n - 1) / (_k * _n)) - 2 * ((_n + 1) / _n) + 2 * ((_n + 1) / (_q * _n))
     y1 = 2 + 2 * ((_n + 1) / (_q * _n)) - 2 * ((_q - 1) / _q) * ((_n + 1) / _n)
     y0 = 2 * ((_n + 1) / (_q * _n))
-    disc_y = y1**2 - 4 * y2 * y0
+    d.identity(
+        "step4_quartic_is_x_times_quadratic",
+        A0.substitute("a", _x * _y).substitute("beta", _y),
+        _x * (_y**2 * y2 + _y * y1 + y0),
+        note="cleared factor: x = a/beta, nonzero by construction",
+    )
+
+    # (v) discriminant of the y-quadratic against the x upper bound;
+    # cleared factor 8(n+1)(nk+n-1)/(q k n^2) > 0
     x_hi = (4 * _n**2 + 4 * _n + _q) * _k / (2 * (_n + 1) * (_k * _n + _n - 1))
     c_hi = 8 * (_n + 1) * (_n * _k + _n - 1) / (_q * _k * _n**2)
-    steps.append(
-        _match_rf(
-            "step5_discriminant_linear_in_x",
-            disc_y,
-            c_hi * (x_hi - _x),
-            note="cleared factor: 8(n+1)(nk+n-1)/(q k n^2), positive for k > 0",
-        )
+    d.identity(
+        "step5_discriminant_linear_in_x",
+        y1**2 - 4 * y2 * y0,
+        c_hi * (x_hi - _x),
+        note="cleared factor: 8(n+1)(nk+n-1)/(q k n^2), positive for k > 0",
     )
-    pairs.append(("step5", disc_y, c_hi * (x_hi - _x)))
 
     # (vi) the mixed-energy condition is the x lower bound
     B0_x = B0.substitute("a", _x * _y).substitute("beta", _y)
     x_lo = (_k * _n + _n - _k) * _q / (2 * (_n + 1))
     c_lo = 2 * (_n + 1) / (_q * _n)
-    steps.append(
-        _match_rf(
-            "step6_box_weight_linear_in_x",
-            B0_x,
-            c_lo * (x_lo - _x),
-            note="cleared factor: 2(n+1)/(qn), positive",
-        )
+    d.identity(
+        "step6_box_weight_linear_in_x",
+        B0_x,
+        c_lo * (x_lo - _x),
+        note="cleared factor: 2(n+1)/(qn), positive",
     )
-    pairs.append(("step6", B0_x, c_lo * (x_lo - _x)))
 
     # (vii) compatibility of the bounds is the k-quadratic; its roots are the
     # feasibility interval endpoints
     gap_factor = _q * _n * (_n - 1) / (2 * (_n + 1) * (_k * _n + _n - 1))
-    steps.append(
-        _match_rf(
-            "step7_gap_is_k_quadratic",
-            x_hi - x_lo,
-            -gap_factor * _kq,
-            note="cleared factor: qn(n-1)/(2(n+1)(kn+n-1)), positive for n >= 2, k > 0",
-        )
+    d.identity(
+        "step7_gap_is_k_quadratic",
+        x_hi - x_lo,
+        -gap_factor * _kq,
+        note="cleared factor: qn(n-1)/(2(n+1)(kn+n-1)), positive for n >= 2, k > 0",
     )
-    pairs.append(("step7", x_hi - x_lo, -gap_factor * _kq))
     for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
-        steps.append(_match_root(f"step7_{label}_endpoint_is_root", _kq, "k", endpoint))
+        d.root(f"step7_{label}_endpoint_is_root", _kq, "k", endpoint)
     # conjugate endpoints: the product is base^2 - coef^2 * radicand
-    steps.append(
-        _match_rf(
-            "step7_endpoint_product_one",
-            _lo_end.base * _lo_end.base - _lo_end.coef * _lo_end.coef * rf(_lo_end.rad),
-            rf(1),
-            "constant term of the monic k-quadratic",
-        )
+    d.identity(
+        "step7_endpoint_product_one",
+        _lo_end.base * _lo_end.base - _lo_end.coef * _lo_end.coef * rf(_lo_end.rad),
+        rf(1),
+        "constant term of the monic k-quadratic",
     )
 
     # (viii) the spectral bound rearranges to the threshold inequality
     C0_x = C0.substitute("a", _x * _y).substitute("beta", _y)
-    combo = C0_x + _l1 * B0_x
     rhs_thr = _l1 / (_q - 1) + (1 - _l1 * (1 + (_n - 1) * _k / _n)) * _q * _n / (
         2 * (_q - 1) * (_n + 1) * _x
     )
     c_combo = 2 * _x * (_n + 1) * (_q - 1) / (_q * _n)
-    steps.append(
-        _match_rf(
-            "step8_threshold_rearrangement",
-            combo,
-            c_combo * (_lam - rhs_thr),
-            note="cleared factor: 2x(n+1)(q-1)/(qn), positive for x > 0, q > 1",
-        )
+    d.identity(
+        "step8_threshold_rearrangement",
+        C0_x + _l1 * B0_x,
+        c_combo * (_lam - rhs_thr),
+        note="cleared factor: 2x(n+1)(q-1)/(qn), positive for x > 0, q > 1",
     )
-    pairs.append(("step8", combo, c_combo * (_lam - rhs_thr)))
 
     # (ix) the threshold at the upper x-bound is the stated objective
-    rhs_at_hi = rhs_thr.substitute("x", x_hi)
     F_disp = (
         (1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / ((4 * _n**2 + 4 * _n + _q) * _k))
         * _l1
         + _q * _n * (_k * _n + _n - 1) / ((4 * _n**2 + 4 * _n + _q) * _k)
     ) / (_q - 1)
-    steps.append(_match_rf("step9_objective_recovered", rhs_at_hi, F_disp))
-    pairs.append(("step9", rhs_at_hi, F_disp))
+    d.identity("step9_objective_recovered", rhs_thr.substitute("x", x_hi), F_disp)
     pt = {name: Fraction(1) for name in VARS}
     pt.update({"n": Fraction(2), "q": Fraction(2), "k": Fraction(1), "lam1": Fraction(1)})
     val = F_disp.evaluate(pt)
-    steps.append(
-        StepCheck(
-            "step9_sample_value",
-            val == Fraction(10, 13),
-            "0" if val == Fraction(10, 13) else str(val),
-            "objective at n=2, q=2, k=1, spectral parameter 1",
-        )
+    d.fact(
+        "step9_sample_value",
+        val == Fraction(10, 13),
+        str(val),
+        "objective at n=2, q=2, k=1, spectral parameter 1",
     )
 
     # (x) F = alpha + beta*k + gamma/k; (xi) F' = beta - gamma/k^2 vanishes at
@@ -1045,27 +916,22 @@ def verify_refined_chain() -> PassReport:
     pos_factor = _q * _n * (_n - 1) / ((_q - 1) * A_q)
     f_alpha = (_l1 * (A_q - _q * (2 * _n**2 - 2 * _n + 1)) + _q * _n**2) / ((_q - 1) * A_q)
     f_beta, f_gamma = -_l1 * pos_factor, (1 - _l1) * pos_factor
-    for label, lhs, rhs, note in (
-        ("step10_objective_split", F_disp, f_alpha + f_beta * _k + f_gamma / _k, ""),
-        (
-            "step11_stationary_point",
-            f_beta * (1 - 1 / _l1),
-            f_gamma,
-            "F' = beta - gamma/k^2 vanishes at k^2 = 1 - 1/lam1",
-        ),
-        (
-            "step12_curvature_sign",
-            (F_disp * _k).limit_var_zero("k"),
-            f_gamma,
-            "cleared factor: qn(n-1)/((q-1)(4n^2+4n+q)), positive for n >= 2, q > 1; "
-            "so F'' = 2 gamma/k^3 <= 0 on k > 0 for lam1 >= 1",
-        ),
-    ):
-        steps.append(_match_rf(label, lhs, rhs, note))
-        pairs.append((label, lhs, rhs))
+    d.identity("step10_objective_split", F_disp, f_alpha + f_beta * _k + f_gamma / _k)
+    d.identity(
+        "step11_stationary_point",
+        f_beta * (1 - 1 / _l1),
+        f_gamma,
+        "F' = beta - gamma/k^2 vanishes at k^2 = 1 - 1/lam1",
+    )
+    d.identity(
+        "step12_curvature_sign",
+        (F_disp * _k).limit_var_zero("k"),
+        f_gamma,
+        "cleared factor: qn(n-1)/((q-1)(4n^2+4n+q)), positive for n >= 2, q > 1; "
+        "so F'' = 2 gamma/k^3 <= 0 on k > 0 for lam1 >= 1",
+    )
 
-    insts = _instantiate(
-        pairs,
+    return d.finish(
         seed=71,
         extra_avoid=(
             Poly.var("n") + 1,
@@ -1075,7 +941,6 @@ def verify_refined_chain() -> PassReport:
             Poly.var("q") - 1,
         ),
     )
-    return _finish("refined_chain", steps, insts)
 
 
 def verify_chain_consistency() -> PassReport:
@@ -1087,20 +952,18 @@ def verify_chain_consistency() -> PassReport:
     half the reciprocal of the closed-form constant), with the spectral
     weight vanishing at both endpoints.
     """
-    steps: list[StepCheck] = []
+    d = _Derivation("chain_consistency")
 
     L0 = (
         _n * (_n - 1) * _q * _k**2
         + _k * (_q * (2 * _n**2 - 2 * _n) - 4 * _n**2 - 4 * _n)
         + _q * _n * (_n - 1)
     )
-    steps.append(
-        _match_rf(
-            "same_k_quadratic",
-            L0,
-            _n * (_n - 1) * _q * _kq,
-            note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
-        )
+    d.identity(
+        "same_k_quadratic",
+        L0,
+        _n * (_n - 1) * _q * _kq,
+        note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
     )
 
     F_lin = (
@@ -1108,25 +971,19 @@ def verify_chain_consistency() -> PassReport:
     ) / (_q - 1)
     F_const = _q * _n * (_k * _n + _n - 1) / ((_q - 1) * (4 * _n**2 + 4 * _n + _q) * _k)
     for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
-        steps.append(
-            _match_root(f"spectral_weight_vanishes_at_{label}_endpoint", F_lin, "k", endpoint)
-        )
+        d.root(f"spectral_weight_vanishes_at_{label}_endpoint", F_lin, "k", endpoint)
 
     # threshold agreement: objective at the lower endpoint vs 1/(2*C) with C
     # the closed-form constant, as F * 2C - 1 vanishing there
-    steps.append(
-        _match_root(
-            "threshold_agreement",
-            F_const * _two_c_at(_lo_end) - 1,
-            "k",
-            _lo_end,
-            "exact, as a remainder modulo the lower endpoint's quadratic",
-        )
+    d.root(
+        "threshold_agreement",
+        F_const * _two_c_at(_lo_end) - 1,
+        "k",
+        _lo_end,
+        "exact, as a remainder modulo the lower endpoint's quadratic",
     )
 
-    pairs = [("same_k_quadratic", L0, _n * (_n - 1) * _q * _kq)]
-    insts = _instantiate(pairs, seed=83, extra_avoid=(Poly.var("n") - 1, Poly.var("q") - 1))
-    return _finish("chain_consistency", steps, insts)
+    return d.finish(seed=83, extra_avoid=(Poly.var("n") - 1, Poly.var("q") - 1))
 
 
 def run_all() -> list[PassReport]:

@@ -37,17 +37,8 @@ attempt to re-prove them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ring import Poly, RationalFunction, rf, v
-
-
-def _coerce_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (Poly, int, Fraction)):
-        return rf(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+from .ring import Poly, RationalFunction, _coerce_rf, rf, v
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,9 @@ _DEFAULTS = {
     "format": "json",
 }
 
+# most values a q grid may hold, checked before any value is built
+MAX_GRID_POINTS = 10_000
+
 _SUBCOMMANDS = (
     "constants",
     "interval",
@@ -157,14 +160,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if ":" in s:
             lo_s, hi_s, count_s = s.split(":")
             lo, hi, count = _finite_float(lo_s), _finite_float(hi_s), int(count_s)
-            if count < 2 or not hi > lo:
+            if not 2 <= count <= MAX_GRID_POINTS or not hi > lo:
                 raise ValueError
             step = (hi - lo) / (count - 1)
             return tuple(lo + i * step for i in range(count))
-        vals = tuple(_finite_float(p) for p in s.split(",") if p.strip())
-        if not vals:
+        parts = [p for p in s.split(",") if p.strip()]
+        if not 1 <= len(parts) <= MAX_GRID_POINTS:
             raise ValueError
-        return vals
+        return tuple(_finite_float(p) for p in parts)
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"grid must be 'lo:hi:count' or comma-separated finite values, got {text!r}"
@@ -196,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--q-grid",
         type=_parse_grid,
         default=None,
-        help="exponent grid, 'lo:hi:count' or comma list; overrides --q",
+        help=f"exponent grid, 'lo:hi:count' or comma list, at most {MAX_GRID_POINTS} "
+        "values; overrides --q",
     )
     common.add_argument(
         "--k", type=_parse_k, default=None, help="interpolation weight, number or 'auto'"

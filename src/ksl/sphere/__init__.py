@@ -1,7 +1,7 @@
 """Numerical verification on the model manifold (the unit 2-sphere)."""
 
 from .field import SphereField, coordinate_z
-from .grid import AREA, QuadratureGrid, legendre_tables, make_grid
+from .grid import AREA, QuadratureGrid, make_grid
 from .ops import (
     IneqReport,
     avg_square,
@@ -13,7 +13,6 @@ from .ops import (
     random_band_limited,
     random_positive_field,
     sobolev_check,
-    sphere_average,
 )
 from .pde import SolveReport, newton_solve, quotient, quotient_gradient
 
@@ -28,7 +27,6 @@ __all__ = [
     "coordinate_z",
     "grad_energy",
     "holo_energy",
-    "legendre_tables",
     "make_grid",
     "measure_lambda1",
     "newton_solve",
@@ -38,5 +36,4 @@ __all__ = [
     "random_band_limited",
     "random_positive_field",
     "sobolev_check",
-    "sphere_average",
 ]

@@ -53,35 +53,13 @@ def _lowering_factors(L: int) -> np.ndarray:
     return np.sqrt(np.maximum((2.0 * l + 1.0) * (l * l - m * m), 0.0) / np.abs(2.0 * l - 1.0))
 
 
-def legendre_tables(L: int, mu: np.ndarray) -> tuple[list, list]:
-    """Orthonormal associated Legendre values and theta-derivatives.
-
-    Returns (plm, dplm), lists indexed by order m; plm[m] has shape
-    (L+1-m, len(mu)) with row i holding N_{m+i, m}(mu), where
-    int_{-1}^{1} N_lm^2 dmu = 1 and no Condon-Shortley phase is applied.
-    dplm[m] holds d/dtheta of the same rows, one row at a time from the
-    degree-lowering relation. The tests use both lists as the oracle for the
-    batched transforms; `_SubGrid` reads the value recurrence one order at a
-    time and keeps no derivative rows.
-    """
-    mu = np.asarray(mu, dtype=float)
-    s = np.sqrt(1.0 - mu * mu)
-    plm = list(_legendre_orders(L, mu))
-    dplm = []
-    for m, rows in enumerate(plm):
-        drows = np.zeros_like(rows)
-        for l in range(m, L + 1):
-            acc = l * mu * rows[l - m]
-            if l > m:
-                e = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
-                acc = acc - e * rows[l - m - 1]
-            drows[l - m] = acc / s
-        dplm.append(drows)
-    return plm, dplm
-
-
 def _legendre_orders(L: int, mu: np.ndarray):
-    """The Legendre recurrence: yields plm[m] for m = 0..L."""
+    """The Legendre recurrence, one order at a time.
+
+    Yields, for m = 0..L, an array of shape (L+1-m, len(mu)) whose row i holds
+    N_{m+i, m}(mu), with int_{-1}^{1} N_lm^2 dmu = 1 and no Condon-Shortley
+    phase.
+    """
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(1.0 - mu * mu)
     if np.any(s == 0.0):

@@ -12,11 +12,6 @@ from .field import SphereField
 from .grid import AREA, TWO_PI, QuadratureGrid
 
 
-def sphere_average(f: SphereField) -> float:
-    """Quadrature average (1/Vol) int f dA on the analysis grid."""
-    return f.grid.average(f.values)
-
-
 def box_op(f: SphereField) -> SphereField:
     """The complex Laplacian: coefficient (l, m) is scaled by -l(l+1)/2."""
     grid = f.grid

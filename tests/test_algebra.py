@@ -5,6 +5,8 @@ instantiation points. A few targeted identities are re-derived here by hand
 so a silent change to either the displays or the engine shows up twice.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -24,10 +26,13 @@ from ksl.algebra import (
 )
 from ksl.algebra import checks
 from ksl.algebra.checks import (
+    _Derivation,
     display_completion_quadruple,
     display_mixed_quadruple,
 )
 from ksl.algebra.ring import VARS, RadExpr, rf, rf_equal, v
+from ksl.algebra.terms import ANTIHESS2, FormalExpr
+from ksl.cli import run
 from ksl.errors import DomainError
 
 ALL_EXACT = [
@@ -86,6 +91,67 @@ class TestVerifiersPass:
         # called on its own, identity (3) still runs its own cross-check
         verify_substitution_identities(3)
         assert len(calls) == 2
+
+
+class TestDerivationRecorder:
+    def test_false_identity_fails_and_disagrees_everywhere(self):
+        d = _Derivation("false")
+        d.identity("off_by_one", v("n"), v("n") + 1)
+        report = d.finish(seed=5)
+        [step] = report.steps
+        assert not step.ok and step.residual == "-1"
+        assert len(report.instantiations) == 3
+        assert not any(rec["agree"] for rec in report.instantiations)
+        assert not report.passed
+
+    def test_true_identity_passes_and_agrees_everywhere(self):
+        d = _Derivation("true")
+        d.identity("square", (v("n") + 1) ** 2, v("n") ** 2 + 2 * v("n") + 1)
+        report = d.finish(seed=5)
+        assert [s.ok for s in report.steps] == [True]
+        assert len(report.instantiations) == 3
+        assert all(rec["agree"] for rec in report.instantiations)
+        assert report.passed
+
+    def test_worked_point_records_its_verdict(self):
+        d = _Derivation("worked")
+        d.identity("doubling", 2 * v("n"), v("n") + v("n"))
+        pt = dict.fromkeys(VARS, Fraction(2))
+        report = d.finish(seed=5, worked=((pt, d.holds_at(pt)),))
+        assert len(report.instantiations) == 4
+        assert report.instantiations[-1] == {
+            "point": dict.fromkeys(VARS, "2"),
+            "agree": True,
+        }
+
+
+def test_upper_bound_step_reports_its_residual(monkeypatch):
+    """A pure-Hessian weight other than +1 fails with a nonzero residual."""
+    original = checks.anticross_identity
+    monkeypatch.setattr(
+        checks,
+        "anticross_identity",
+        lambda: original() + FormalExpr({ANTIHESS2: rf(1)}),
+    )
+    report = verify_antihol_completion_bound()
+    [step] = [s for s in report.steps if s.name == "upper_bound_applied_with_positive_weight"]
+    assert not step.ok
+    assert step.residual != "0"
+    assert not report.passed
+
+
+# SHA-256 of the `algebra-verify` payload, canonical JSON; fixed when the
+# verifiers were moved onto one recorder, so any change to a step name,
+# residual, note, count or verdict shows up here
+ALGEBRA_PAYLOAD_SHA256 = "88dd746982cb8611c7d5552c9de12cfedbc08bca9ce4dc9efd59f1cd37526ffa"
+
+
+def test_algebra_payload_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("KSL_OUT", raising=False)
+    assert run(["algebra-verify", "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ALGEBRA_PAYLOAD_SHA256
 
 
 class TestTargetedIdentities:

@@ -223,6 +223,26 @@ class TestExitCodes:
         assert "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--q-grid", f"1.2:2.8:{ksl.cli.MAX_GRID_POINTS + 1}"],
+            ["all", "--q-grid", "1.2:2.8:1000000000", "--L", "8"],
+            ["constants", "--q-grid", ",".join(["2"] * (ksl.cli.MAX_GRID_POINTS + 1))],
+        ],
+        ids=["just_over", "billion", "comma_list"],
+    )
+    def test_grid_over_ceiling_is_exit_2_without_report(self, argv, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_capture([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert "grid must be 'lo:hi:count'" in err
+        assert not out.exists()
+
+    def test_grid_at_ceiling_is_accepted(self):
+        grid = ksl.cli._parse_grid(f"1.2:2.8:{ksl.cli.MAX_GRID_POINTS}")
+        assert len(grid) == ksl.cli.MAX_GRID_POINTS
+        assert grid[0] == 1.2 and grid[-1] == pytest.approx(2.8)
 
     @pytest.mark.parametrize("command", ["sphere-verify", "all"])
     def test_negative_seed_is_exit_2_without_report(self, command, capsys, tmp_path):
@@ -286,6 +306,18 @@ class TestConfigFile:
         )
         assert code == 2
         assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [ksl.cli.MAX_GRID_POINTS + 1, 10**9])
+    def test_grid_over_ceiling_is_exit_2_without_report(self, count, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"q-grid = 1.2:2.8:{count}\n")
+        out = tmp_path / "out"
+        code, _, err = run_capture(
+            ["constants", "--config", str(cfg), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "grid must be 'lo:hi:count'" in err
         assert not out.exists()
 
     def test_negative_seed_is_exit_2_without_report(self, capsys, tmp_path):

@@ -3,8 +3,9 @@
 Oracles: scipy.special.lpmv for the Legendre tables (with the Condon-Shortley
 phase stripped), closed-form moments of low-degree fields, dual-path
 agreement between spectral and quadrature evaluations, and per-order loop
-transforms fed by `legendre_tables` for the batched kernel. The package
-itself never calls scipy.special; only this test module does, as an oracle.
+transforms fed by `legendre_tables` (defined here, on the package's own
+value recurrence) for the batched kernel. The package itself never calls
+scipy.special; only this test module does, as an oracle.
 """
 
 import math
@@ -24,16 +25,43 @@ from ksl.sphere import (
     coordinate_z,
     grad_energy,
     holo_energy,
-    legendre_tables,
     make_grid,
     measure_lambda1,
     perturbation_tcoeff,
     random_band_limited,
     sobolev_check,
-    sphere_average,
 )
-from ksl.sphere.grid import MAX_TABLE_BYTES, table_bytes
+from ksl.sphere.grid import MAX_TABLE_BYTES, _legendre_orders, table_bytes
 from ksl.sphere.ops import _energy_blocks
+
+
+def legendre_tables(L: int, mu: np.ndarray) -> tuple[list, list]:
+    """Orthonormal associated Legendre values and theta-derivatives.
+
+    Returns (plm, dplm), lists indexed by order m; plm[m] has shape
+    (L+1-m, len(mu)) with row i holding N_{m+i, m}(mu). dplm[m] holds
+    d/dtheta of the same rows, one row at a time from the degree-lowering
+    relation: the oracle for the batched transforms and gradient.
+    """
+    mu = np.asarray(mu, dtype=float)
+    s = np.sqrt(1.0 - mu * mu)
+    plm = list(_legendre_orders(L, mu))
+    dplm = []
+    for m, rows in enumerate(plm):
+        drows = np.zeros_like(rows)
+        for l in range(m, L + 1):
+            acc = l * mu * rows[l - m]
+            if l > m:
+                e = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
+                acc = acc - e * rows[l - m - 1]
+            drows[l - m] = acc / s
+        dplm.append(drows)
+    return plm, dplm
+
+
+def sphere_average(f: SphereField) -> float:
+    """Quadrature average (1/Vol) int f dA on the analysis grid."""
+    return f.grid.average(f.values)
 
 
 @pytest.fixture(scope="module")
