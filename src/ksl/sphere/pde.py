@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator
 
 from ..errors import DomainError
 from .field import SphereField
@@ -96,6 +96,76 @@ def _residual_coeffs(
     return coeffs * diag - grid.analysis(vals_over**q, grid.over)
 
 
+def gmres(A, b: np.ndarray, *, rtol: float, atol: float, restart: int, maxiter: int, callback):
+    """Restarted GMRES for A x = b from x0 = 0 (Saad & Schultz, SISC 7 (1986) 856).
+
+    A real operator needs only `.matvec`, called exactly once per inner
+    iteration. The Arnoldi basis is built by modified Gram-Schmidt, and
+    Givens rotations keep the least-squares residual of the Hessenberg
+    problem; after each inner iteration `callback` gets that residual
+    divided by |b|. A cycle ends when it falls to max(rtol |b|, atol), after
+    `restart` iterations, or at a breakdown (the new product lies in the
+    span of the basis, to round-off). The cycle then sets x += V y and
+    r -= (A V) y from the stored basis and products, with no further product,
+    and convergence is decided on this true residual: |r| <= max(rtol |b|,
+    atol). Returns (x, info): info is 0 on convergence, and otherwise
+    `maxiter`, the number of cycles allowed, also when a breakdown stops the
+    iteration early. b = 0 returns zeros without a product.
+    """
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(b.shape)
+    if bnorm == 0.0:
+        return x, 0
+    tol = max(rtol * bnorm, atol)
+    eps = np.finfo(float).eps
+    r = np.array(b, dtype=float)
+    rnorm = bnorm
+    for _ in range(maxiter):
+        basis = [r / rnorm]
+        products: list[np.ndarray] = []
+        columns: list[list[float]] = []  # the triangular factor, by column
+        rotations: list[tuple[float, float]] = []
+        g = [rnorm]  # the rotated right-hand side rnorm e_1
+        for _ in range(min(restart, b.size)):
+            product = A.matvec(basis[-1])
+            products.append(product)
+            w = product.copy()
+            h = []
+            for v in basis:
+                h.append(float(v @ w))
+                w -= h[-1] * v
+            h_next = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            d = float(np.hypot(h[-1], h_next))
+            c, s = (h[-1] / d, h_next / d) if d > 0.0 else (1.0, 0.0)
+            rotations.append((c, s))
+            h[-1] = d
+            columns.append(h)
+            g.append(-s * g[-1])
+            g[-2] *= c
+            callback(abs(g[-1]) / bnorm)
+            breakdown = h_next <= eps * np.linalg.norm(product)
+            if abs(g[-1]) <= tol or breakdown:
+                break
+            basis.append(w / h_next)
+        # back substitution; a zero pivot (A singular on the Krylov space)
+        # leaves its component at zero
+        y = g[:-1]
+        for k in reversed(range(len(y))):
+            y[k] -= sum(columns[j][k] * y[j] for j in range(k + 1, len(y)))
+            y[k] = y[k] / columns[k][k] if columns[k][k] != 0.0 else 0.0
+        for yk, v, product in zip(y, basis, products):
+            x += yk * v
+            r -= yk * product
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol:
+            return x, 0
+        if breakdown:
+            break
+    return x, maxiter
+
+
 # Eisenstat-Walker choice 2 forcing terms (SISC 17 (1996) 16)
 _EW_GAMMA = 0.9
 _EW_ALPHA = 2.0
@@ -133,21 +203,30 @@ def newton_solve(
     0.5 tol / |F_k|, and at most 0.5. A step is accepted at scale s when
     the field stays positive and |F| drops by the factor 1 - 1e-4 s;
     otherwise s is halved, at most 30 times. Iteration stops when the sup of
-    the residual on the grid falls below tol. Running out of halvings or
-    iterations, or a GMRES failure, yields a non-converged report, not an
-    exception. The report's trace holds one NewtonStep per accepted step.
+    the residual on the grid falls below tol. The linear solves use this
+    module's `gmres` (restart 100, at most 500 cycles): one product with
+    J M^-1 per inner iteration and none besides, since the true residual of
+    a cycle is formed from the stored products, so a step's
+    inner_iterations is also its count of Jacobian products. Running out of
+    halvings or iterations, or a GMRES failure, yields a non-converged
+    report, not an exception; a tol that is not positive and finite, or a
+    max_iters that is not an int >= 0, raises DomainError. The report's
+    trace holds one NewtonStep per accepted step.
     """
     _check_parameters(lam, q)
     if not q > 1:
         raise DomainError(f"exponent must exceed 1, got q = {q}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be positive and finite, got tol = {tol}")
+    if not (isinstance(max_iters, int) and max_iters >= 0):
+        raise DomainError(f"max_iters must be an int >= 0, got {max_iters!r}")
     grid = u0.grid
-    _require_positive(u0, "newton_solve")
+    vals = _require_positive(u0, "newton_solve")
 
     shape = grid.coeff_shape()
     size = int(np.prod(shape))
     diag = grid.minus_box_eigs[None, :, None] + lam
     coeffs = u0.coeffs.copy()
-    vals = grid.synthesis(coeffs, grid.over)
     res = _residual_coeffs(grid, coeffs, vals, diag, q)
     rnorm = float(np.linalg.norm(res))
     trace: list[NewtonStep] = []
@@ -196,7 +275,8 @@ def newton_solve(
             return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
 
         inner_norms: list[float] = []
-        op = LinearOperator((size, size), matvec=matvec)
+        # dtype given, so building the operator makes no product
+        op = LinearOperator((size, size), matvec=matvec, dtype=float)
         y, info = gmres(
             op,
             -res.ravel(),
@@ -205,7 +285,6 @@ def newton_solve(
             restart=100,
             maxiter=500,
             callback=inner_norms.append,
-            callback_type="pr_norm",
         )
         if info != 0:
             return finish(False, rsup, f"linear solver stalled (info = {info})")

@@ -10,6 +10,7 @@ from ksl.sphere import (
     coordinate_z,
     make_grid,
     newton_solve,
+    pde,
     quotient,
     quotient_gradient,
     random_band_limited,
@@ -140,6 +141,27 @@ class TestNewtonSolve:
         with pytest.raises(DomainError):
             newton_solve(0.9, 2.0, u0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"tol": np.nan},
+            {"tol": np.inf},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"max_iters": -1},
+            {"max_iters": 2.0},
+        ],
+    )
+    def test_rejects_bad_solver_settings(self, grid16, settings):
+        with pytest.raises(DomainError):
+            newton_solve(0.4, 2.0, tilted(grid16), **settings)
+
+    def test_stalled_linear_solver_is_reported(self, grid16, monkeypatch):
+        monkeypatch.setattr(pde, "gmres", lambda op, rhs, **_: (np.zeros_like(rhs), 7))
+        rep = newton_solve(0.4, 2.0, tilted(grid16))
+        assert not rep.converged
+        assert rep.message == "linear solver stalled (info = 7)"
+
     def test_rejects_bad_parameters(self, grid16):
         u0 = SphereField.constant(grid16, 1.0)
         with pytest.raises(DomainError):
@@ -232,6 +254,73 @@ class TestNewtonSolve:
         rep = newton_solve(lam, 2.0, u0)
         assert rep.converged and rep.iterations > 0, rep.message
         assert [step.inner_iterations for step in rep.trace] == [1] * rep.iterations
+
+
+class Dense:
+    """A matrix as an operator that counts its products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def matvec(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def run_gmres(matrix, b, restart, rtol=1e-10, maxiter=500):
+    op = Dense(matrix)
+    norms = []
+    x, info = pde.gmres(
+        op, b, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, callback=norms.append
+    )
+    return x, info, op.products, norms
+
+
+class TestGmres:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_restarted_nonsymmetric_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        matrix = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        assert not np.allclose(matrix, matrix.T)
+        b = rng.standard_normal(n)
+        x, info, products, norms = run_gmres(matrix, b, restart=3)
+        assert info == 0
+        assert products > 3  # several cycles ran
+        assert products == len(norms)
+        assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
+        assert np.allclose(x, np.linalg.solve(matrix, b), rtol=0.0, atol=1e-8)
+
+    def test_cyclic_shift_stagnates(self):
+        # the Krylov space of e_1 reaches the solution e_n only at step n, so
+        # every cycle shorter than n leaves x = 0 and the residual at |b|
+        n, restart, maxiter = 8, 4, 3
+        shift = np.roll(np.eye(n), 1, axis=0)
+        b = np.eye(n)[0]
+        x, info, products, norms = run_gmres(shift, b, restart=restart, maxiter=maxiter)
+        assert info != 0
+        assert products == len(norms) == restart * maxiter
+        assert np.linalg.norm(b - shift @ x) == pytest.approx(1.0)
+        # with a cycle of length n it is one cycle, solved exactly
+        x, info, products, _ = run_gmres(shift, b, restart=n)
+        assert info == 0 and products == n
+        assert np.allclose(x, np.eye(n)[-1])
+
+    def test_singular_operator_breaks_down(self):
+        # A e_1 = 0: the first product is already in the span, the pivot is
+        # zero and the cycle stops without a division by it
+        matrix = np.diag([0.0, 1.0, 2.0])
+        x, info, products, norms = run_gmres(matrix, np.eye(3)[0], restart=3)
+        assert info != 0
+        assert products == len(norms) == 1
+        assert np.array_equal(x, np.zeros(3))
+
+    def test_zero_right_hand_side(self):
+        x, info, products, norms = run_gmres(np.eye(5), np.zeros(5), restart=3)
+        assert info == 0
+        assert products == 0 and norms == []
+        assert np.array_equal(x, np.zeros(5))
 
 
 @pytest.mark.parametrize(
