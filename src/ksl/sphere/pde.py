@@ -96,30 +96,32 @@ def _residual_coeffs(
     return coeffs * diag - grid.analysis(vals_over**q, grid.over)
 
 
-def gmres(A, b: np.ndarray, *, rtol: float, atol: float, restart: int, maxiter: int, callback):
+def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
     """Restarted GMRES for A x = b from x0 = 0 (Saad & Schultz, SISC 7 (1986) 856).
 
     A real operator needs only `.matvec`, called exactly once per inner
     iteration. The Arnoldi basis is built by modified Gram-Schmidt, and
     Givens rotations keep the least-squares residual of the Hessenberg
-    problem; after each inner iteration `callback` gets that residual
-    divided by |b|. A cycle ends when it falls to max(rtol |b|, atol), after
+    problem. A cycle ends when that residual falls to rtol |b|, after
     `restart` iterations, or at a breakdown (the new product lies in the
     span of the basis, to round-off). The cycle then sets x += V y and
     r -= (A V) y from the stored basis and products, with no further product,
-    and convergence is decided on this true residual: |r| <= max(rtol |b|,
-    atol). Returns (x, info): info is 0 on convergence, and otherwise
+    and convergence is decided on this true residual: |r| <= rtol |b|.
+    Returns (x, info, iterations): info is 0 on convergence, and otherwise
     `maxiter`, the number of cycles allowed, also when a breakdown stops the
-    iteration early. b = 0 returns zeros without a product.
+    iteration early; iterations counts the inner iterations of all cycles,
+    which is also the number of products. b = 0 returns zeros without a
+    product.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros(b.shape)
     if bnorm == 0.0:
-        return x, 0
-    tol = max(rtol * bnorm, atol)
+        return x, 0, 0
+    tol = rtol * bnorm
     eps = np.finfo(float).eps
     r = np.array(b, dtype=float)
     rnorm = bnorm
+    iterations = 0
     for _ in range(maxiter):
         basis = [r / rnorm]
         products: list[np.ndarray] = []
@@ -144,7 +146,7 @@ def gmres(A, b: np.ndarray, *, rtol: float, atol: float, restart: int, maxiter: 
             columns.append(h)
             g.append(-s * g[-1])
             g[-2] *= c
-            callback(abs(g[-1]) / bnorm)
+            iterations += 1
             breakdown = h_next <= eps * np.linalg.norm(product)
             if abs(g[-1]) <= tol or breakdown:
                 break
@@ -160,10 +162,10 @@ def gmres(A, b: np.ndarray, *, rtol: float, atol: float, restart: int, maxiter: 
             r -= yk * product
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol:
-            return x, 0
+            return x, 0, iterations
         if breakdown:
             break
-    return x, maxiter
+    return x, maxiter, iterations
 
 
 # Eisenstat-Walker choice 2 forcing terms (SISC 17 (1996) 16)
@@ -274,18 +276,9 @@ def newton_solve(
             wvals = grid.synthesis(w, grid.over)
             return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
 
-        inner_norms: list[float] = []
         # dtype given, so building the operator makes no product
         op = LinearOperator((size, size), matvec=matvec, dtype=float)
-        y, info = gmres(
-            op,
-            -res.ravel(),
-            rtol=eta,
-            atol=0.0,
-            restart=100,
-            maxiter=500,
-            callback=inner_norms.append,
-        )
+        y, info, inner = gmres(op, -res.ravel(), rtol=eta, restart=100, maxiter=500)
         if info != 0:
             return finish(False, rsup, f"linear solver stalled (info = {info})")
         step = y.reshape(shape) / shifted
@@ -305,7 +298,7 @@ def newton_solve(
             if not positive:
                 return finish(False, rsup, f"positivity lost after {_MAX_HALVINGS} step halvings")
             return finish(False, rsup, f"residual not reduced after {_MAX_HALVINGS} step halvings")
-        trace.append(NewtonStep(rnorm, len(inner_norms), scale))
+        trace.append(NewtonStep(rnorm, inner, scale))
         coeffs, vals, res, rnorm = candidate, cand_vals, cand_res, cand_norm
 
     raise AssertionError("unreachable")
