@@ -125,8 +125,32 @@ def _random_point(rng: random.Random) -> dict[str, Fraction]:
     }
 
 
+class _PolyValues(dict):
+    """Poly -> its value at one point, each distinct Poly evaluated once.
+
+    Keys are compared by structure (through the hash each Poly caches), so
+    a numerator or denominator shared by several sides costs one evaluation.
+    """
+
+    def __init__(self, pt: dict[str, Fraction]) -> None:
+        super().__init__()
+        self.pt = pt
+
+    def __missing__(self, poly: Poly) -> Fraction:
+        value = self[poly] = poly.evaluate(self.pt)
+        return value
+
+
 def _holds_at(pairs: list[tuple[RationalFunction, RationalFunction]], pt: dict) -> bool:
-    return all(lhs.evaluate(pt) == rhs.evaluate(pt) for lhs, rhs in pairs)
+    """Exact agreement of every pair at pt.
+
+    Raises ZeroDivisionError where a denominator vanishes (the Fraction
+    division does), so that `_instantiate` resamples the point.
+    """
+    at = _PolyValues(pt)
+    return all(
+        at[lhs.num] / at[lhs.den] == at[rhs.num] / at[rhs.den] for lhs, rhs in pairs
+    )
 
 
 def _record(pt: dict, agree: bool) -> dict:

@@ -3,7 +3,10 @@
 The verification engine needs only ring arithmetic, substitution, limits at
 zero of single variables, and equality testing. No GCDs, no factorization:
 rational functions are kept unnormalized and compared by cross-multiplication,
-which is exact and needs nothing beyond polynomial arithmetic.
+which is exact and needs nothing beyond polynomial arithmetic. Two cheap
+structural rules keep redundant denominator factors out: a sum of two
+rational functions over equal denominator Polys keeps that denominator, and
+a product with the unit polynomial returns the other factor.
 
 A :class:`Poly` packs each monomial into one int, with an 8-bit field per
 variable of ``VARS`` and the first variable in the most significant field.
@@ -82,7 +85,7 @@ class Poly:
     range, from the constructor or from a product, raises ``ValueError``.
     """
 
-    __slots__ = ("terms", "den", "_hash")
+    __slots__ = ("terms", "den", "_hash", "_tops")
 
     def __init__(self, terms: dict | None = None):
         coefs = {_pack(exp): _as_fraction(c) for exp, c in (terms or {}).items()}
@@ -105,6 +108,7 @@ class Poly:
         object.__setattr__(self, "terms", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_tops", None)
 
     @classmethod
     def _make(cls, num: dict[int, int], den: int) -> "Poly":
@@ -167,6 +171,11 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = _coerce_poly(other)
+        # Polys are immutable, so a unit factor can hand back the other one
+        if other.den == 1 and other.terms == _UNIT:
+            return self
+        if self.den == 1 and self.terms == _UNIT:
+            return other
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
@@ -241,6 +250,18 @@ class Poly:
         field = _MASK << _SHIFT[name]
         return Poly._make({m: c for m, c in self.terms.items() if not m & field}, self.den)
 
+    def _top_degrees(self) -> tuple[tuple[str, int, int], ...]:
+        """(name, shift, top degree) of each variable that occurs; computed once."""
+        if self._tops is None:
+            present = reduce(or_, self.terms, 0)
+            tops = tuple(
+                (name, s, max((m >> s) & _MASK for m in self.terms))
+                for name, s in _SHIFT.items()
+                if (present >> s) & _MASK
+            )
+            object.__setattr__(self, "_tops", tops)
+        return self._tops
+
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
         """Value at point, in integers over one common denominator.
 
@@ -250,16 +271,13 @@ class Poly:
         """
         if not self.terms:
             return Fraction(0)
-        present = reduce(or_, self.terms)
         tables = []
         scale = self.den
-        for name, s in _SHIFT.items():
-            if (present >> s) & _MASK:
-                top = max((m >> s) & _MASK for m in self.terms)
-                value = _as_fraction(point[name])
-                a, b = value.numerator, value.denominator
-                tables.append((s, [a**e * b ** (top - e) for e in range(top + 1)]))
-                scale *= b**top
+        for name, s, top in self._top_degrees():
+            value = _as_fraction(point[name])
+            a, b = value.numerator, value.denominator
+            tables.append((s, [a**e * b ** (top - e) for e in range(top + 1)]))
+            scale *= b**top
         total = 0
         for m, c in self.terms.items():
             for s, table in tables:
@@ -300,10 +318,15 @@ def _coerce_poly(value) -> Poly:
 
 ZERO = Poly()
 ONE = Poly.const(1)
+_UNIT = ONE.terms
 
 
 class RationalFunction:
-    """Quotient of two Polys, denominator nonzero; never normalized."""
+    """Quotient of two Polys, denominator nonzero; never normalized.
+
+    No common factor is ever cancelled, but a sum over equal denominator
+    Polys keeps that denominator instead of squaring it.
+    """
 
     __slots__ = ("num", "den")
 
@@ -324,6 +347,8 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = _coerce_rf(other)
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

@@ -56,6 +56,10 @@ from .sphere import (
     sobolev_check,
 )
 
+# first nonzero eigenvalue of -box (half the Laplace-Beltrami operator) on
+# the unit 2-sphere: l(l + 1)/2 at l = 1
+SPHERE_LAMBDA1 = 1.0
+
 _DEFAULTS = {
     "n": 2,
     "q": 2.0,
@@ -163,6 +167,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             if not 2 <= count <= MAX_GRID_POINTS or not hi > lo:
                 raise ValueError
             step = (hi - lo) / (count - 1)
+            # finite ends can still lie too far apart for a finite step
+            if not math.isfinite(step):
+                raise ValueError
             return tuple(lo + i * step for i in range(count))
         parts = [p for p in s.split(",") if p.strip()]
         if not 1 <= len(parts) <= MAX_GRID_POINTS:
@@ -392,7 +399,9 @@ def _cmd_sphere_verify(cfg: RunConfig, grid: QuadratureGrid | None = None) -> li
     recs = []
 
     lam1 = measure_lambda1(grid)
-    recs.append(_checked("sphere", "lambda1", {"value": lam1}, abs(lam1 - 1.0), 1e-8))
+    recs.append(
+        _checked("sphere", "lambda1", {"value": lam1}, abs(lam1 - SPHERE_LAMBDA1), 1e-8)
+    )
 
     z = coordinate_z(grid)
     moment = avg_square(z)
@@ -438,8 +447,14 @@ def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[R
         grid = make_grid(cfg.L)
     u0 = random_positive_field(grid, cfg.seed)
     rep = newton_solve(cfg.lam, cfg.q, u0)
+    # rigidity: at (q - 1) lam <= lambda_1 every positive solution is constant
+    # (Bidaut-Veron & Veron 1991), so there a non-constant one fails the stage
+    rigid = (cfg.q - 1) * cfg.lam <= SPHERE_LAMBDA1
+    ok = rep.converged and (rep.is_constant or not rigid)
     if rep.is_constant and rep.constant_value is not None:
         summary = f"constant solution {rep.constant_value:.6f}"
+    elif rep.converged and not ok:
+        summary = "non-constant solution where (q - 1) lambda <= lambda_1 forces a constant"
     else:
         summary = rep.message
     return [
@@ -457,7 +472,7 @@ def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[R
                 "is_constant": rep.is_constant,
                 "constant_value": rep.constant_value,
                 "summary": summary,
-                "status": "pass" if rep.converged else "fail",
+                "status": "pass" if ok else "fail",
             },
         )
     ]

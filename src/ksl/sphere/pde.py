@@ -89,11 +89,17 @@ class SolveReport:
     trace: tuple[NewtonStep, ...] = ()
 
 
-def _residual_coeffs(
+def _residual(
     grid: QuadratureGrid, coeffs: np.ndarray, vals_over: np.ndarray, diag: np.ndarray, q: float
-) -> np.ndarray:
-    """Coefficients of (-box + lambda) u - u^q; diag holds -box + lambda per degree."""
-    return coeffs * diag - grid.analysis(vals_over**q, grid.over)
+) -> tuple[np.ndarray, float]:
+    """Coefficients of (-box + lambda) u - u^q and their 2-norm.
+
+    diag holds -box + lambda per degree. Where the float range overflows,
+    the norm is not finite; no warning is raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = coeffs * diag - grid.analysis(vals_over**q, grid.over)
+        return res, float(np.linalg.norm(res))
 
 
 def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
@@ -211,8 +217,10 @@ def newton_solve(
     a cycle is formed from the stored products, so a step's
     inner_iterations is also its count of Jacobian products. Running out of
     halvings or iterations, or a GMRES failure, yields a non-converged
-    report, not an exception; a tol that is not positive and finite, or a
-    max_iters that is not an int >= 0, raises DomainError. The report's
+    report, not an exception; a tol that is not positive and finite, a
+    max_iters that is not an int >= 0, or a start field whose residual
+    overflows the float range (such as u0^q at a large q), raises DomainError;
+    a trial step whose residual overflows is halved like any other. The report's
     trace holds one NewtonStep per accepted step.
     """
     _check_parameters(lam, q)
@@ -229,8 +237,11 @@ def newton_solve(
     size = int(np.prod(shape))
     diag = grid.minus_box_eigs[None, :, None] + lam
     coeffs = u0.coeffs.copy()
-    res = _residual_coeffs(grid, coeffs, vals, diag, q)
-    rnorm = float(np.linalg.norm(res))
+    res, rnorm = _residual(grid, coeffs, vals, diag, q)
+    if not np.isfinite(rnorm):
+        raise DomainError(
+            f"residual of the start field overflows the float range (lambda = {lam}, q = {q})"
+        )
     trace: list[NewtonStep] = []
 
     def finish(converged: bool, rsup: float, message: str) -> SolveReport:
@@ -289,8 +300,8 @@ def newton_solve(
             cand_vals = grid.synthesis(candidate, grid.over)
             positive = float(np.min(cand_vals)) > 0.0
             if positive:
-                cand_res = _residual_coeffs(grid, candidate, cand_vals, diag, q)
-                cand_norm = float(np.linalg.norm(cand_res))
+                # an overflowing trial has an infinite norm and is rejected
+                cand_res, cand_norm = _residual(grid, candidate, cand_vals, diag, q)
                 if cand_norm <= (1.0 - _ARMIJO * scale) * rnorm:
                     break
             scale *= 0.5

@@ -7,6 +7,7 @@ so a silent change to either the displays or the engine shows up twice.
 
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -123,6 +124,70 @@ class TestDerivationRecorder:
             "point": dict.fromkeys(VARS, "2"),
             "agree": True,
         }
+
+
+class TestSampling:
+    """Each distinct Poly is evaluated once per point; verdicts and points unchanged."""
+
+    def test_vanishing_denominator_raises_through_the_cache(self):
+        den = v("q") - 1
+        pt = dict.fromkeys(VARS, Fraction(1))
+        # den is first evaluated as a numerator (0 == 0 agrees), then met
+        # again as a denominator from the cache: that must still refuse
+        with pytest.raises(ZeroDivisionError):
+            checks._holds_at([(den, den), (1 / den, 1 / den)], pt)
+
+    def test_instantiate_resamples_where_a_denominator_vanishes(self):
+        seed = 2  # its first point avoids every excluded denominator
+        first = checks._random_point(random.Random(seed))
+        assert not any(p.evaluate(first) == 0 for p in checks._EXCLUDED)
+        den = v("q") - rf(first["q"])
+        pairs = [(v("a") / den, v("a") / den)]
+        records = checks._instantiate(pairs, seed)
+        assert len(records) == 3 and all(rec["agree"] for rec in records)
+        assert all(rec["point"]["q"] != str(first["q"]) for rec in records)
+
+    def test_false_identity_over_a_shared_denominator_disagrees(self):
+        den = v("n") ** 2 + 1
+        d = _Derivation("false_shared")
+        d.identity("off_by_one_over_den", v("n") / den, (v("n") + 1) / den)
+        report = d.finish(seed=5)
+        [step] = report.steps
+        assert not step.ok and step.residual != "0"
+        assert len(report.instantiations) == 3
+        assert not any(rec["agree"] for rec in report.instantiations)
+        assert not report.passed
+
+
+# what run_all() reports: names, verdicts, step and instantiation counts, and
+# the SHA-256 of every sampled point with its verdict; a change to the ring's
+# representation or to the sampling must leave all of them as they are
+RUN_ALL_PIN = [
+    ("substitution_identities_1", True, 3, 3),
+    ("substitution_identities_2", True, 7, 3),
+    ("substitution_identities_3", True, 4, 3),
+    ("antihol_completion_bound", True, 14, 3),
+    ("midpoint_obstruction", True, 3, 4),
+    ("mixed_completion_bound", True, 10, 3),
+    ("base_chain", True, 22, 3),
+    ("grad_box_elimination", True, 12, 4),
+    ("refined_chain", True, 22, 3),
+    ("chain_consistency", True, 4, 3),
+    ("radical_gap_monotone", True, 2, 1),
+    ("radical_gap_monotone", True, 2, 1),
+]
+INSTANTIATIONS_SHA256 = "a0c727d67a2e98a23964db606dad09d73351d7045d1b6a6a9bd7e1ccf7bcf64e"
+
+
+def test_run_all_is_pinned():
+    reports = run_all()
+    assert [
+        (r.name, r.passed, len(r.steps), len(r.instantiations)) for r in reports
+    ] == RUN_ALL_PIN
+    # every step passes, so every residual is the literal "0"
+    assert [s.residual for r in reports for s in r.steps] == ["0"] * 105
+    points = json.dumps([r.instantiations for r in reports], sort_keys=True)
+    assert hashlib.sha256(points.encode()).hexdigest() == INSTANTIATIONS_SHA256
 
 
 def test_upper_bound_step_reports_its_residual(monkeypatch):

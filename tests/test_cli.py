@@ -1,16 +1,24 @@
 """Command-line behavior: exit codes, formats, config merging, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ksl.cli
 from ksl.cli import run
 from ksl.report import Record, build_report, flatten, payload_bytes, render_csv
+from ksl.sphere import SolveReport
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +173,37 @@ class TestVerifyCommands:
         assert rep["payload"]["pde.constant_value"] == pytest.approx(0.4, abs=1e-8)
 
 
+class TestRigidityGate:
+    """Where (q - 1) lambda <= lambda_1 = 1, a converged solve must be constant."""
+
+    @pytest.fixture
+    def non_constant_solve(self, monkeypatch):
+        report = SolveReport(
+            converged=True,
+            iterations=3,
+            residual_sup=1e-12,
+            is_constant=False,
+            constant_value=None,
+            message="converged",
+            field=None,
+        )
+        monkeypatch.setattr(ksl.cli, "newton_solve", lambda lam, q, u0: report)
+
+    @pytest.mark.parametrize(
+        "lam, status, code", [("0.5", "fail", 1), ("1.0", "fail", 1), ("3.2", "pass", 0)]
+    )
+    def test_non_constant_solution_fails_only_in_the_rigidity_regime(
+        self, non_constant_solve, lam, status, code, capsys, tmp_path
+    ):
+        got, rep = run_json(
+            ["pde-solve", "--q", "2", "--lambda", lam, "--L", "8"], capsys, tmp_path
+        )
+        assert got == code
+        assert rep["payload"]["pde.converged"] is True
+        assert rep["payload"]["pde.is_constant"] is False
+        assert rep["payload"]["pde.status"] == status
+
+
 class TestExitCodes:
     def test_domain_error_is_exit_1_with_verbatim_message(self, capsys, tmp_path):
         code, out, err = run_capture(
@@ -214,6 +253,7 @@ class TestExitCodes:
             ["pde-solve", "--lambda", "nan", "--L", "8"],
             ["constants", "--q-grid", "1.5,nan"],
             ["constants", "--q-grid", "1.2:inf:3"],
+            ["constants", "--q-grid=-1e308:1e308:3"],
         ],
     )
     def test_non_finite_float_is_exit_2_without_report(self, argv, capsys, tmp_path):
@@ -253,6 +293,81 @@ class TestExitCodes:
         assert code == 2
         assert "non-negative" in err
         assert not out.exists()
+
+
+# generated command-line input: typed values (finite or not, huge or tiny),
+# malformed text and out-of-range integers; the band limit stays at most 8 so
+# that every example is cheap
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-4, max_value=12).map(repr),
+    st.sampled_from(["2", "1.5", "0", "-0", "1e309", "1e-320", "auto", "", "x", "1..2"]),
+)
+_GRID_TEXT = st.one_of(
+    st.builds(
+        "{}:{}:{}".format,
+        _FLOAT_TEXT,
+        _FLOAT_TEXT,
+        st.sampled_from(["0", "1", "2", "3", "-2", "10001", "1000000000", "x"]),
+    ),
+    st.lists(_FLOAT_TEXT, min_size=0, max_size=3).map(",".join),
+)
+_INT_TEXT = st.one_of(st.integers(-3, 10**6).map(str), st.sampled_from(["1.5", "x", ""]))
+_VALUES = {
+    "n": _INT_TEXT,
+    "q": _FLOAT_TEXT,
+    "q-grid": _GRID_TEXT,
+    "k": _FLOAT_TEXT,
+    "lambda1": _FLOAT_TEXT,
+    "lambda": _FLOAT_TEXT,
+    "L": st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["x", "8.5"])),
+    "seed": _INT_TEXT,
+    "format": st.sampled_from(["json", "csv", "xml"]),
+}
+_SETTINGS = st.dictionaries(st.sampled_from(sorted(_VALUES)), st.none()).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _VALUES[key] for key in keys})
+)
+_CONFIG_LINE = st.one_of(
+    _SETTINGS.map(lambda d: [f"{k} = {v}" for k, v in d.items()]),
+    st.sampled_from([["# comment"], ["no equals sign"], ["bogus = 1"], [""]]),
+)
+
+
+class TestFuzzedInput:
+    @given(
+        command=st.sampled_from(ksl.cli._SUBCOMMANDS),
+        flags=_SETTINGS,
+        config=st.one_of(st.none(), st.lists(_CONFIG_LINE, max_size=3)),
+    )
+    @settings(
+        max_examples=50,
+        deadline=timedelta(seconds=20),
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_any_input_ends_in_an_exit_code_and_a_clean_report(self, command, flags, config):
+        """Exit 0, 1 or 2 with no traceback; a non-finite float fails its record."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command]
+            for key, value in flags.items():
+                argv.append(f"--{key}={value}")
+            if config is not None:
+                path = Path(tmp) / "run.cfg"
+                path.write_text("\n".join(line for lines in config for line in lines))
+                argv.append(f"--config={path}")
+            argv.append(f"--out={Path(tmp) / 'out'}")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2 or not out.getvalue().lstrip().startswith("{"):
+            return
+        payload = json.loads(out.getvalue())["payload"]
+        for key, value in payload.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                status = payload.get(key.rsplit(".", 1)[0] + ".status")
+                assert status == "fail", (argv, key, value)
 
 
 class TestModuleEntryPoint:

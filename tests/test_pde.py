@@ -162,6 +162,19 @@ class TestNewtonSolve:
         assert not rep.converged
         assert rep.message == "linear solver stalled (info = 7)"
 
+    def test_overflowing_start_is_a_domain_error(self, grid16):
+        # u0^q passes the float range at q ~ 1e4 for this start (ksl pde-solve
+        # --q 9991); the suite turns the overflow warning into an error
+        with pytest.raises(DomainError, match="overflows the float range"):
+            newton_solve(0.5, 9991.0, random_positive_field(grid16, 0))
+
+    def test_overflowing_trial_step_is_halved(self):
+        # a start from which a Newton trial step overflows u^q: that trial is
+        # rejected like any other, and the solve ends in a report
+        u0 = random_positive_field(make_grid(4), 10)
+        rep = newton_solve(7.314258775682137e-06, 3985.12037059673, u0)
+        assert np.isfinite(rep.residual_sup)
+
     def test_rejects_bad_parameters(self, grid16):
         u0 = SphereField.constant(grid16, 1.0)
         with pytest.raises(DomainError):

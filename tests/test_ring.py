@@ -340,6 +340,60 @@ class TestRationalFunction:
             (1 / v("beta")).evaluate(pt)
 
 
+class TestDenominatorFastPaths:
+    """A sum over an equal denominator keeps it; a unit factor is returned as is."""
+
+    def test_equal_denominator_sum_keeps_that_denominator(self):
+        den = Poly.var("beta") ** 2 + 1
+        x = v("a") / rf(den)
+        y = v("q") / rf(Poly.var("beta") ** 2 + 1)  # equal, built apart
+        for total in (x + y, x - y, y + x, y - x, -x + y):
+            assert total.den == den
+        assert (x + y).den is x.den
+        assert (x + y).num == Poly.var("a") + Poly.var("q")
+        # a constant has denominator ONE, and ONE * den is den itself
+        assert (1 + x).den is x.den and (1 - x).den is x.den
+
+    @given(polys())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_factor_returns_the_other_operand(self, p):
+        assert p * ONE == p and ONE * p == p
+        assert p * ONE is p and p * Poly.const(1) is p
+        assert ONE * p is p or p == ONE
+
+    @given(points())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_and_mixed_sums_match_fractions(self, pt):
+        den = v("beta") ** 2 + 1
+        a = (v("a") + 1) / den
+        c = (v("q") - v("n")) / den
+        b = (v("q") - v("n")) / (v("k") ** 2 + 2)
+        expr = (a + c) * b - (a - c) / (b + 3) + (2 - c) + (b + c) - (1 + a)
+        dv = pt["beta"] ** 2 + 1
+        av, cv = (pt["a"] + 1) / dv, (pt["q"] - pt["n"]) / dv
+        bv = (pt["q"] - pt["n"]) / (pt["k"] ** 2 + 2)
+        if bv + 3 == 0:
+            with pytest.raises(ZeroDivisionError):
+                expr.evaluate(pt)
+            return
+        expected = (av + cv) * bv - (av - cv) / (bv + 3) + (2 - cv) + (bv + cv) - (1 + av)
+        assert expr.evaluate(pt) == expected
+        assert (a + c).evaluate(pt) == av + cv
+
+    def test_limit_cancels_shared_pole_of_a_shared_denominator_sum(self):
+        g = v("gamma")
+        expr = (2 * g) / g + (g**2 * v("q")) / g
+        assert expr.den == Poly.var("gamma")
+        assert rf_equal(expr.limit_var_zero("gamma"), rf(2))
+
+    def test_limit_detects_genuine_pole_of_a_shared_denominator_sum(self):
+        g = v("gamma")
+        expr = (1 + g) / g - g / g
+        assert expr.den == Poly.var("gamma")
+        with pytest.raises(DomainError):
+            expr.limit_var_zero("gamma")
+
+
 class TestRadExpr:
     RAD = Poly.var("q") ** 2 + 1
 
