@@ -8,8 +8,8 @@ Four layers:
   on the unit two-sphere.
 - :mod:`ksl.cli` ties the above into deterministic JSON/CSV reports.
 
-The heavy numeric subpackages import numpy/scipy, so they are not pulled in
-at package import time; use ``import ksl.sphere`` explicitly.
+The heavy numeric subpackages import numpy, so they are not pulled in at
+package import time; use ``import ksl.sphere`` explicitly.
 """
 
 from .constants import (

@@ -450,9 +450,25 @@ def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[R
     # rigidity: at (q - 1) lam <= lambda_1 every positive solution is constant
     # (Bidaut-Veron & Veron 1991), so there a non-constant one fails the stage
     rigid = (cfg.q - 1) * cfg.lam <= SPHERE_LAMBDA1
-    ok = rep.converged and (rep.is_constant or not rigid)
-    if rep.is_constant and rep.constant_value is not None:
-        summary = f"constant solution {rep.constant_value:.6f}"
+    # the one positive constant solution; the residual tolerance is absolute,
+    # so a constant elsewhere is the trivial solution u = 0 (inf where the
+    # positive constant overflows the float range)
+    with np.errstate(over="ignore"):
+        positive = float(np.float64(cfg.lam) ** (1.0 / (cfg.q - 1.0)))
+    const = rep.constant_value
+    at_positive = (
+        const is not None
+        and 0.0 < positive < math.inf
+        and abs(const - positive) <= 1e-8 * positive
+    )
+    ok = rep.converged and (at_positive if rep.is_constant else not rigid)
+    if const is not None and rep.converged and not at_positive:
+        summary = (
+            f"trivial solution: constant {const:.6f}, not the positive constant "
+            f"lambda^(1/(q - 1)) = {positive:.6f}"
+        )
+    elif const is not None:
+        summary = f"constant solution {const:.6f}"
     elif rep.converged and not ok:
         summary = "non-constant solution where (q - 1) lambda <= lambda_1 forces a constant"
     else:

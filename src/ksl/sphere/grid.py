@@ -40,6 +40,8 @@ TWO_PI = 2.0 * np.pi
 AREA = 4.0 * np.pi
 # ceiling on the arrays stored by a grid and both of its subgrids
 MAX_TABLE_BYTES = 512 * 2**20
+# the oversampled subgrid has this many times the base nodes in each direction
+OVERSAMPLE = 2
 
 
 def _lowering_factors(L: int) -> np.ndarray:
@@ -79,7 +81,7 @@ def _legendre_orders(L: int, mu: np.ndarray):
             diag = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * diag
 
 
-def table_bytes(L: int, oversample: int) -> int:
+def table_bytes(L: int) -> int:
     """Bytes of every array a grid stores, its oversampled subgrid built.
 
     Per subgrid of ntheta x nphi nodes, with n = L+1: the Legendre table
@@ -90,7 +92,7 @@ def table_bytes(L: int, oversample: int) -> int:
     """
     n = L + 1
     words = n * n + 2 * n
-    for k in (1, oversample):
+    for k in (1, OVERSAMPLE):
         ntheta, nphi = k * n, 2 * k * n
         words += ntheta * n * n + 2 * n * nphi + 4 * ntheta + nphi
     return 8 * words
@@ -174,19 +176,16 @@ class _SubGrid:
 class QuadratureGrid:
     """Transform plans at band limit L; immutable after construction."""
 
-    def __init__(self, L: int, oversample: int = 2):
+    def __init__(self, L: int):
         if not isinstance(L, int) or L < 2:
             raise DomainError(f"band limit must be an integer >= 2, got {L}")
-        if not isinstance(oversample, int) or oversample < 1:
-            raise DomainError(f"oversampling factor must be a positive integer, got {oversample}")
-        nbytes = table_bytes(L, oversample)
+        nbytes = table_bytes(L)
         if nbytes > MAX_TABLE_BYTES:
             raise DomainError(
-                f"band limit L = {L} at oversample {oversample} needs {nbytes} bytes of "
-                f"quadrature tables, above the limit of {MAX_TABLE_BYTES} bytes"
+                f"band limit L = {L} needs {nbytes} bytes of quadrature tables, "
+                f"above the limit of {MAX_TABLE_BYTES} bytes"
             )
         self.L = L
-        self.oversample = oversample
         self.base = _SubGrid(L, L + 1, 2 * (L + 1), _lowering_factors(L))
         self._over: _SubGrid | None = None
         ls = np.arange(L + 1, dtype=float)
@@ -199,8 +198,8 @@ class QuadratureGrid:
         if self._over is None:
             self._over = _SubGrid(
                 self.L,
-                self.oversample * (self.L + 1),
-                self.oversample * 2 * (self.L + 1),
+                OVERSAMPLE * (self.L + 1),
+                OVERSAMPLE * 2 * (self.L + 1),
                 self.base.lower,
             )
         return self._over
@@ -243,5 +242,5 @@ class QuadratureGrid:
         return self.integrate(values, sub) / AREA
 
 
-def make_grid(L: int, oversample: int = 2) -> QuadratureGrid:
-    return QuadratureGrid(L, oversample)
+def make_grid(L: int) -> QuadratureGrid:
+    return QuadratureGrid(L)

@@ -12,10 +12,10 @@ lambda * Vol^((q-1)/(q+1))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from ..errors import DomainError
 from .field import SphereField
@@ -287,8 +287,9 @@ def newton_solve(
             wvals = grid.synthesis(w, grid.over)
             return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
 
-        # dtype given, so building the operator makes no product
-        op = LinearOperator((size, size), matvec=matvec, dtype=float)
+        # gmres reads only .matvec; shape and dtype are there for
+        # bench/tracing.py, which rebuilds the operator around a counting matvec
+        op = SimpleNamespace(matvec=matvec, shape=(size, size), dtype=np.dtype(float))
         y, info, inner = gmres(op, -res.ravel(), rtol=eta, restart=100, maxiter=500)
         if info != 0:
             return finish(False, rsup, f"linear solver stalled (info = {info})")

@@ -172,6 +172,19 @@ class TestVerifyCommands:
         assert rep["payload"]["pde.summary"] == "constant solution 0.400000"
         assert rep["payload"]["pde.constant_value"] == pytest.approx(0.4, abs=1e-8)
 
+    @pytest.mark.parametrize("q", ["200", "9991"])
+    def test_pde_solve_fails_on_the_trivial_solution(self, q, capsys, tmp_path):
+        # the absolute residual tolerance lets Newton settle on u = 0 here;
+        # the positive constant is 0.5^(1/(q - 1)), near 1
+        code, rep = run_json(["pde-solve", "--q", q, "--L", "8"], capsys, tmp_path)
+        assert code == 1
+        payload = rep["payload"]
+        assert payload["pde.converged"] is True
+        assert payload["pde.is_constant"] is True
+        assert abs(payload["pde.constant_value"]) < 1e-8
+        assert payload["pde.status"] == "fail"
+        assert payload["pde.summary"].startswith("trivial solution")
+
 
 class TestRigidityGate:
     """Where (q - 1) lambda <= lambda_1 = 1, a converged solve must be constant."""
@@ -384,6 +397,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ksl 0.1.0"
+
+    def test_runtime_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import fail
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import ksl.cli\n"
+            "code = ksl.cli.run(['all', '--L', '8', '--out', sys.argv[1]])\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
+            "print(code, loaded, file=sys.stderr)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []", proc.stderr
 
 
 class TestConfigFile:

@@ -205,13 +205,13 @@ class TestGridInvariants:
         with pytest.raises(DomainError):
             make_grid(1)
 
-    @pytest.mark.parametrize("L, oversample", [(280, 2), (100_000, 2), (2, 10**6)])
-    def test_rejects_tables_above_memory_ceiling(self, L, oversample):
+    @pytest.mark.parametrize("L", [280, 100_000])
+    def test_rejects_tables_above_memory_ceiling(self, L):
         # the check runs before any table is allocated
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=f"limit of {MAX_TABLE_BYTES} bytes"):
-                make_grid(L, oversample)
+                make_grid(L)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -232,13 +232,13 @@ class TestGridInvariants:
                     a = a.base
                 buffers[id(a)] = a.nbytes
         assert grid.base.area_weights.base is not None
-        assert table_bytes(L, grid.oversample) == sum(buffers.values())
+        assert table_bytes(L) == sum(buffers.values())
 
     def test_subgrids_share_lowering_factors(self, grid8):
         assert grid8.over.lower is grid8.base.lower
 
     def test_ceiling_band_limit(self):
-        assert table_bytes(279, 2) <= MAX_TABLE_BYTES < table_bytes(280, 2)
+        assert table_bytes(279) <= MAX_TABLE_BYTES < table_bytes(280)
 
     def test_weights_sum_to_area(self, grid8):
         ones = np.ones((grid8.base.ntheta, grid8.base.nphi))
