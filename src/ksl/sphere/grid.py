@@ -19,15 +19,18 @@ the standard stable three-term recurrence; theta-derivatives come from the
 degree-lowering relation, safe at the interior Gauss nodes where sin(theta)
 never vanishes.
 
-Transforms: each subgrid keeps one padded, m-major table P[m, t, l] =
-N_lm(mu_t), zero for l < m. The theta sum of every order is then one batched
-matmul against the coefficients viewed as (m, l, cos/sin), as in SHTns
-(Schaeffer, G^3 14 (2013) 751). The phi sum is one real matrix product
-against a table of the basis's trig factors: it needs only the L+1 lowest
-frequencies of at most 4(L+1) points, and up to L = 128 that GEMM is cheaper
-than a real FFT and its complex-array glue (about even at L = 200). The
-gradient takes its theta-derivative from the same Legendre table through the
-degree-lowering relation, so no derivative table is stored.
+Transforms: each subgrid keeps one padded table P[m, l, t] = N_lm(mu_t),
+zero for l < m, with theta innermost. The theta sum of every order is then
+one batched matmul of the coefficients' (m, cos/sin, l) rows against it, as
+in SHTns (Schaeffer, G^3 14 (2013) 751), and yields (m, cos/sin, theta)
+profiles that are already a (2(L+1), ntheta) matrix. The phi sum is one real
+matrix product of that matrix's transpose with a table of the basis's trig
+factors; BLAS applies the transpose, so no operand is copied. It needs only
+the L+1 lowest frequencies of at most 4(L+1) points, and up to L = 128 that
+GEMM is cheaper than a real FFT and its complex-array glue (about even at
+L = 200). Every elementwise step runs along theta, never along the cos/sin
+pair. The gradient takes its theta-derivative from the same Legendre table
+through the degree-lowering relation, so no derivative table is stored.
 """
 
 from __future__ import annotations
@@ -101,16 +104,19 @@ def table_bytes(L: int) -> int:
 class _SubGrid:
     """One node set with its transform tables; base and oversampled share L.
 
-    `P[m, t, l]` is N_lm(mu_t), zero for l < m: one padded, m-major table, so
-    the theta-sum of every order is one batched matmul. Profiles are arrays
-    (m, t, cos/sin) of the theta-dependence each order carries.
+    `P[m, l, t]` is N_lm(mu_t), zero for l < m: one padded table with theta
+    innermost, so the theta-sum of every order is one batched matmul whose
+    rows run over the ntheta nodes. Profiles are arrays (m, cos/sin, t) of
+    the theta-dependence each order carries; their (m, cos/sin) rows are the
+    rows of the trig table.
 
     `to_grid[(m, cos/sin), j]` is trig(m phi_j) / sqrt(norm_m), the basis's
     azimuthal factor (norm_m = 2 pi at m = 0, pi above; the sin row of m = 0
-    is zero). Synthesis multiplies profiles by it and analysis by its
-    transpose, so the phi sum is one real GEMM each way. An FFT would compute
-    all nphi/2 + 1 frequencies to keep L+1, and for these small arrays its
-    call and complex-array overhead cost more than the product.
+    is zero). Synthesis multiplies the transposed profiles by it and analysis
+    multiplies it by the transposed values, so the phi sum is one real GEMM
+    each way and BLAS applies the transposes. An FFT would compute all
+    nphi/2 + 1 frequencies to keep L+1, and for these small arrays its call
+    and complex-array overhead cost more than the product.
     """
 
     __slots__ = (
@@ -127,12 +133,13 @@ class _SubGrid:
         self.sintheta = np.sqrt(1.0 - mu * mu)
         self.phi = TWO_PI * np.arange(nphi) / nphi
         # the quadrature weight of every node in row t, and its grid view
-        self.row_weights = (wmu * (TWO_PI / nphi))[:, None]
-        self.area_weights = np.broadcast_to(self.row_weights, (ntheta, nphi))
-        # one order at a time, so no full set of per-order lists is ever held
-        self.P = np.zeros((L + 1, ntheta, L + 1))
+        self.row_weights = wmu * (TWO_PI / nphi)
+        self.area_weights = np.broadcast_to(self.row_weights[:, None], (ntheta, nphi))
+        # one order at a time, so no full set of per-order lists is ever held;
+        # the recurrence yields each order's rows in (l, t) order already
+        self.P = np.zeros((L + 1, L + 1, ntheta))
         for m, rows in enumerate(_legendre_orders(L, mu)):
-            self.P[m, :, m:] = rows.T
+            self.P[m, m:] = rows
         # the lowering factors depend on L alone: one table serves both subgrids
         self.lower = lower
         # m phi_j reduced mod 2 pi in integers, so high orders lose no digits;
@@ -145,32 +152,28 @@ class _SubGrid:
             2 * (L + 1), nphi
         )
 
-    def fourier_columns(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature-weighted profiles (m, t, cos/sin) of grid values (t, phi)."""
-        cols = (np.asarray(values, dtype=float) @ self.to_grid.T) * self.row_weights
-        return cols.reshape(self.ntheta, -1, 2).transpose(1, 0, 2)
+    def legendre_sums(self, x: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
+        """Theta profiles of coefficient rows x[m, k, l], as an (m, k, 2, t) view.
 
-    def fourier_sum(self, profiles: np.ndarray) -> np.ndarray:
-        """Grid values (t, phi) of sum_m profile_m(t) trig(m phi)."""
-        return profiles.transpose(1, 0, 2).reshape(self.ntheta, -1) @ self.to_grid
-
-    def legendre_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Theta profiles of coefficient columns x[m, l, k], each (m, t, k).
-
-        Returns (sum_l x N_lm(mu_t), sum_l x dN_lm/dtheta(mu_t)) from one
-        matmul over three stacked column sets: x, l x, and e_lm x moved down
-        one degree, so that the derivative is (mu A - B) / sin(theta).
+        [..., 0, :] is sum_l x dN_lm/dtheta(mu_t) and [..., 1, :] is
+        sum_l lead N_lm(mu_t), with lead defaulting to x. One matmul over
+        three stacked row sets: l x, lead, and e_lm x moved down one degree,
+        so that the derivative is (mu A - B) / sin(theta), formed in place on
+        rows of length ntheta. The (m, k) rows of the view merge without a
+        copy, so it reshapes to an (m k, 2 ntheta) matrix.
         """
-        nm, nl, k = x.shape
-        cols = np.zeros((nm, nl, 3 * k))
-        cols[..., :k] = x
-        cols[..., k : 2 * k] = np.arange(nl, dtype=float)[:, None] * x
-        cols[:, :-1, 2 * k :] = self.lower[:, 1:, None] * x[:, 1:]
-        sums = self.P @ cols
-        dtheta = self.mu[:, None] * sums[..., k : 2 * k]
-        dtheta -= sums[..., 2 * k :]
-        dtheta /= self.sintheta[:, None]
-        return sums[..., :k], dtheta
+        nm, k, nl = x.shape
+        rows = np.empty((nm, k, 3, nl))
+        np.multiply(x, np.arange(nl, dtype=float), out=rows[:, :, 0])
+        rows[:, :, 1] = x if lead is None else lead
+        np.multiply(x[..., 1:], self.lower[:, None, 1:], out=rows[:, :, 2, :-1])
+        rows[:, :, 2, -1] = 0.0
+        sums = (rows.reshape(nm, 3 * k, nl) @ self.P).reshape(nm, k, 3, self.ntheta)
+        dtheta = sums[:, :, 0]
+        dtheta *= self.mu
+        dtheta -= sums[:, :, 2]
+        dtheta /= self.sintheta
+        return sums[:, :, :2]
 
 
 class QuadratureGrid:
@@ -209,28 +212,40 @@ class QuadratureGrid:
 
     # transforms -----------------------------------------------------------
     # Coefficients are c[s, l, m] (s = 0 cos, 1 sin); the Legendre matmul
-    # works on the m-major view c.transpose(2, 1, 0) of shape (m, l, cos/sin).
-    # Each transform is one batched Legendre matmul and its trig-table
-    # products; none calls another.
+    # works on their (m, cos/sin, l) rows and yields (m, cos/sin, t)
+    # profiles, theta innermost, whose (2(L+1), ntheta) reshape is free.
+    # Each transform is one batched Legendre matmul and one trig-table GEMM;
+    # none calls another.
 
     def analysis(self, values: np.ndarray, sub: _SubGrid | None = None) -> np.ndarray:
         sub = sub or self.base
-        return (sub.P.transpose(0, 2, 1) @ sub.fourier_columns(values)).transpose(2, 1, 0)
+        profiles = sub.to_grid @ np.asarray(values, dtype=float).T
+        profiles *= sub.row_weights
+        coeffs = profiles.reshape(self.L + 1, 2, sub.ntheta) @ sub.P.transpose(0, 2, 1)
+        return coeffs.transpose(1, 2, 0)
 
     def synthesis(self, coeffs: np.ndarray, sub: _SubGrid | None = None) -> np.ndarray:
         sub = sub or self.base
-        return sub.fourier_sum(sub.P @ coeffs.transpose(2, 1, 0))
+        profiles = np.ascontiguousarray(coeffs.transpose(2, 0, 1)) @ sub.P
+        return profiles.reshape(-1, sub.ntheta).T @ sub.to_grid
 
     def synth_gradient(
         self, coeffs: np.ndarray, sub: _SubGrid | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise (d/dtheta, (1/sin theta) d/dphi) of the synthesized field."""
         sub = sub or self.base
-        g, dg = sub.legendre_sums(coeffs.transpose(2, 1, 0))
+        n, nt = self.L + 1, sub.ntheta
+        x = np.ascontiguousarray(coeffs.transpose(2, 0, 1))
         # d/dphi swaps the trig pair: cos-profile m*gs, sin-profile -m*gc
-        ms = np.arange(self.L + 1.0)[:, None, None]
-        gphi = ms * np.stack((g[..., 1], -g[..., 0]), axis=2)
-        return sub.fourier_sum(dg), sub.fourier_sum(gphi) / sub.sintheta[:, None]
+        ms = np.arange(n, dtype=float)[:, None]
+        lead = np.empty_like(x)
+        np.multiply(x[:, 1], ms, out=lead[:, 0])
+        np.multiply(x[:, 0], -ms, out=lead[:, 1])
+        profiles = sub.legendre_sums(x, lead)
+        profiles[:, :, 1] /= sub.sintheta
+        # both components' (m, cos/sin) rows feed one GEMM
+        grad = profiles.reshape(2 * n, 2 * nt).T @ sub.to_grid
+        return grad[:nt], grad[nt:]
 
     # quadrature -----------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,17 @@ class IneqReport:
     trial: str
 
 
+def _check_constant(C: float) -> None:
+    # NaN fails both comparisons, so it is rejected too
+    if not 0.0 < C < math.inf:
+        raise DomainError(f"constant must be positive and finite, got {C}")
+
+
 def sobolev_check(phi: SphereField, q: float, C: float, trial: str = "") -> IneqReport:
     """Compare (avg |phi|^{q+1})^{2/(q+1)} against avg phi^2 + C avg |grad phi|^2."""
-    if q <= 1:
-        raise DomainError(f"exponent must exceed 1, got q = {q}")
-    if C <= 0:
-        raise DomainError(f"constant must be positive, got {C}")
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"exponent must be finite and exceed 1, got q = {q}")
+    _check_constant(C)
     if float(np.max(np.abs(phi.coeffs))) == 0.0:
         raise DomainError("trial function is identically zero")
     vals = phi.values_over()
@@ -89,6 +95,7 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
     five-point second-difference fit of the left side must reproduce the
     analytic value to 1e-6 relative or the computation refuses to report.
     """
+    _check_constant(C)
     sup = f.sup_norm()
     eig_defect = (box_op(f) + f).sup_norm()
     if eig_defect > 1e-8 * max(1.0, sup):
@@ -139,13 +146,14 @@ def _energy_blocks(grid: QuadratureGrid):
     sub = grid.base
     dphi = TWO_PI / sub.nphi
     inv_sin = 1.0 / sub.sintheta
-    # unit coefficient columns give the padded tables N_lm and dN_lm/dtheta
+    # unit coefficient rows give the padded tables N_lm and dN_lm/dtheta
     eye = np.broadcast_to(np.eye(grid.L + 1), (grid.L + 1,) * 3)
-    values, dtheta = sub.legendre_sums(eye)
+    sums = sub.legendre_sums(eye)
+    dtheta, values = sums[:, :, 0], sums[:, :, 1]
     for m in range(grid.L + 1):
         # Y_lm = N_lm(cos theta) trig(m phi) / sqrt(norm); m = 0 drops Y_00
-        rows = values[m, :, max(m, 1) :].T
-        drows = dtheta[m, :, max(m, 1) :].T
+        rows = values[m, max(m, 1) :]
+        drows = dtheta[m, max(m, 1) :]
         norm = TWO_PI if m == 0 else np.pi
         P = (rows * sub.wmu) @ rows.T
         D = (drows * sub.wmu) @ drows.T

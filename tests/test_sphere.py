@@ -180,6 +180,31 @@ class TestBatchedKernel:
         )
 
     @pytest.mark.parametrize("subgrid", ["base", "over"])
+    def test_transforms_accept_any_memory_layout(self, grid, subgrid):
+        # the kernel's speed depends on operand layout; its results must not
+        sub = getattr(grid, subgrid)
+        rng = np.random.default_rng(grid.L)
+        coeffs = grid.analysis(rng.standard_normal((sub.ntheta, sub.nphi)), sub)
+        assert not (coeffs.flags.c_contiguous or coeffs.flags.f_contiguous)
+        c_ordered = np.ascontiguousarray(coeffs)
+        want = grid.synthesis(c_ordered, sub)
+        want_grad = grid.synth_gradient(c_ordered, sub)
+        for layout in (np.asfortranarray(coeffs), coeffs):
+            np.testing.assert_allclose(grid.synthesis(layout, sub), want, rtol=0, atol=1e-13)
+            for got, ref in zip(grid.synth_gradient(layout, sub), want_grad):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        # read-only with a zero stride, along theta and along phi
+        for shape in ((1, sub.nphi), (sub.ntheta, 1)):
+            values = np.broadcast_to(rng.standard_normal(shape), (sub.ntheta, sub.nphi))
+            assert not values.flags.writeable and 0 in values.strides
+            np.testing.assert_allclose(
+                grid.analysis(values, sub),
+                grid.analysis(np.array(values), sub),
+                rtol=0,
+                atol=1e-13,
+            )
+
+    @pytest.mark.parametrize("subgrid", ["base", "over"])
     def test_trig_table_discrete_orthogonality(self, grid, subgrid):
         # equispaced phi nodes are exact for every product of two orders <= L
         sub = getattr(grid, subgrid)
@@ -192,12 +217,13 @@ class TestBatchedKernel:
     def test_legendre_sums_match_tables(self, grid16):
         # unit coefficient columns give every N_lm and dN_lm/dtheta row
         L = grid16.L
-        values, dtheta = grid16.base.legendre_sums(np.broadcast_to(np.eye(L + 1), (L + 1,) * 3))
+        sums = grid16.base.legendre_sums(np.broadcast_to(np.eye(L + 1), (L + 1,) * 3))
+        dtheta, values = sums[:, :, 0], sums[:, :, 1]
         plm, dplm = legendre_tables(L, grid16.base.mu)
         for m in range(L + 1):
-            np.testing.assert_array_equal(values[m, :, :m], 0.0)
-            np.testing.assert_allclose(values[m, :, m:].T, plm[m], rtol=0, atol=1e-14)
-            np.testing.assert_allclose(dtheta[m, :, m:].T, dplm[m], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(values[m, :m], 0.0)
+            np.testing.assert_allclose(values[m, m:], plm[m], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dtheta[m, m:], dplm[m], rtol=0, atol=1e-12)
 
 
 class TestGridInvariants:
@@ -432,6 +458,18 @@ class TestSobolevCheck:
         with pytest.raises(DomainError):
             sobolev_check(coordinate_z(grid16), 1.0, 0.5)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_rejects_non_finite_exponent(self, grid16, q):
+        # the zero field would fail too, but only after the exponent check
+        with pytest.raises(DomainError, match="exponent"):
+            sobolev_check(SphereField.constant(grid16, 0.0), q, 0.5)
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_constant_not_positive_and_finite(self, grid16, C):
+        # a NaN margin or an infinite one would pass every field
+        with pytest.raises(DomainError, match="constant"):
+            sobolev_check(SphereField.constant(grid16, 0.0), 2.0, C)
+
 
 class TestPerturbation:
     def test_equality_at_conjectured_constant(self, grid16):
@@ -468,6 +506,13 @@ class TestPerturbation:
         f = coordinate_z(grid16) + SphereField.constant(grid16, 0.5)
         with pytest.raises(DomainError):
             perturbation_tcoeff(f, 2.0, 0.5)
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.0])
+    def test_rejects_constant_not_positive_and_finite(self, grid16, C):
+        # checked before the eigenfunction test that this field would fail
+        f = coordinate_z(grid16) + SphereField.constant(grid16, 0.5)
+        with pytest.raises(DomainError, match="constant"):
+            perturbation_tcoeff(f, 2.0, C)
 
 
 def loop_random_coeffs(grid, seed, lmax=None, decay=2.0):
