@@ -226,6 +226,8 @@ class QuadratureGrid:
 
     def synthesis(self, coeffs: np.ndarray, sub: _SubGrid | None = None) -> np.ndarray:
         sub = sub or self.base
+        # BLAS cannot take the strided (m, cos/sin, l) view; copying the
+        # small coefficient array once is cheaper than numpy's fallback loop
         profiles = np.ascontiguousarray(coeffs.transpose(2, 0, 1)) @ sub.P
         return profiles.reshape(-1, sub.ntheta).T @ sub.to_grid
 
