@@ -7,8 +7,12 @@ equality, and packages the outcome as a :class:`PassReport`. Steps are
 recorded on one `_Derivation` per verifier, and the sampling rule holds by
 construction: every rational-function identity it records is also evaluated
 at three random rational points that avoid all excluded denominators, with
-exact Fraction equality, not a tolerance. Root steps and recorded facts
-(sample values, positivity, the elimination cross-check) are not sampled.
+exact equality, not a tolerance. At each point every distinct Poly is
+evaluated once, in integers, to a numerator over a positive denominator, and
+the two sides are compared by integer cross-multiplication; a vanishing
+denominator rejects the point exactly where a Fraction division would. Root
+steps and recorded facts (sample values, positivity, the elimination
+cross-check) are not sampled.
 
 Square-root identities are root checks: a quadratic surd k = base +
 coef*sqrt(r) is a root of its monic quadratic m(k), and an expression
@@ -126,31 +130,45 @@ def _random_point(rng: random.Random) -> dict[str, Fraction]:
 
 
 class _PolyValues(dict):
-    """Poly -> its value at one point, each distinct Poly evaluated once.
+    """Poly -> its value at one point as (numerator, positive denominator).
 
     Keys are compared by structure (through the hash each Poly caches), so
-    a numerator or denominator shared by several sides costs one evaluation.
+    a numerator or denominator shared by several sides costs one evaluation,
+    and the power tables of each (variable, top degree) are built once for
+    every Poly evaluated here.
     """
 
     def __init__(self, pt: dict[str, Fraction]) -> None:
         super().__init__()
         self.pt = pt
+        self.tables: dict = {}
 
-    def __missing__(self, poly: Poly) -> Fraction:
-        value = self[poly] = poly.evaluate(self.pt)
+    def __missing__(self, poly: Poly) -> tuple[int, int]:
+        value = self[poly] = poly.value_pair(self.pt, self.tables)
         return value
 
 
-def _holds_at(pairs: list[tuple[RationalFunction, RationalFunction]], pt: dict) -> bool:
-    """Exact agreement of every pair at pt.
+def _holds_at(pairs: list[tuple[RationalFunction, RationalFunction]], at: _PolyValues) -> bool:
+    """Exact agreement of every pair at the point of `at`, in integers.
 
-    Raises ZeroDivisionError where a denominator vanishes (the Fraction
-    division does), so that `_instantiate` resamples the point.
+    lhs = (n1/s1) / (d1/t1) and rhs = (n2/s2) / (d2/t2) agree when
+    n1 t1 s2 d2 == n2 t2 s1 d1. Pairs are taken in order and the first
+    disagreement ends the test. A vanishing lhs denominator, then rhs, raises
+    ZeroDivisionError, where the Fraction division would, so that
+    `_instantiate` resamples the point.
     """
-    at = _PolyValues(pt)
-    return all(
-        at[lhs.num] / at[lhs.den] == at[rhs.num] / at[rhs.den] for lhs, rhs in pairs
-    )
+    for lhs, rhs in pairs:
+        n1, s1 = at[lhs.num]
+        d1, t1 = at[lhs.den]
+        if not d1:
+            raise ZeroDivisionError("lhs denominator vanishes at the point")
+        n2, s2 = at[rhs.num]
+        d2, t2 = at[rhs.den]
+        if not d2:
+            raise ZeroDivisionError("rhs denominator vanishes at the point")
+        if n1 * t1 * s2 * d2 != n2 * t2 * s1 * d1:
+            return False
+    return True
 
 
 def _record(pt: dict, agree: bool) -> dict:
@@ -166,7 +184,8 @@ def _instantiate(
     """Evaluate each lhs/rhs pair at `count` random rational points.
 
     Points where any excluded or involved denominator vanishes are resampled.
-    Agreement is exact Fraction equality.
+    Agreement is exact; the exclusions and the pairs read one set of values
+    per point.
     """
     rng = random.Random(seed)
     records: list[dict] = []
@@ -176,12 +195,13 @@ def _instantiate(
         if attempts > 10_000:
             raise RuntimeError("could not find denominator-avoiding points")
         pt = _random_point(rng)
-        if any(p.evaluate(pt) == 0 for p in _EXCLUDED):
+        at = _PolyValues(pt)
+        if any(not at[p][0] for p in _EXCLUDED):
             continue
-        if any(p.evaluate(pt) == 0 for p in extra_avoid):
+        if any(not at[p][0] for p in extra_avoid):
             continue
         try:
-            agree = _holds_at(pairs, pt)
+            agree = _holds_at(pairs, at)
         except ZeroDivisionError:
             continue
         records.append(_record(pt, agree))
@@ -206,7 +226,11 @@ class _Derivation:
     def identity(
         self, name: str, lhs: RationalFunction, rhs: RationalFunction, note: str = ""
     ) -> None:
-        cross = lhs.num * rhs.den - rhs.num * lhs.den
+        # over one shared denominator the numerators alone decide
+        if lhs.den == rhs.den:
+            cross = lhs.num - rhs.num
+        else:
+            cross = lhs.num * rhs.den - rhs.num * lhs.den
         self.fact(name, cross.is_zero, repr(cross), note)
         self.pairs.append((lhs, rhs))
 
@@ -228,7 +252,7 @@ class _Derivation:
 
     def holds_at(self, pt: dict[str, Fraction]) -> bool:
         """Whether every recorded identity holds at one worked point."""
-        return _holds_at(self.pairs, pt)
+        return _holds_at(self.pairs, _PolyValues(pt))
 
     def finish(
         self,
@@ -239,8 +263,12 @@ class _Derivation:
         """The report: every identity sampled at three seeded points, then
         one record per worked (point, agree) pair.
 
-        With no identity recorded nothing is sampled and `seed` may be None.
+        With no identity recorded nothing is sampled and `seed` may be None;
+        otherwise None would seed from the OS and make the points differ from
+        run to run, so it raises ValueError.
         """
+        if self.pairs and seed is None:
+            raise ValueError(f"{self.name}: sampled identities need an explicit seed")
         insts = _instantiate(self.pairs, seed, extra_avoid=extra_avoid) if self.pairs else []
         insts += [_record(pt, agree) for pt, agree in worked]
         passed = all(s.ok for s in self.steps) and all(r["agree"] for r in insts)
@@ -476,10 +504,9 @@ def verify_mixed_completion_bound() -> PassReport:
     return d.finish(seed=47)
 
 
-def _combined_base_quadruple() -> CoefficientSet:
-    """The k-weighted combination with the trace split applied (display form)."""
-    q1 = display_completion_quadruple()
-    q2 = display_mixed_quadruple()
+def _combined_base_quadruple(q1: CoefficientSet, q2: CoefficientSet) -> CoefficientSet:
+    """The k-weighted combination of the completion quadruple q1 and the mixed
+    quadruple q2, with the trace split applied (display form)."""
     Dc = q1.D + _k * q2.D
     A = q1.A + _k * q2.A + (Dc / _n) * (_be + 1) ** 2
     B = q1.B + _k * q2.B + (Dc / _n) * (_q - _g / _be)
@@ -527,7 +554,7 @@ def verify_base_chain() -> PassReport:
             BOXSQ: Dc / _n,
         }
     ).replace(BOXSQ, display_sub2())
-    comb = _combined_base_quadruple()
+    comb = _combined_base_quadruple(q1, q2)
     expected = FormalExpr(
         {GRAD4: comb.A, K_EQ: comb.B, K_PLAIN: comb.C, TRACEFREE: comb.D}
     )
@@ -699,26 +726,24 @@ def verify_radical_gap_monotone(
     gamma_c = Fraction(gamma_c)
     if alpha <= 0 or beta_c <= 0 or gamma_c <= 0:
         raise DomainError("alpha, beta_c, gamma_c must all be positive")
-    if beta_c * beta_c <= 4 * alpha * alpha * gamma_c:
+    disc = beta_c * beta_c - 4 * alpha * alpha * gamma_c
+    if disc <= 0:
         raise DomainError(
             "constraint beta_c^2 > 4*alpha^2*gamma_c violated: "
             f"{beta_c}^2 <= 4*{alpha}^2*{gamma_c}"
         )
     af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
-    t_max = (bf - math.sqrt(bf * bf - 4 * af * af * gf)) / (2 * af * af)
-
-    def psi(t: float) -> float:
-        return af * t - math.sqrt(af * af * t * t - bf * t + gf)
-
-    def dpsi(t: float) -> float:
-        root = math.sqrt(af * af * t * t - bf * t + gf)
-        return af - (2 * af * af * t - bf) / (2 * root)
+    # the exact discriminant: its float twin can round below 0 when disc is tiny
+    t_max = (bf - math.sqrt(disc)) / (2 * af * af)
 
     npts = 1000
     ts = [t_max * i / (npts + 1) for i in range(1, npts + 1)]
-    values = [psi(t) for t in ts]
+    # one square root per sample serves psi(t) = af t - root and
+    # psi'(t) = af - (2 af^2 t - bf) / (2 root)
+    roots = [math.sqrt(af * af * t * t - bf * t + gf) for t in ts]
+    values = [af * t - root for t, root in zip(ts, roots)]
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    derivative_pos = all(dpsi(t) > 0 for t in ts)
+    derivative_pos = all(af - (2 * af * af * t - bf) / (2 * root) > 0 for t, root in zip(ts, roots))
     d = _Derivation("radical_gap_monotone")
     d.fact("strictly_increasing_between_samples", increasing, "a sample does not increase")
     d.fact("closed_form_derivative_positive", derivative_pos, "nonpositive at a sample")

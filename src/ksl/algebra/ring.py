@@ -6,7 +6,11 @@ rational functions are kept unnormalized and compared by cross-multiplication,
 which is exact and needs nothing beyond polynomial arithmetic. Two cheap
 structural rules keep redundant denominator factors out: a sum of two
 rational functions over equal denominator Polys keeps that denominator, and
-a product with the unit polynomial returns the other factor.
+a product with the unit polynomial returns the other factor. An int or
+Fraction operand of a rational function is never wrapped as a constant Poly:
+it scales the numerator or denominator Poly directly, with the same result
+the wrapped constant would give. Results whose denominator is an existing
+one, or a product of nonzero ones, skip the zero-denominator test.
 
 A :class:`Poly` packs each monomial into one int, with an 8-bit field per
 variable of ``VARS`` and the first variable in the most significant field.
@@ -17,7 +21,8 @@ sets when an exponent passes that ceiling. Every product checks the guard bits
 once and raises ``ValueError``, so an exponent never carries into the next
 variable. Coefficients are integers over one positive common denominator per
 polynomial, reduced to lowest terms at construction, so ``==`` and ``hash``
-compare structure.
+compare structure. A Poly's value at a rational point is computed in integers,
+as a numerator over a positive denominator (:meth:`Poly.value_pair`).
 
 Square roots never enter the ring. A :class:`RadExpr` only names a quadratic
 surd ``base + coef*sqrt(rad)``; "expr vanishes there" is decided by
@@ -48,6 +53,10 @@ MAX_EXP = _MASK >> 1
 _SHIFTS = tuple(_BITS * (len(VARS) - 1 - i) for i in range(len(VARS)))
 _SHIFT = dict(zip(VARS, _SHIFTS))
 _GUARDS = sum((MAX_EXP + 1) << s for s in _SHIFTS)
+
+
+# the operand types that scale a Poly instead of being wrapped as one
+_SCALARS = (int, Fraction)
 
 
 def _as_fraction(value) -> Fraction:
@@ -169,8 +178,18 @@ class Poly:
     def __rsub__(self, other) -> "Poly":
         return _coerce_poly(other) + (-self)
 
+    def scaled(self, c) -> "Poly":
+        """self * c for an int or Fraction c, as the product with Poly.const(c)."""
+        num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
+        if num == 1 and den == 1:
+            return self
+        return Poly._make({m: t * num for m, t in self.terms.items()}, self.den * den)
+
     def __mul__(self, other) -> "Poly":
-        other = _coerce_poly(other)
+        if not isinstance(other, Poly):
+            if isinstance(other, _SCALARS):
+                return self.scaled(other)
+            other = _coerce_poly(other)
         # Polys are immutable, so a unit factor can hand back the other one
         if other.den == 1 and other.terms == _UNIT:
             return self
@@ -262,28 +281,42 @@ class Poly:
             object.__setattr__(self, "_tops", tops)
         return self._tops
 
-    def evaluate(self, point: dict[str, Fraction]) -> Fraction:
-        """Value at point, in integers over one common denominator.
+    def value_pair(self, point: dict, tables: dict | None = None) -> tuple[int, int]:
+        """Value at point as integers (numerator, positive denominator).
 
         Only the variables that occur are read. A variable of top degree t at
         the value a/b contributes the table a**e * b**(t-e), e = 0..t, so every
-        term shares the denominator den * prod b**t.
+        term shares the denominator den * prod b**t. `tables` holds those
+        tables by (name, t) with b**t for one point: pass the same dict for
+        every Poly evaluated there and each table is built once.
         """
         if not self.terms:
-            return Fraction(0)
-        tables = []
+            return 0, 1
+        if tables is None:
+            tables = {}
+        used = []
         scale = self.den
         for name, s, top in self._top_degrees():
-            value = _as_fraction(point[name])
-            a, b = value.numerator, value.denominator
-            tables.append((s, [a**e * b ** (top - e) for e in range(top + 1)]))
-            scale *= b**top
+            entry = tables.get((name, top))
+            if entry is None:
+                value = _as_fraction(point[name])
+                a, b = value.numerator, value.denominator
+                entry = tables[name, top] = (
+                    [a**e * b ** (top - e) for e in range(top + 1)],
+                    b**top,
+                )
+            used.append((s, entry[0]))
+            scale *= entry[1]
         total = 0
         for m, c in self.terms.items():
-            for s, table in tables:
+            for s, table in used:
                 c *= table[(m >> s) & _MASK]
             total += c
-        return Fraction(total, scale)
+        return total, scale
+
+    def evaluate(self, point: dict[str, Fraction]) -> Fraction:
+        """Value at point, the quotient of :meth:`value_pair`."""
+        return Fraction(*self.value_pair(point))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -325,7 +358,9 @@ class RationalFunction:
     """Quotient of two Polys, denominator nonzero; never normalized.
 
     No common factor is ever cancelled, but a sum over equal denominator
-    Polys keeps that denominator instead of squaring it.
+    Polys keeps that denominator instead of squaring it. An int or Fraction
+    operand scales a Poly through :meth:`Poly.scaled`, and gives the same
+    numerator and denominator that wrapping it as ``rf(c)`` would.
     """
 
     __slots__ = ("num", "den")
@@ -346,43 +381,57 @@ class RationalFunction:
         return self.num.is_zero
 
     def __add__(self, other) -> "RationalFunction":
+        if isinstance(other, _SCALARS):
+            return _rf(self.num + self.den.scaled(other), self.den)
         other = _coerce_rf(other)
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return _rf(self.num + other.num, self.den)
+        return _rf(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
+        if isinstance(other, _SCALARS):
+            return _rf(self.num + self.den.scaled(-other), self.den)
         return self + (-_coerce_rf(other))
 
     def __rsub__(self, other) -> "RationalFunction":
+        if isinstance(other, _SCALARS):
+            return _rf(self.den.scaled(other) - self.num, self.den)
         return _coerce_rf(other) + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, _SCALARS):
+            return _rf(self.num.scaled(other), self.den)
         other = _coerce_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _rf(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunction":
+        if isinstance(other, _SCALARS):
+            if not other:
+                raise DomainError("division by zero rational function")
+            return _rf(self.num, self.den.scaled(other))
         other = _coerce_rf(other)
         if other.num.is_zero:
             raise DomainError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _rf(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
+        if isinstance(other, _SCALARS):
+            if self.num.is_zero:
+                raise DomainError("division by zero rational function")
+            return _rf(self.den.scaled(other), self.num)
         return _coerce_rf(other) / self
 
     def __pow__(self, power: int) -> "RationalFunction":
         if power < 0:
             return (ONE_RF / self) ** (-power)
-        return RationalFunction(self.num**power, self.den**power)
+        return _rf(self.num**power, self.den**power)
 
     def substitute(self, name: str, value) -> "RationalFunction":
         value = _coerce_rf(value)
@@ -398,19 +447,21 @@ class RationalFunction:
         the limit does not exist as a rational function.
         """
         if self.num.is_zero:
-            return RationalFunction(ZERO)
+            return ZERO_RF
         g = min(self.num.min_degree_in(name), self.den.min_degree_in(name))
         num = self.num.shift_down(name, g).set_var_zero(name)
         den = self.den.shift_down(name, g).set_var_zero(name)
         if den.is_zero:
             raise DomainError(f"limit at {name} = 0 does not exist")
-        return RationalFunction(num, den)
+        return _rf(num, den)
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
-        den = self.den.evaluate(point)
-        if den == 0:
+        tables: dict = {}
+        num, num_den = self.num.value_pair(point, tables)
+        den, den_den = self.den.value_pair(point, tables)
+        if not den:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(point) / den
+        return Fraction(num * den_den, num_den * den)
 
     def __repr__(self) -> str:
         if self.den == ONE:
@@ -418,16 +469,27 @@ class RationalFunction:
         return f"({self.num!r}) / ({self.den!r})"
 
 
+def _rf(num: Poly, den: Poly) -> RationalFunction:
+    """num/den for a den known to be nonzero: an existing denominator or a
+    product of them. Skips the coercion and the zero test of the constructor."""
+    out = object.__new__(RationalFunction)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
 def _coerce_rf(value) -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, (Poly, int, Fraction)):
-        return RationalFunction(value)
+    if isinstance(value, Poly):
+        return _rf(value, ONE)
+    if isinstance(value, _SCALARS):
+        return _rf(Poly.const(value), ONE)
     raise TypeError(f"cannot coerce {type(value).__name__} to RationalFunction")
 
 
-ONE_RF = RationalFunction(ONE)
-ZERO_RF = RationalFunction(ZERO)
+ONE_RF = _rf(ONE, ONE)
+ZERO_RF = _rf(ZERO, ONE)
 
 
 def _poly_substitute(poly: Poly, name: str, value: RationalFunction) -> RationalFunction:
@@ -439,7 +501,7 @@ def _poly_substitute(poly: Poly, name: str, value: RationalFunction) -> Rational
     for power in range(top, -1, -1):
         result = result * value
         if power in parts:
-            result = result + RationalFunction(parts[power])
+            result = result + _rf(parts[power], ONE)
     return result
 
 
@@ -488,7 +550,7 @@ def _remainder(
     a = b = ZERO_RF
     for power in range(max(parts, default=-1), -1, -1):
         # Horner: (a*t + b)*t + c with t^2 -> trace*t - norm
-        a, b = a * trace + b, RationalFunction(parts.get(power, ZERO)) - a * norm
+        a, b = a * trace + b, _rf(parts.get(power, ZERO), ONE) - a * norm
     return a, b
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import Poly, RationalFunction, _coerce_rf, rf, v
+from .ring import ZERO_RF, Poly, RationalFunction, _coerce_rf, rf, v
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class FormalExpr:
         return FormalExpr({term: _coerce_rf(coeff)})
 
     def coefficient(self, term: FormalTerm) -> RationalFunction:
-        return self.coeffs.get(term, rf(0))
+        return self.coeffs.get(term, ZERO_RF)
 
     def terms(self):
         return set(self.coeffs)
@@ -114,14 +114,14 @@ class FormalExpr:
     def __add__(self, other: "FormalExpr") -> "FormalExpr":
         out = dict(self.coeffs)
         for term, c in other.coeffs.items():
-            out[term] = out.get(term, rf(0)) + c
+            out[term] = out[term] + c if term in out else c
         return FormalExpr(out)
 
     def __sub__(self, other: "FormalExpr") -> "FormalExpr":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "FormalExpr":
-        factor = _coerce_rf(factor)
+        """Every coefficient times factor: a RationalFunction, Poly, int or Fraction."""
         return FormalExpr({term: c * factor for term, c in self.coeffs.items()})
 
     def replace(self, term: FormalTerm, expansion: "FormalExpr") -> "FormalExpr":
@@ -178,9 +178,9 @@ def ibp(expr: FormalExpr) -> FormalExpr:
         if term.kind == "J":
             kterm = K(term.exponent)
             add = c * rf(-term.exponent)
-            out[kterm] = out.get(kterm, rf(0)) + add
+            out[kterm] = out[kterm] + add if kterm in out else add
         else:
-            out[term] = out.get(term, rf(0)) + c
+            out[term] = out[term] + c if term in out else c
     return FormalExpr(out)
 
 

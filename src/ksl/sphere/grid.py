@@ -58,30 +58,32 @@ def _lowering_factors(L: int) -> np.ndarray:
     return np.sqrt(np.maximum((2.0 * l + 1.0) * (l * l - m * m), 0.0) / np.abs(2.0 * l - 1.0))
 
 
-def _legendre_orders(L: int, mu: np.ndarray):
-    """The Legendre recurrence, one order at a time.
+def _legendre_table(L: int, mu: np.ndarray) -> np.ndarray:
+    """P[m, l, t] = N_lm(mu_t), zero for l < m, by the three-term recurrence.
 
-    Yields, for m = 0..L, an array of shape (L+1-m, len(mu)) whose row i holds
-    N_{m+i, m}(mu), with int_{-1}^{1} N_lm^2 dmu = 1 and no Condon-Shortley
-    phase.
+    int_{-1}^{1} N_lm^2 dmu = 1, with no Condon-Shortley phase. The diagonal
+    N_mm and first off-diagonal N_{m+1,m} come from the product over m; every
+    higher degree l is then one step for all orders m <= l-2 at once,
+    N_lm = a_lm (mu N_{l-1,m} - b_lm N_{l-2,m}). Each entry sees the same IEEE
+    operations, in the same order, as the recurrence run one order at a time.
     """
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(1.0 - mu * mu)
     if np.any(s == 0.0):
         raise DomainError("Legendre tables need interior nodes (sin theta > 0)")
+    P = np.zeros((L + 1, L + 1, mu.size))
     diag = np.full(mu.shape, np.sqrt(0.5))
     for m in range(L + 1):
-        rows = np.zeros((L + 1 - m, mu.size))
-        rows[0] = diag
-        if L - m >= 1:
-            rows[1] = np.sqrt(2.0 * m + 3.0) * mu * diag
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            rows[l - m] = a * (mu * rows[l - m - 1] - b * rows[l - m - 2])
-        yield rows
+        P[m, m] = diag
         if m < L:
+            P[m, m + 1] = np.sqrt(2.0 * m + 3.0) * mu * diag
             diag = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * diag
+    for l in range(2, L + 1):
+        m = np.arange(l - 1.0)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        P[: l - 1, l] = a[:, None] * (mu * P[: l - 1, l - 1] - b[:, None] * P[: l - 1, l - 2])
+    return P
 
 
 def table_bytes(L: int) -> int:
@@ -135,11 +137,7 @@ class _SubGrid:
         # the quadrature weight of every node in row t, and its grid view
         self.row_weights = wmu * (TWO_PI / nphi)
         self.area_weights = np.broadcast_to(self.row_weights[:, None], (ntheta, nphi))
-        # one order at a time, so no full set of per-order lists is ever held;
-        # the recurrence yields each order's rows in (l, t) order already
-        self.P = np.zeros((L + 1, L + 1, ntheta))
-        for m, rows in enumerate(_legendre_orders(L, mu)):
-            self.P[m, m:] = rows
+        self.P = _legendre_table(L, mu)
         # the lowering factors depend on L alone: one table serves both subgrids
         self.lower = lower
         # m phi_j reduced mod 2 pi in integers, so high orders lose no digits;

@@ -114,6 +114,18 @@ class TestDerivationRecorder:
         assert all(rec["agree"] for rec in report.instantiations)
         assert report.passed
 
+    def test_sampled_identities_need_a_seed(self):
+        d = _Derivation("unseeded")
+        d.identity("doubling", 2 * v("n"), v("n") + v("n"))
+        with pytest.raises(ValueError, match="seed"):
+            d.finish(seed=None)
+
+    def test_facts_alone_need_no_seed(self):
+        d = _Derivation("facts_only")
+        d.fact("recorded", True, "never shown")
+        report = d.finish(seed=None)
+        assert report.passed and report.instantiations == []
+
     def test_worked_point_records_its_verdict(self):
         d = _Derivation("worked")
         d.identity("doubling", 2 * v("n"), v("n") + v("n"))
@@ -135,7 +147,25 @@ class TestSampling:
         # den is first evaluated as a numerator (0 == 0 agrees), then met
         # again as a denominator from the cache: that must still refuse
         with pytest.raises(ZeroDivisionError):
-            checks._holds_at([(den, den), (1 / den, 1 / den)], pt)
+            checks._holds_at([(den, den), (1 / den, 1 / den)], checks._PolyValues(pt))
+
+    @pytest.mark.parametrize(
+        "side", ["lhs", "rhs"], ids=["lhs_only", "rhs_only"]
+    )
+    def test_vanishing_denominator_raises_on_one_side(self, side):
+        # the other side's denominator, q + 1, is 2 at the point
+        pt = dict.fromkeys(VARS, Fraction(1))
+        vanishing, regular = v("a") / (v("q") - 1), v("a") / (v("q") + 1)
+        pair = (vanishing, regular) if side == "lhs" else (regular, vanishing)
+        with pytest.raises(ZeroDivisionError, match=side):
+            checks._holds_at([pair], checks._PolyValues(pt))
+
+    def test_first_disagreement_ends_the_test(self):
+        # as the Fraction comparison did: a later vanishing denominator is
+        # never reached once an earlier pair disagrees
+        pt = dict.fromkeys(VARS, Fraction(1))
+        pairs = [(v("n"), v("n") + 1), (1 / (v("q") - 1), rf(0))]
+        assert checks._holds_at(pairs, checks._PolyValues(pt)) is False
 
     def test_instantiate_resamples_where_a_denominator_vanishes(self):
         seed = 2  # its first point avoids every excluded denominator
@@ -321,6 +351,19 @@ class TestMonotonicityVerifier:
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(DomainError):
             verify_radical_gap_monotone(Fraction(0), Fraction(3), Fraction(1))
+
+    def test_discriminant_rounding_to_negative_in_floats(self):
+        # beta_c^2 - 4 alpha^2 gamma_c = 4e-20 + 1e-40 > 0 exactly, but the
+        # same expression in floats rounds below 0
+        alpha, beta_c, gamma_c = Fraction(1, 10), Fraction(2 * 10**20 + 1, 10**20), Fraction(100)
+        af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
+        assert bf * bf - 4 * af * af * gf < 0
+        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+        assert report.passed
+        assert [s.name for s in report.steps] == [
+            "strictly_increasing_between_samples",
+            "closed_form_derivative_positive",
+        ]
 
 
 class TestBadIndex:

@@ -1,5 +1,6 @@
 """Ring laws and equality semantics for the exact algebra engine."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,25 @@ class TestPoly:
     def test_evaluation_is_homomorphism(self, p1, p2, pt):
         assert (p1 + p2).evaluate(pt) == p1.evaluate(pt) + p2.evaluate(pt)
         assert (p1 * p2).evaluate(pt) == p1.evaluate(pt) * p2.evaluate(pt)
+
+    @given(st.lists(term_dicts(), min_size=1, max_size=4), points())
+    @settings(max_examples=60, deadline=None)
+    def test_value_pair_is_the_value(self, dicts, pt):
+        # zero and constant Polys always, then random multivariate ones, all
+        # sharing one set of power tables as the sampler's Polys do
+        dicts = [{}, {(0,) * len(VARS): Fraction(-3, 7)}, *dicts]
+        tables = {}
+        for terms in dicts:
+            num, den = Poly(terms).value_pair(pt, tables)
+            assert den > 0
+            assert Fraction(num, den) == TuplePoly(terms).evaluate(pt)
+            assert Fraction(num, den) == Poly(terms).evaluate(pt)
+
+    @given(polys(), st.one_of(st.integers(-5, 5), _small_fraction(), st.booleans()))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_is_the_product_with_a_constant(self, p, c):
+        assert p.scaled(c) == p * Poly.const(c)
+        assert p * c == p.scaled(c)
 
     @given(polys(), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
@@ -392,6 +412,43 @@ class TestDenominatorFastPaths:
         assert expr.den == Poly.var("gamma")
         with pytest.raises(DomainError):
             expr.limit_var_zero("gamma")
+
+
+class TestScalarOperands:
+    """An int or Fraction operand scales a Poly directly, never wrapped, and
+    yields the numerator and denominator Polys that rf(c) in its place would."""
+
+    OPERANDS = [
+        (v("a") + 2) / (v("beta") ** 2 + 1),
+        v("a") * v("q") - Fraction(3, 2),
+        1 / v("n"),
+        rf(1),
+        rf(0),
+    ]
+
+    @pytest.mark.parametrize(
+        "c", [3, -2, Fraction(-3, 4), Fraction(5, 3), 1, 0, True, False], ids=repr
+    )
+    @pytest.mark.parametrize("x", OPERANDS, ids=repr)
+    def test_structure_matches_the_wrapped_constant(self, x, c):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for scalar_first in (False, True):
+                args, wrapped = ((c, x), (rf(c), x)) if scalar_first else ((x, c), (x, rf(c)))
+                try:
+                    expected = op(*wrapped)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        op(*args)
+                    continue
+                got = op(*args)
+                assert isinstance(got, RationalFunction)
+                assert (got.num, got.den) == (expected.num, expected.den), (op, scalar_first)
+
+    def test_division_by_a_zero_scalar_is_refused(self):
+        with pytest.raises(DomainError):
+            v("a") / 0
+        with pytest.raises(DomainError):
+            2 / rf(0)
 
 
 class TestRadExpr:

@@ -3,8 +3,9 @@
 Oracles: scipy.special.lpmv for the Legendre tables (with the Condon-Shortley
 phase stripped), closed-form moments of low-degree fields, dual-path
 agreement between spectral and quadrature evaluations, and per-order loop
-transforms fed by `legendre_tables` (defined here, on the package's own
-value recurrence) for the batched kernel. The package itself never calls
+transforms fed by `legendre_tables` (defined here, on the value recurrence
+run one order at a time, which is also the bit-for-bit oracle of the
+package's degree-batched table) for the batched kernel. The package itself never calls
 scipy.special; only this test module does, as an oracle.
 """
 
@@ -31,8 +32,32 @@ from ksl.sphere import (
     random_band_limited,
     sobolev_check,
 )
-from ksl.sphere.grid import MAX_TABLE_BYTES, _legendre_orders, table_bytes
+from ksl.sphere.grid import MAX_TABLE_BYTES, _legendre_table, table_bytes
 from ksl.sphere.ops import _energy_blocks
+
+
+def _legendre_orders(L: int, mu: np.ndarray):
+    """The Legendre recurrence, one order at a time.
+
+    Yields, for m = 0..L, an array of shape (L+1-m, len(mu)) whose row i holds
+    N_{m+i, m}(mu), with int_{-1}^{1} N_lm^2 dmu = 1 and no Condon-Shortley
+    phase.
+    """
+    mu = np.asarray(mu, dtype=float)
+    s = np.sqrt(1.0 - mu * mu)
+    diag = np.full(mu.shape, np.sqrt(0.5))
+    for m in range(L + 1):
+        rows = np.zeros((L + 1 - m, mu.size))
+        rows[0] = diag
+        if L - m >= 1:
+            rows[1] = np.sqrt(2.0 * m + 3.0) * mu * diag
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            rows[l - m] = a * (mu * rows[l - m - 1] - b * rows[l - m - 2])
+        yield rows
+        if m < L:
+            diag = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * diag
 
 
 def legendre_tables(L: int, mu: np.ndarray) -> tuple[list, list]:
@@ -75,6 +100,19 @@ def grid8():
 
 
 class TestLegendreTables:
+    @pytest.mark.parametrize("L", [2, 3, 16, 64])
+    def test_table_is_the_per_order_recurrence_bit_for_bit(self, L):
+        grid = make_grid(L)
+        for sub in (grid.base, grid.over):
+            oracle = np.zeros_like(sub.P)
+            for m, rows in enumerate(_legendre_orders(L, sub.mu)):
+                oracle[m, m:] = rows
+            assert np.array_equal(sub.P, oracle)
+
+    def test_table_needs_interior_nodes(self):
+        with pytest.raises(DomainError, match="interior nodes"):
+            _legendre_table(4, np.array([-0.5, 1.0]))
+
     def test_against_scipy(self, grid16):
         # scipy's lpmv carries the Condon-Shortley (-1)^m; ours does not
         mu = grid16.base.mu
