@@ -734,7 +734,7 @@ def verify_radical_gap_monotone(
         )
     af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
     # the exact discriminant: its float twin can round below 0 when disc is tiny
-    t_max = (bf - math.sqrt(disc)) / (2 * af * af)
+    t_max = (bf - math.sqrt(float(disc))) / (2 * af * af)
 
     npts = 1000
     ts = [t_max * i / (npts + 1) for i in range(1, npts + 1)]
