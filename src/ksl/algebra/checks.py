@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -710,6 +711,10 @@ def verify_base_chain() -> PassReport:
     return d.finish(seed=53, extra_avoid=(Poly.var("n") + 1,))
 
 
+def _positive_normal(x: float) -> bool:
+    return sys.float_info.min <= x < math.inf
+
+
 def verify_radical_gap_monotone(
     alpha: Fraction, beta_c: Fraction, gamma_c: Fraction
 ) -> PassReport:
@@ -719,7 +724,10 @@ def verify_radical_gap_monotone(
     t_max = (beta_c - sqrt(beta_c^2 - 4 alpha^2 gamma_c))/(2 alpha^2), asserts
     strict increase between consecutive samples, and checks the closed-form
     derivative is positive at each sample. This is the one sampling-based
-    verifier; everything else in this module is exact.
+    verifier; everything else in this module is exact. Inputs the float
+    sampling cannot represent (alpha^2, beta_c, gamma_c or t_max outside the
+    positive normal floats, or a sampled radicand that rounds to <= 0) raise
+    DomainError.
     """
     alpha = Fraction(alpha)
     beta_c = Fraction(beta_c)
@@ -732,18 +740,31 @@ def verify_radical_gap_monotone(
             "constraint beta_c^2 > 4*alpha^2*gamma_c violated: "
             f"{beta_c}^2 <= 4*{alpha}^2*{gamma_c}"
         )
-    af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
-    # the exact discriminant: its float twin can round below 0 when disc is tiny
-    t_max = (bf - math.sqrt(float(disc))) / (2 * af * af)
+    try:
+        af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
+    except OverflowError:
+        af = bf = gf = math.inf
+    a2 = af * af
+    if not all(_positive_normal(x) for x in (a2, bf, gf)):
+        raise DomainError("alpha^2, beta_c and gamma_c must be positive normal floats to sample")
+    # t_max = 2 gamma_c / (beta_c + sqrt(disc)), free of the cancellation in
+    # the form above; sqrt(disc) = beta_c sqrt(disc/beta_c^2) takes the exact
+    # ratio in (0, 1), whose float twin neither overflows nor rounds below 0
+    t_max = 2 * gf / (bf * (1 + math.sqrt(float(disc / (beta_c * beta_c)))))
+    if not _positive_normal(t_max):
+        raise DomainError(f"t_max = {t_max!r} must be a positive normal float to sample")
 
     npts = 1000
     ts = [t_max * i / (npts + 1) for i in range(1, npts + 1)]
     # one square root per sample serves psi(t) = af t - root and
     # psi'(t) = af - (2 af^2 t - bf) / (2 root)
-    roots = [math.sqrt(af * af * t * t - bf * t + gf) for t in ts]
+    radicands = [a2 * t * t - bf * t + gf for t in ts]
+    if not all(r > 0 for r in radicands):
+        raise DomainError("a sampled radicand alpha^2 t^2 - beta_c t + gamma_c rounds to <= 0")
+    roots = [math.sqrt(r) for r in radicands]
     values = [af * t - root for t, root in zip(ts, roots)]
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    derivative_pos = all(af - (2 * af * af * t - bf) / (2 * root) > 0 for t, root in zip(ts, roots))
+    derivative_pos = all(af - (2 * a2 * t - bf) / (2 * root) > 0 for t, root in zip(ts, roots))
     d = _Derivation("radical_gap_monotone")
     d.fact("strictly_increasing_between_samples", increasing, "a sample does not increase")
     d.fact("closed_form_derivative_positive", derivative_pos, "nonpositive at a sample")

@@ -145,15 +145,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(m == 0 for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return Fraction(self.terms.get(0, 0), self.den)
-
     # ring arithmetic
 
     def __add__(self, other) -> "Poly":

@@ -101,10 +101,6 @@ class FormalExpr:
     def __setattr__(self, name, value):
         raise AttributeError("FormalExpr is immutable")
 
-    @staticmethod
-    def single(term: FormalTerm, coeff=1) -> "FormalExpr":
-        return FormalExpr({term: _coerce_rf(coeff)})
-
     def coefficient(self, term: FormalTerm) -> RationalFunction:
         return self.coeffs.get(term, ZERO_RF)
 

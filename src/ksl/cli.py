@@ -9,12 +9,16 @@ Subcommands:
     pde-solve       Newton solve of -box u + lambda u = u^q from a random start
     all             everything above in one report
 
-Flags can also come from a config file (key = value per line, '#' starts a
-comment); explicit flags win. Every float option, from either source, must be
-a finite number. The KSL_OUT environment variable overrides the output
+Every option is one `_OPTIONS` entry, from which the parser, the config-file
+reader, the defaults and the report's `config` echo are all derived. Flags
+may go on either side of the subcommand. They can also come from a config
+file (key = value per line, '#' starts a comment) whose keys are the flag
+names; explicit flags win. Every float option, from either source, must be a
+finite number. The KSL_OUT environment variable overrides the output
 directory. Exit status: 0 when every invoked check passes, 1 on a failed
-check or a domain error (reported verbatim on stderr), 2 on bad usage. Under
-`all`, a domain error replaces only the records of the stage that raised it.
+check or a domain error (reported verbatim on stderr), 2 on bad usage. A
+domain error replaces only the records of the stage that raised it, so under
+`all` the other stages still report.
 """
 
 from __future__ import annotations
@@ -60,72 +64,15 @@ from .sphere import (
 # the unit 2-sphere: l(l + 1)/2 at l = 1
 SPHERE_LAMBDA1 = 1.0
 
-_DEFAULTS = {
-    "n": 2,
-    "q": 2.0,
-    "q_grid": None,
-    "k": "auto",
-    "lambda1": 1.0,
-    "lam": 0.5,
-    "L": 16,
-    "seed": 0,
-    "out": "reports",
-    "format": "json",
-}
-
 # most values a q grid may hold, checked before any value is built
 MAX_GRID_POINTS = 10_000
-
-_SUBCOMMANDS = (
-    "constants",
-    "interval",
-    "optimize-k",
-    "algebra-verify",
-    "sphere-verify",
-    "pde-solve",
-    "all",
-)
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    n: int
-    q: float
-    q_grid: tuple[float, ...] | None
-    k: float | str
-    lambda1: float
-    lam: float
-    L: int
-    seed: int
-    out: str
-    format: str
-
-    @property
-    def q_values(self) -> list[float]:
-        return list(self.q_grid) if self.q_grid else [self.q]
-
-    def echo(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "n": self.n,
-            "q": self.q,
-            "q-grid": list(self.q_grid) if self.q_grid else None,
-            "k": self.k,
-            "lambda1": self.lambda1,
-            "lambda": self.lam,
-            "L": self.L,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
 
 
 class UsageError(Exception):
     pass
 
 
-# ---------------------------------------------------------------- parsing
+# ---------------------------------------------------------------- options
 
 
 def _finite_float(text: str) -> float:
@@ -181,68 +128,84 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         )
 
 
-_CONVERTERS = {
-    "n": int,
-    "q": _finite_float,
-    "q_grid": _parse_grid,
-    "k": _parse_k,
-    "lambda1": _finite_float,
-    "lam": _finite_float,
-    "L": int,
-    "seed": _seed,
-    "out": str,
-    "format": str,
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise argparse.ArgumentTypeError(f"format must be json or csv, got {text!r}")
+    return text
+
+
+# flag -> (converter, default, help). The RunConfig attribute is the flag with
+# '_' for '-', except for --lambda, a Python keyword, whose attribute is `lam`.
+_OPTIONS = {
+    "n": (int, 2, "complex dimension"),
+    "q": (_finite_float, 2.0, "exponent"),
+    "q-grid": (
+        _parse_grid,
+        None,
+        f"exponent grid, 'lo:hi:count' or comma list, at most {MAX_GRID_POINTS} "
+        "values; overrides --q",
+    ),
+    "k": (_parse_k, "auto", "interpolation weight, number or 'auto'"),
+    "lambda1": (_finite_float, 1.0, "spectral gap"),
+    "lambda": (_finite_float, 0.5, "equation parameter"),
+    "L": (int, 16, "band limit"),
+    "seed": (_seed, 0, "random seed"),
+    "out": (str, "reports", "output directory; KSL_OUT overrides it"),
+    "format": (_format, "json", "report format, json or csv"),
 }
 
-# flag spellings accepted in a config file, mapped to config attributes
-_CONFIG_ALIASES = {"lambda": "lam", "q-grid": "q_grid"}
+
+def _attr(flag: str) -> str:
+    return "lam" if flag == "lambda" else flag.replace("-", "_")
+
+
+@dataclass
+class RunConfig:
+    subcommand: str
+    n: int
+    q: float
+    q_grid: tuple[float, ...] | None
+    k: float | str
+    lambda1: float
+    lam: float
+    L: int
+    seed: int
+    out: str
+    format: str
+
+    @property
+    def q_values(self) -> list[float]:
+        return list(self.q_grid) if self.q_grid else [self.q]
+
+    def echo(self) -> dict:
+        return {
+            "subcommand": self.subcommand,
+            **{flag: getattr(self, _attr(flag)) for flag in _OPTIONS},
+        }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="complex dimension (default 2)")
-    common.add_argument("--q", type=_finite_float, default=None, help="exponent (default 2)")
-    common.add_argument(
-        "--q-grid",
-        type=_parse_grid,
-        default=None,
-        help=f"exponent grid, 'lo:hi:count' or comma list, at most {MAX_GRID_POINTS} "
-        "values; overrides --q",
-    )
-    common.add_argument(
-        "--k", type=_parse_k, default=None, help="interpolation weight, number or 'auto'"
-    )
-    common.add_argument(
-        "--lambda1", type=_finite_float, default=None, help="spectral gap (default 1)"
-    )
-    common.add_argument(
-        "--lambda",
-        dest="lam",
-        type=_finite_float,
-        default=None,
-        help="equation parameter (default 0.5)",
-    )
-    common.add_argument("--L", type=int, default=None, help="band limit (default 16)")
-    common.add_argument("--seed", type=_seed, default=None, help="random seed (default 0)")
-    common.add_argument("--out", default=None, help="output directory (default 'reports')")
-    common.add_argument("--format", choices=["json", "csv"], default=None)
-    common.add_argument("--config", default=None, help="config file, key = value per line")
-
     parser = argparse.ArgumentParser(
         prog="ksl", description="Sobolev constants, derivation checks, sphere experiments."
     )
     parser.add_argument("--version", action="version", version=f"ksl {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
+    for flag, (convert, default, text) in _OPTIONS.items():
+        # no parser default: an unset flag is None, so a config file can fill it
+        if default is not None:
+            text = f"{text} (default {default})"
+        parser.add_argument(f"--{flag}", dest=flag, type=convert, help=text)
+    parser.add_argument("--config", help="config file, key = value per line")
     return parser
 
 
 def _read_config_file(path: str) -> dict:
+    """Values by flag; a key is a flag name or its RunConfig attribute name."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
+    flags = {name: flag for flag in _OPTIONS for name in (flag, _attr(flag))}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -251,29 +214,25 @@ def _read_config_file(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key = key.strip()
-        key = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
-        if key not in _CONVERTERS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        flag = flags.get(key.strip())
+        if flag is None:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
         try:
-            values[key] = _CONVERTERS[key](value.strip())
+            values[flag] = _OPTIONS[flag][0](value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: {exc}")
-    if values.get("format") not in (None, "json", "csv"):
-        raise UsageError(f"format must be json or csv, got {values['format']!r}")
     return values
 
 
 def _effective_config(ns: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    values = {flag: default for flag, (_, default, _) in _OPTIONS.items()}
     if ns.config:
-        merged.update(_read_config_file(ns.config))
-    for key in _DEFAULTS:
-        cli_value = getattr(ns, key)
-        if cli_value is not None:
-            merged[key] = cli_value
-    merged["out"] = os.environ.get("KSL_OUT") or merged["out"]
-    return RunConfig(subcommand=ns.subcommand, **merged)
+        values.update(_read_config_file(ns.config))
+    for flag in _OPTIONS:
+        if getattr(ns, flag) is not None:
+            values[flag] = getattr(ns, flag)
+    values["out"] = os.environ.get("KSL_OUT") or values["out"]
+    return RunConfig(ns.subcommand, **{_attr(flag): v for flag, v in values.items()})
 
 
 # ---------------------------------------------------------------- handlers
@@ -393,9 +352,7 @@ def _cmd_algebra_verify(cfg: RunConfig) -> list[Record]:
     return recs
 
 
-def _cmd_sphere_verify(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[Record]:
-    if grid is None:
-        grid = make_grid(cfg.L)
+def _cmd_sphere_verify(cfg: RunConfig, grid: QuadratureGrid) -> list[Record]:
     recs = []
 
     lam1 = measure_lambda1(grid)
@@ -442,9 +399,7 @@ def _cmd_sphere_verify(cfg: RunConfig, grid: QuadratureGrid | None = None) -> li
     return recs
 
 
-def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid | None = None) -> list[Record]:
-    if grid is None:
-        grid = make_grid(cfg.L)
+def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid) -> list[Record]:
     u0 = random_positive_field(grid, cfg.seed)
     rep = newton_solve(cfg.lam, cfg.q, u0)
     # rigidity: at (q - 1) lam <= lambda_1 every positive solution is constant
@@ -503,34 +458,10 @@ _STAGES = {
     "pde-solve": _cmd_pde_solve,
 }
 
+_SUBCOMMANDS = (*_STAGES, "all")
 
-def _error_record(subcommand: str, exc: DomainError) -> Record:
-    return Record(subcommand, "error", {"status": "fail", "message": str(exc)})
-
-
-# stages that run on the grid at cfg.L; `all` builds it once for them
+# stages that run on the grid at cfg.L; a run builds it once for them
 _GRID_STAGES = ("sphere-verify", "pde-solve")
-
-
-def _cmd_all(cfg: RunConfig) -> list[Record]:
-    """Every stage; a DomainError replaces that stage's records alone."""
-    recs = []
-    grid = None
-    for subcommand, handler in _STAGES.items():
-        try:
-            if subcommand in _GRID_STAGES:
-                if grid is None:
-                    grid = make_grid(cfg.L)
-                recs.extend(handler(cfg, grid))
-            else:
-                recs.extend(handler(cfg))
-        except DomainError as exc:
-            recs.append(_error_record(subcommand, exc))
-            print(str(exc), file=sys.stderr)
-    return recs
-
-
-_HANDLERS = {**_STAGES, "all": _cmd_all}
 
 
 # ---------------------------------------------------------------- driver
@@ -551,9 +482,8 @@ def _emit(cfg: RunConfig, records: list[Record]) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
 
@@ -563,15 +493,21 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        records = _HANDLERS[cfg.subcommand](cfg)
-    except DomainError as exc:
-        # the failure still lands in a structured report, then the module's
-        # message goes to stderr verbatim
-        records = [_error_record(cfg.subcommand, exc)]
-        _emit(cfg, records)
-        print(str(exc), file=sys.stderr)
-        return 1
+    records = []
+    grid = None
+    for stage in _STAGES if cfg.subcommand == "all" else (cfg.subcommand,):
+        try:
+            if stage in _GRID_STAGES:
+                if grid is None:
+                    grid = make_grid(cfg.L)
+                records.extend(_STAGES[stage](cfg, grid))
+            else:
+                records.extend(_STAGES[stage](cfg))
+        except DomainError as exc:
+            # the failure lands in the report in place of the stage's records,
+            # and the module's message goes to stderr verbatim
+            records.append(Record(stage, "error", {"status": "fail", "message": str(exc)}))
+            print(str(exc), file=sys.stderr)
 
     _emit(cfg, records)
     return 0 if not any(rec.failed for rec in records) else 1

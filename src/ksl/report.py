@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 
@@ -67,27 +67,21 @@ def build_report(version: str, config: dict, records: list[Record]) -> Report:
     )
 
 
+def _body(report: Report) -> dict:
+    """The JSON body: one key per Report field, so Report(**body) round-trips."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 def payload_bytes(report: Report) -> bytes:
     """Canonical bytes for the determinism contract: everything but the timestamp."""
-    body = {
-        "tool": report.tool,
-        "version": report.version,
-        "config": report.config,
-        "payload": report.payload,
-    }
+    body = _body(report)
+    del body["timestamp"]
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
 
 
 def render_json(report: Report) -> str:
     # json.dumps renders floats via repr: shortest string that round-trips.
-    body = {
-        "tool": report.tool,
-        "version": report.version,
-        "timestamp": report.timestamp,
-        "config": report.config,
-        "payload": report.payload,
-    }
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_body(report), sort_keys=True, indent=2) + "\n"
 
 
 def _cell(value) -> str:

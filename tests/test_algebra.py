@@ -366,6 +366,36 @@ class TestMonotonicityVerifier:
         ]
 
 
+    @pytest.mark.parametrize(
+        "alpha, beta_c, gamma_c",
+        [
+            (Fraction(1, 10**200), Fraction(3), Fraction(1)),
+            (Fraction(10**200), Fraction(10**401), Fraction(1)),
+            (Fraction(1), Fraction(10**400), Fraction(1)),
+            (Fraction(1, 10**160), Fraction(1, 10**160), Fraction(1, 10**170)),
+        ],
+        ids=["alpha_sq_underflows", "beta_overflows", "beta_overflows_alpha_1", "alpha_sq_subnormal"],
+    )
+    def test_inputs_outside_the_float_range_are_domain_errors(self, alpha, beta_c, gamma_c):
+        assert beta_c**2 > 4 * alpha**2 * gamma_c
+        with pytest.raises(DomainError, match="positive normal floats"):
+            verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+
+    @pytest.mark.parametrize(
+        "alpha, beta_c, gamma_c",
+        [
+            (Fraction(1, 10**10), Fraction(1), Fraction(1)),
+            (Fraction(1), Fraction(10**200), Fraction(1)),
+        ],
+        ids=["small_root_cancels", "discriminant_overflows"],
+    )
+    def test_representable_extremes_pass(self, alpha, beta_c, gamma_c):
+        # the docstring's t_max = (beta_c - sqrt(disc))/(2 alpha^2) cancels to
+        # 0 in floats at the first triple; disc overflows the floats at the second
+        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+        assert report.passed
+
+
 class TestBadIndex:
     def test_substitution_identities_rejects_bad_idx(self):
         with pytest.raises(DomainError):

@@ -492,6 +492,90 @@ class TestConfigFile:
         assert rep["payload"]["pde.constant_value"] == pytest.approx(0.7, abs=1e-8)
 
 
+# a valid non-default value per option: (text as written, value in the JSON config)
+_NON_DEFAULT = {
+    "n": ("3", 3),
+    "q": ("1.5", 1.5),
+    "q-grid": ("1.2,1.4", [1.2, 1.4]),
+    "k": ("1.0", 1.0),
+    "lambda1": ("1.5", 1.5),
+    "lambda": ("0.3", 0.3),
+    "L": ("8", 8),
+    "seed": ("5", 5),
+    "out": ("elsewhere", "elsewhere"),
+    "format": ("csv", "csv"),
+}
+
+
+class TestOptionTable:
+    @pytest.fixture
+    def echoed(self, monkeypatch):
+        """The config each run hands to build_report, as its JSON view."""
+        configs = []
+        build_report = ksl.cli.build_report
+
+        def capturing(version, config, records):
+            configs.append(json.loads(json.dumps(config)))
+            return build_report(version, config, records)
+
+        monkeypatch.setattr(ksl.cli, "build_report", capturing)
+        return configs
+
+    def test_every_option_has_a_non_default_value_here(self):
+        assert set(_NON_DEFAULT) == set(ksl.cli._OPTIONS)
+        for flag, (_, value) in _NON_DEFAULT.items():
+            assert value != ksl.cli._OPTIONS[flag][1]
+
+    @pytest.mark.parametrize("flag", sorted(_NON_DEFAULT))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_value_reaches_the_config_echo_under_the_flag_name(
+        self, flag, source, echoed, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        text, value = _NON_DEFAULT[flag]
+        out = [] if flag == "out" else ["--out", "reports"]
+        if source == "flag":
+            argv = ["constants", f"--{flag}", text, *out]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{flag} = {text}\n")
+            argv = ["constants", "--config", "run.cfg", *out]
+        assert run(argv) in (0, 1)
+        [config] = echoed
+        assert config[flag] == value
+        assert config["subcommand"] == "constants"
+        assert set(config) == {"subcommand", *ksl.cli._OPTIONS}
+
+    def test_flags_before_the_subcommand(self, capsys, tmp_path):
+        code, before = run_json(["--n", "3", "--q", "1.5", "constants"], capsys, tmp_path)
+        assert code == 0
+        code, after = run_json(["constants", "--n", "3", "--q", "1.5"], capsys, tmp_path)
+        assert code == 0
+        assert before["config"] == after["config"]
+        assert before["config"]["n"] == 3
+        assert before["payload"] == after["payload"]
+
+    def test_attribute_spellings_in_a_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q_grid = 1.2,1.4\nlam = 0.3\n")
+        code, rep = run_json(["constants", "--config", str(cfg)], capsys, tmp_path)
+        assert code == 0
+        assert rep["config"]["q-grid"] == [1.2, 1.4]
+        assert rep["config"]["lambda"] == 0.3
+
+    def test_subcommand_help_exits_0(self, capsys):
+        code, out, _ = run_capture(["constants", "--help"], capsys)
+        assert code == 0
+        assert out.startswith("usage: ksl")
+        assert "--q-grid" in out
+
+    def test_bad_format_is_exit_2_with_the_converter_message(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_capture(["constants", "--format", "xml", "--out", str(out)], capsys)
+        assert code == 2
+        assert "format must be json or csv, got 'xml'" in err
+        assert not out.exists()
+
+
 class TestOutputRouting:
     def test_env_var_overrides_out_flag(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
