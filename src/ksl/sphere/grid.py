@@ -91,9 +91,9 @@ def table_bytes(L: int) -> int:
 
     Per subgrid of ntheta x nphi nodes, with n = L+1: the Legendre table
     (ntheta n^2), the trig table (2n nphi), mu, wmu, sin(theta) and the row
-    weights (4 ntheta) and phi (nphi); the area weights are a view of the row
-    weights. Both subgrids share one table of lowering factors (n^2), and the
-    grid adds its two eigenvalue rows (2n).
+    weights (4 ntheta) and phi (nphi); no full-grid weight array is stored.
+    Both subgrids share one table of lowering factors (n^2), and the grid
+    adds its two eigenvalue rows (2n).
     """
     n = L + 1
     words = n * n + 2 * n
@@ -119,11 +119,14 @@ class _SubGrid:
     each way and BLAS applies the transposes. An FFT would compute all
     nphi/2 + 1 frequencies to keep L+1, and for these small arrays its call
     and complex-array overhead cost more than the product.
+
+    `row_weights[t]` is the quadrature weight of each node in row t, which
+    all nodes of a row share; an integral weights the row sums by it, so no
+    full-grid weight array is stored.
     """
 
     __slots__ = (
-        "ntheta", "nphi", "mu", "wmu", "sintheta", "phi", "row_weights", "area_weights",
-        "P", "lower", "to_grid",
+        "ntheta", "nphi", "mu", "wmu", "sintheta", "phi", "row_weights", "P", "lower", "to_grid",
     )
 
     def __init__(self, L: int, ntheta: int, nphi: int, lower: np.ndarray):
@@ -134,9 +137,8 @@ class _SubGrid:
         self.wmu = wmu
         self.sintheta = np.sqrt(1.0 - mu * mu)
         self.phi = TWO_PI * np.arange(nphi) / nphi
-        # the quadrature weight of every node in row t, and its grid view
+        # the quadrature weight of every node in row t
         self.row_weights = wmu * (TWO_PI / nphi)
-        self.area_weights = np.broadcast_to(self.row_weights[:, None], (ntheta, nphi))
         self.P = _legendre_table(L, mu)
         # the lowering factors depend on L alone: one table serves both subgrids
         self.lower = lower
@@ -250,8 +252,9 @@ class QuadratureGrid:
     # quadrature -----------------------------------------------------------
 
     def integrate(self, values: np.ndarray, sub: _SubGrid | None = None) -> float:
+        """Sphere integral of grid values: each row's sum, weighted by its node weight."""
         sub = sub or self.base
-        return float(np.sum(sub.area_weights * values))
+        return float(sub.row_weights @ np.sum(values, axis=1))
 
     def average(self, values: np.ndarray, sub: _SubGrid | None = None) -> float:
         return self.integrate(values, sub) / AREA

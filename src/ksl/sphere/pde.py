@@ -11,6 +11,7 @@ lambda * Vol^((q-1)/(q+1))).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -99,7 +100,16 @@ def _residual(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         res = coeffs * diag - grid.analysis(vals_over**q, grid.over)
-        return res, float(np.linalg.norm(res))
+        flat = res.ravel()
+        return res, math.sqrt(flat @ flat)
+
+
+def _sup(grid: QuadratureGrid, coeffs: np.ndarray) -> float:
+    """Sup over the base grid of the field with these coefficients."""
+    return float(np.abs(grid.synthesis(coeffs)).max())
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
@@ -119,12 +129,11 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
     which is also the number of products. b = 0 returns zeros without a
     product.
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b @ b)
     x = np.zeros(b.shape)
     if bnorm == 0.0:
         return x, 0, 0
     tol = rtol * bnorm
-    eps = np.finfo(float).eps
     r = np.array(b, dtype=float)
     rnorm = bnorm
     iterations = 0
@@ -142,7 +151,7 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
             for v in basis:
                 h.append(float(v @ w))
                 w -= h[-1] * v
-            h_next = float(np.linalg.norm(w))
+            h_next = math.sqrt(w @ w)
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
             d = float(np.hypot(h[-1], h_next))
@@ -153,7 +162,7 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
             g.append(-s * g[-1])
             g[-2] *= c
             iterations += 1
-            breakdown = h_next <= eps * np.linalg.norm(product)
+            breakdown = h_next <= _EPS * math.sqrt(product @ product)
             if abs(g[-1]) <= tol or breakdown:
                 break
             basis.append(w / h_next)
@@ -166,7 +175,7 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
         for yk, v, product in zip(y, basis, products):
             x += yk * v
             r -= yk * product
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)
         if rnorm <= tol:
             return x, 0, iterations
         if breakdown:
@@ -181,6 +190,9 @@ _EW_ETA_MAX = 0.5
 # Armijo constant of the residual-decrease test
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
+# a shifted entry of the preconditioner within this fraction of
+# diag + |mean| of zero is zero up to round-off
+_ZERO_SHIFT = 4.0 * _EPS
 
 
 def newton_solve(
@@ -203,7 +215,10 @@ def newton_solve(
     lambda^(1/(q-1)) both are -box + lambda - q lambda, invertible unless
     (q - 1) lambda is an eigenvalue l(l+1)/2, so always below the threshold;
     near it one inner iteration per step suffices at any L. A degree whose
-    entry of M is exactly zero keeps its entry of -box + lambda instead.
+    entry of M is zero up to round-off, within 4 eps (-box + lambda +
+    |mean|) of zero, keeps its entry of -box + lambda instead; at a constant
+    start on such a resonance the mean's summation can leave that entry an
+    ulp off zero, and dividing by it would wreck the preconditioner.
     Each step is solved only to the Eisenstat-Walker (choice 2) relative
     residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where |F| is the
     coefficient 2-norm of the residual; eta_0 = 0.5, and eta_k
@@ -211,10 +226,13 @@ def newton_solve(
     0.5 tol / |F_k|, and at most 0.5. A step is accepted at scale s when
     the field stays positive and |F| drops by the factor 1 - 1e-4 s;
     otherwise s is halved, at most 30 times. Iteration stops when the sup of
-    the residual on the grid falls below tol. The linear solves use this
-    module's `gmres` (restart 100, at most 500 cycles): one product with
-    J M^-1 per inner iteration and none besides, since the true residual of
-    a cycle is formed from the stored products, so a step's
+    the residual on the base grid falls below tol. That grid integrates the
+    residual's square exactly, so the sup is at least |F| / sqrt(4 pi), and
+    the residual is synthesized only once |F| <= 2 tol sqrt(4 pi); an exit
+    that reports the sup without converging synthesizes it then. The linear
+    solves use this module's `gmres` (restart 100, at most 500 cycles): one
+    product with J M^-1 per inner iteration and none besides, since the true
+    residual of a cycle is formed from the stored products, so a step's
     inner_iterations is also its count of Jacobian products. Running out of
     halvings or iterations, or a GMRES failure, yields a non-converged
     report, not an exception; a tol that is not positive and finite, a
@@ -244,7 +262,9 @@ def newton_solve(
         )
     trace: list[NewtonStep] = []
 
-    def finish(converged: bool, rsup: float, message: str) -> SolveReport:
+    def finish(converged: bool, rsup: float | None, message: str) -> SolveReport:
+        if rsup is None:
+            rsup = _sup(grid, res)
         u = SphereField.from_coeffs(grid, coeffs)
         avg = u.mean()
         is_const = float(np.max(np.abs(u.values - avg))) < 10.0 * tol
@@ -259,11 +279,26 @@ def newton_solve(
             trace=tuple(trace),
         )
 
+    def matvec(y_flat: np.ndarray) -> np.ndarray:
+        # the current step's preconditioner and multiplier, read at call time
+        w = y_flat.reshape(shape) / shifted
+        wvals = grid.synthesis(w, grid.over)
+        return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
+
+    # gmres reads only .matvec; shape and dtype are there for
+    # bench/tracing.py, which rebuilds the operator around a counting matvec
+    op = SimpleNamespace(matvec=matvec, shape=(size, size), dtype=np.dtype(float))
+
+    # sup |F| >= |F| / sqrt(4 pi) on the base grid, so above this norm the
+    # sup exceeds tol for certain and its synthesis is skipped
+    decisive = 2.0 * tol * math.sqrt(AREA)
     eta = _EW_ETA_MAX
     for it in range(max_iters + 1):
-        rsup = float(np.max(np.abs(grid.synthesis(res))))
-        if rsup < tol:
-            return finish(True, rsup, "converged")
+        rsup = None
+        if rnorm <= decisive:
+            rsup = _sup(grid, res)
+            if rsup < tol:
+                return finish(True, rsup, "converged")
         if it == max_iters:
             return finish(False, rsup, "max iterations exceeded")
 
@@ -278,18 +313,11 @@ def newton_solve(
 
         jac_weight = q * vals ** (q - 1.0)
         # the Jacobian with its multiplier frozen at its mean; a degree whose
-        # shifted entry is exactly zero keeps its unshifted one
-        shifted = diag - grid.average(jac_weight, grid.over)
-        shifted = np.where(shifted == 0.0, diag, shifted)
+        # shifted entry is zero up to round-off keeps its unshifted one
+        mean = grid.average(jac_weight, grid.over)
+        shifted = diag - mean
+        shifted = np.where(np.abs(shifted) <= _ZERO_SHIFT * (diag + abs(mean)), diag, shifted)
 
-        def matvec(y_flat: np.ndarray) -> np.ndarray:
-            w = y_flat.reshape(shape) / shifted
-            wvals = grid.synthesis(w, grid.over)
-            return (w * diag - grid.analysis(jac_weight * wvals, grid.over)).ravel()
-
-        # gmres reads only .matvec; shape and dtype are there for
-        # bench/tracing.py, which rebuilds the operator around a counting matvec
-        op = SimpleNamespace(matvec=matvec, shape=(size, size), dtype=np.dtype(float))
         y, info, inner = gmres(op, -res.ravel(), rtol=eta, restart=100, maxiter=500)
         if info != 0:
             return finish(False, rsup, f"linear solver stalled (info = {info})")
@@ -299,7 +327,7 @@ def newton_solve(
         for _ in range(_MAX_HALVINGS + 1):
             candidate = coeffs + scale * step
             cand_vals = grid.synthesis(candidate, grid.over)
-            positive = float(np.min(cand_vals)) > 0.0
+            positive = cand_vals.min() > 0.0
             if positive:
                 # an overflowing trial has an infinite norm and is rejected
                 cand_res, cand_norm = _residual(grid, candidate, cand_vals, diag, q)

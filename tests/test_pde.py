@@ -1,5 +1,7 @@
 """Sobolev quotient functional and Newton solver tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ def grid8():
 
 def tilted(grid, amplitude=0.1):
     return SphereField.constant(grid, 1.0) + amplitude * coordinate_z(grid)
+
+
+def residual_sup(u, lam, q):
+    """Sup over the base grid of -box u + lambda u - u^q, recomputed from u."""
+    grid = u.grid
+    lhs = u.coeffs * (grid.minus_box_eigs[None, :, None] + lam)
+    res = lhs - grid.analysis(u.values_over() ** q, grid.over)
+    return float(np.max(np.abs(grid.synthesis(res))))
 
 
 class TestQuotient:
@@ -161,6 +171,38 @@ class TestNewtonSolve:
         rep = newton_solve(0.4, 2.0, tilted(grid16))
         assert not rep.converged
         assert rep.message == "linear solver stalled (info = 7)"
+        assert rep.residual_sup == residual_sup(tilted(grid16), 0.4, 2.0)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 2])
+    def test_stopped_solve_reports_the_residual_sup(self, grid16, max_iters):
+        # the solver skips the sup while the residual norm rules convergence
+        # out; an exit that reports it still synthesizes it
+        rep = newton_solve(0.9, 2.0, random_positive_field(grid16, seed=22), max_iters=max_iters)
+        assert not rep.converged and rep.iterations == max_iters
+        assert rep.residual_sup == residual_sup(rep.field, 0.9, 2.0)
+
+    def test_residual_synthesized_only_where_its_norm_allows_convergence(self, monkeypatch):
+        # the base grid integrates a residual's square exactly, so its sup is
+        # at least |F| / sqrt(4 pi), and a step whose norm exceeds
+        # 2 tol sqrt(4 pi) cannot have converged
+        grid = make_grid(16)
+        u0 = random_positive_field(grid, seed=22)
+        synthesis = grid.synthesis
+        base_calls = 0
+
+        def counted(coeffs, sub=None):
+            nonlocal base_calls
+            base_calls += sub is None or sub is grid.base
+            return synthesis(coeffs, sub)
+
+        monkeypatch.setattr(grid, "synthesis", counted)
+        tol = 1e-10
+        rep = newton_solve(0.9, 2.0, u0, tol=tol)
+        assert rep.converged
+        decisive = sum(step.residual_norm <= 2.0 * tol * math.sqrt(AREA) for step in rep.trace)
+        assert decisive < rep.iterations
+        # the decisive steps, the converged check and the report's field values
+        assert base_calls == decisive + 2
 
     def test_overflowing_start_is_a_domain_error(self, grid16):
         # u0^q passes the float range at q ~ 1e4 for this start (ksl pde-solve
@@ -252,6 +294,18 @@ class TestNewtonSolve:
         # so the mean-frozen Jacobian has an exact zero there; that degree
         # keeps its unshifted entry instead of dividing by zero
         rep = newton_solve(lam, 2.0, SphereField.constant(grid16, c))
+        assert rep.converged, rep.message
+        assert rep.constant_value == pytest.approx(lam, abs=1e-8)
+        assert all(step.inner_iterations == 1 for step in rep.trace)
+
+    @pytest.mark.parametrize("L", [8, 16, 24, 32])
+    @pytest.mark.parametrize("c", [0.625, 0.75, 1.125, 1.5, 1.75, 2.0])
+    def test_constant_start_on_a_round_off_zero_shifted_entry(self, L, c):
+        # as above, 2c = 1 + lam, but the mean of q u^{q-1} summed in floating
+        # point can leave the l = 1 shifted entry an ulp or so off zero; that
+        # entry still counts as zero, so the preconditioner stays exact
+        lam = 2.0 * c - 1.0
+        rep = newton_solve(lam, 2.0, SphereField.constant(make_grid(L), c))
         assert rep.converged, rep.message
         assert rep.constant_value == pytest.approx(lam, abs=1e-8)
         assert all(step.inner_iterations == 1 for step in rep.trace)

@@ -287,15 +287,14 @@ class TestGridInvariants:
         arrays = list(vars(grid).values())
         for sub in (grid.base, grid.over):
             arrays += [getattr(sub, name) for name in sub.__slots__]
-        # count the memory each array holds once: a view (the area weights
-        # over the row weights) adds no bytes to the buffer it shows
+        # count the memory each array holds once: a view adds no bytes to the
+        # buffer it shows
         buffers = {}
         for a in arrays:
             if isinstance(a, np.ndarray):
                 while a.base is not None:
                     a = a.base
                 buffers[id(a)] = a.nbytes
-        assert grid.base.area_weights.base is not None
         assert table_bytes(L) == sum(buffers.values())
 
     def test_subgrids_share_lowering_factors(self, grid8):
@@ -307,6 +306,34 @@ class TestGridInvariants:
     def test_weights_sum_to_area(self, grid8):
         ones = np.ones((grid8.base.ntheta, grid8.base.nphi))
         assert abs(grid8.integrate(ones) - AREA) < 1e-13
+
+    @pytest.mark.parametrize("L", [2, 3, 16, 64])
+    @pytest.mark.parametrize("layout", ["C", "F", "broadcast"])
+    def test_integrate_is_the_weighted_double_sum(self, L, layout):
+        grid = make_grid(L)
+        rng = np.random.default_rng(L)
+        for sub in (grid.base, grid.over):
+            shape = (sub.ntheta, sub.nphi)
+            if layout == "broadcast":
+                values = np.broadcast_to(rng.uniform(-1.0, 2.0, (sub.ntheta, 1)), shape)
+            else:
+                values = np.asarray(rng.uniform(-1.0, 2.0, shape), order=layout)
+            terms = [w * v for w, row in zip(sub.row_weights, values) for v in row]
+            scale = math.fsum(abs(t) for t in terms)
+            assert abs(grid.integrate(values, sub) - math.fsum(terms)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("L", [2, 3, 16, 64])
+    def test_sup_bounds_the_coefficient_norm(self, L):
+        # the base grid integrates f^2 exactly, so 4 pi max f^2 >= |c|^2;
+        # newton_solve skips the sup of a residual whose norm decides it
+        grid = make_grid(L)
+        fields = [SphereField.constant(grid, -0.7)]
+        for seed in range(6):
+            fields += [random_band_limited(grid, seed, decay=decay) for decay in (0.0, 2.0)]
+        for f in fields:
+            sup = float(np.max(np.abs(grid.synthesis(f.coeffs))))
+            norm = math.sqrt(float(np.sum(f.coeffs**2)))
+            assert sup >= norm / math.sqrt(AREA) * (1.0 - 1e-12)
 
     def test_average_of_constant(self, grid8):
         assert sphere_average(SphereField.constant(grid8, 1.0)) == pytest.approx(
