@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DomainError
@@ -14,6 +16,15 @@ class SphereField:
     Whichever representation was set last is current; the other is computed
     on demand and cached. Construction always goes through one of the
     classmethods so exactly one representation is marked current.
+
+    `from_coeffs` and `from_values` take caller arrays: they check the shape
+    (and, for coefficients, that no slot outside the basis is set) and store
+    a copy, so a field never shares memory with its input; `copy()` goes
+    through `from_coeffs` too. Fields the library builds itself (a random
+    draw, `+ - *`, negation, `constant` and `box_op`) take the trusted path,
+    `_trusted`, which stores the array it is handed with neither check nor
+    copy. Each of those arrays is new, has the grid's shape, and is zero
+    outside the basis because its operands are.
     """
 
     def __init__(self, grid: QuadratureGrid):
@@ -31,8 +42,13 @@ class SphereField:
         # slots that hold no basis function: m > l, and the sin part at m = 0
         if np.any(np.triu(coeffs, 1)) or np.any(coeffs[1, :, 0]):
             raise DomainError("coefficient array is nonzero at m > l or in the sin part at m = 0")
+        return cls._trusted(grid, coeffs.copy())
+
+    @classmethod
+    def _trusted(cls, grid: QuadratureGrid, coeffs: np.ndarray) -> "SphereField":
+        """A field that takes `coeffs` as it is: a new array no one else holds."""
         f = cls(grid)
-        f._coeffs = coeffs.copy()
+        f._coeffs = coeffs
         return f
 
     @classmethod
@@ -49,7 +65,7 @@ class SphereField:
     def constant(cls, grid: QuadratureGrid, value: float) -> "SphereField":
         coeffs = np.zeros(grid.coeff_shape())
         coeffs[0, 0, 0] = value * np.sqrt(AREA)
-        return cls.from_coeffs(grid, coeffs)
+        return cls._trusted(grid, coeffs)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -75,19 +91,23 @@ class SphereField:
 
     def __add__(self, other: "SphereField") -> "SphereField":
         self._check_same_grid(other)
-        return SphereField.from_coeffs(self.grid, self.coeffs + other.coeffs)
+        return SphereField._trusted(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SphereField") -> "SphereField":
         self._check_same_grid(other)
-        return SphereField.from_coeffs(self.grid, self.coeffs - other.coeffs)
+        return SphereField._trusted(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SphereField":
-        return SphereField.from_coeffs(self.grid, self.coeffs * float(scalar))
+        scalar = float(scalar)
+        # 0 * inf would set the slots outside the basis to NaN
+        if not math.isfinite(scalar):
+            raise DomainError(f"scalar factor must be finite, got {scalar}")
+        return SphereField._trusted(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SphereField":
-        return SphereField.from_coeffs(self.grid, -self.coeffs)
+        return SphereField._trusted(self.grid, -self.coeffs)
 
     def mean(self) -> float:
         return float(self.coeffs[0, 0, 0]) / np.sqrt(AREA)

@@ -93,14 +93,29 @@ def table_bytes(L: int) -> int:
     (ntheta n^2), the trig table (2n nphi), mu, wmu, sin(theta) and the row
     weights (4 ntheta) and phi (nphi); no full-grid weight array is stored.
     Both subgrids share one table of lowering factors (n^2), and the grid
-    adds its two eigenvalue rows (2n).
+    adds its two eigenvalue rows (2n) and its table of draw slots (n^2
+    integers of 8 bytes).
     """
     n = L + 1
-    words = n * n + 2 * n
+    words = 2 * n * n + 2 * n
     for k in (1, OVERSAMPLE):
         ntheta, nphi = k * n, 2 * k * n
         words += ntheta * n * n + 2 * n * nphi + 4 * ntheta + nphi
     return 8 * words
+
+
+def _draw_slots(L: int) -> np.ndarray:
+    """Flat index into c[s, l, m] of every coefficient, in draw order.
+
+    For each degree l: cos m = 0..l, then sin m = 1..l, so degree l's 2l+1
+    slots start at position l^2 and the first (l+1)^2 slots hold exactly
+    the degrees <= l.
+    """
+    n = L + 1
+    l = np.repeat(np.arange(n), 2 * np.arange(n) + 1)
+    k = np.arange(n * n) - l * l
+    is_sin = k > l
+    return (is_sin * n + l) * n + np.where(is_sin, k - l, k)
 
 
 class _SubGrid:
@@ -177,7 +192,12 @@ class _SubGrid:
 
 
 class QuadratureGrid:
-    """Transform plans at band limit L; immutable after construction."""
+    """Transform plans at band limit L; immutable after construction.
+
+    Besides the transform tables it holds the -box and |grad|^2 eigenvalue
+    of each degree, and `draw_slots`, the flat coefficient slot of each
+    Gaussian draw of `random_band_limited` in its degree-major order.
+    """
 
     def __init__(self, L: int):
         if not isinstance(L, int) or L < 2:
@@ -195,6 +215,7 @@ class QuadratureGrid:
         # -box eigenvalues l(l+1)/2, so lambda_1 = 1 on the first mode
         self.minus_box_eigs = ls * (ls + 1.0) / 2.0
         self.grad_eigs = ls * (ls + 1.0)
+        self.draw_slots = _draw_slots(L)
 
     @property
     def over(self) -> _SubGrid:

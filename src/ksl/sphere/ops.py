@@ -15,12 +15,13 @@ from .grid import AREA, TWO_PI, QuadratureGrid
 def box_op(f: SphereField) -> SphereField:
     """The complex Laplacian: coefficient (l, m) is scaled by -l(l+1)/2."""
     grid = f.grid
-    return SphereField.from_coeffs(grid, f.coeffs * (-grid.minus_box_eigs)[None, :, None])
+    return SphereField._trusted(grid, f.coeffs * (-grid.minus_box_eigs)[None, :, None])
 
 
 def avg_square(f: SphereField) -> float:
     """Average of f^2 via Parseval; exact for band-limited fields."""
-    return float(np.sum(f.coeffs**2)) / AREA
+    c = f.coeffs
+    return float(np.einsum("slm,slm->", c, c)) / AREA
 
 
 def grad_energy(f: SphereField, method: str = "spectral") -> float:
@@ -28,14 +29,18 @@ def grad_energy(f: SphereField, method: str = "spectral") -> float:
 
     The spectral path sums l(l+1) |f_lm|^2; the quadrature path squares the
     pointwise gradient synthesized on the grid. The two agree
-    to transform accuracy and the tests hold them together.
+    to transform accuracy and the tests hold them together. Both reduce
+    row by row (per degree, per theta row) without a temporary of the
+    coefficients' or the grid's size.
     """
     grid = f.grid
     if method == "spectral":
-        return float(np.sum(f.coeffs**2 * grid.grad_eigs[None, :, None])) / AREA
+        c = f.coeffs
+        return float(np.einsum("slm,slm->l", c, c) @ grid.grad_eigs) / AREA
     if method == "quadrature":
-        dtheta, dphi_scaled = grid.synth_gradient(f.coeffs)
-        return grid.average(dtheta**2 + dphi_scaled**2)
+        # each component's squares summed along its theta rows
+        rows = sum(np.einsum("tj,tj->t", g, g) for g in grid.synth_gradient(f.coeffs))
+        return float(grid.base.row_weights @ rows) / AREA
     raise DomainError(f"unknown gradient method {method!r}")
 
 
@@ -60,18 +65,39 @@ def _check_constant(C: float) -> None:
         raise DomainError(f"constant must be positive and finite, got {C}")
 
 
-def sobolev_check(phi: SphereField, q: float, C: float, trial: str = "") -> IneqReport:
-    """Compare (avg |phi|^{q+1})^{2/(q+1)} against avg phi^2 + C avg |grad phi|^2."""
+def _check_exponent(q: float) -> None:
+    # NaN fails both comparisons, so it is rejected too
     if not 1.0 < q < math.inf:
         raise DomainError(f"exponent must be finite and exceed 1, got q = {q}")
+
+
+def power_average(grid: QuadratureGrid, vals: np.ndarray, q: float) -> float:
+    """Average of |v|^(q+1) over values on the oversampled grid.
+
+    The powers are formed in one buffer as |v|^(q-1) v v. numpy's in-place
+    power takes a plain product for the exponents 1, 2 and 0.5, so q = 2, 3
+    and 1.5 cost no pow call. An overflow anywhere, in the powers or in
+    their sum, leaves a non-finite average, which is a DomainError; no
+    warning is raised.
+    """
+    with np.errstate(over="ignore"):
+        powers = np.abs(vals)
+        powers **= q - 1.0
+        powers *= vals
+        powers *= vals
+        avg = grid.average(powers, grid.over)
+    if not math.isfinite(avg):
+        raise DomainError(f"average of |u|^(q+1) is not finite (q = {q})")
+    return avg
+
+
+def sobolev_check(phi: SphereField, q: float, C: float, trial: str = "") -> IneqReport:
+    """Compare (avg |phi|^{q+1})^{2/(q+1)} against avg phi^2 + C avg |grad phi|^2."""
+    _check_exponent(q)
     _check_constant(C)
-    if float(np.max(np.abs(phi.coeffs))) == 0.0:
+    if not np.any(phi.coeffs):
         raise DomainError("trial function is identically zero")
-    vals = phi.values_over()
-    powers = np.abs(vals) ** (q + 1.0)
-    if not np.all(np.isfinite(powers)):
-        raise DomainError("power evaluation produced a non-finite value")
-    avg_pow = phi.grid.average(powers, phi.grid.over)
+    avg_pow = power_average(phi.grid, phi.values_over(), q)
     lhs = avg_pow ** (2.0 / (q + 1.0))
     rhs = avg_square(phi) + C * grad_energy(phi)
     return IneqReport(
@@ -79,11 +105,9 @@ def sobolev_check(phi: SphereField, q: float, C: float, trial: str = "") -> Ineq
     )
 
 
-def _psi_curve(f: SphereField, q: float, t: float) -> float:
-    vals = 1.0 + t * f.values_over()
-    powers = np.abs(vals) ** (q + 1.0)
-    avg = f.grid.average(powers, f.grid.over)
-    return avg ** (2.0 / (q + 1.0))
+def _psi_curve(grid: QuadratureGrid, f_over: np.ndarray, q: float, t: float) -> float:
+    """(avg |1 + t f|^(q+1))^(2/(q+1)) from f's values on the oversampled grid."""
+    return power_average(grid, 1.0 + t * f_over, q) ** (2.0 / (q + 1.0))
 
 
 def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, float]:
@@ -95,6 +119,7 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
     five-point second-difference fit of the left side must reproduce the
     analytic value to 1e-6 relative or the computation refuses to report.
     """
+    _check_exponent(q)
     _check_constant(C)
     sup = f.sup_norm()
     eig_defect = (box_op(f) + f).sup_norm()
@@ -110,12 +135,13 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
     rhs_t2 = (2.0 * C * lam1 + 1.0) * af2
 
     h = 1e-3
+    grid, f_over = f.grid, f.values_over()
     stencil = (
-        -_psi_curve(f, q, 2 * h)
-        + 16.0 * _psi_curve(f, q, h)
-        - 30.0 * _psi_curve(f, q, 0.0)
-        + 16.0 * _psi_curve(f, q, -h)
-        - _psi_curve(f, q, -2 * h)
+        -_psi_curve(grid, f_over, q, 2 * h)
+        + 16.0 * _psi_curve(grid, f_over, q, h)
+        - 30.0 * _psi_curve(grid, f_over, q, 0.0)
+        + 16.0 * _psi_curve(grid, f_over, q, -h)
+        - _psi_curve(grid, f_over, q, -2 * h)
     ) / (12.0 * h * h)
     fitted = stencil / 2.0
     if abs(fitted - lhs_t2) > 1e-6 * abs(lhs_t2):
@@ -193,19 +219,16 @@ def random_band_limited(
     """Gaussian coefficient draw with power-law decay; reproducible by seed."""
     rng = np.random.default_rng(seed)
     lmax = grid.L if lmax is None else min(lmax, grid.L)
-    # draw order: for each l, cos m = 0..l, then sin m = 1..l; degree l's
-    # 2l+1 draws start at position l^2
-    ls = np.arange(lmax + 1)
-    l_idx = np.repeat(ls, 2 * ls + 1)
-    k = np.arange(l_idx.size) - l_idx**2
-    is_sin = k > l_idx
     # Python's float power, which np.power does not match bit for bit
-    amp = np.array([1.0 / (1.0 + l) ** decay for l in range(lmax + 1)])
+    amp = [1.0 / (1.0 + l) ** decay for l in range(lmax + 1)]
+    # the grid's draw slots run degree by degree, 2l+1 for degree l, so the
+    # n degrees drawn fill the first n^2 of them
+    n = len(amp)
+    draws = rng.standard_normal(n * n)
+    draws *= np.repeat(amp, 2 * np.arange(n) + 1)
     coeffs = np.zeros(grid.coeff_shape())
-    coeffs[is_sin.astype(int), l_idx, np.where(is_sin, k - l_idx, k)] = (
-        rng.standard_normal(l_idx.size) * amp[l_idx]
-    )
-    return SphereField.from_coeffs(grid, coeffs)
+    np.put(coeffs, grid.draw_slots[: n * n], draws)
+    return SphereField._trusted(grid, coeffs)
 
 
 def random_positive_field(

@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import DomainError
 from .field import SphereField
 from .grid import AREA, QuadratureGrid
-from .ops import avg_square, grad_energy
+from .ops import avg_square, grad_energy, power_average
 
 
 def _require_positive(u: SphereField, who: str) -> np.ndarray:
@@ -29,11 +29,6 @@ def _require_positive(u: SphereField, who: str) -> np.ndarray:
     if np.min(vals) <= 0.0:
         raise DomainError(f"{who} requires a pointwise positive field")
     return vals
-
-
-def _power_avg(u: SphereField, p: float, vals_over: np.ndarray | None = None) -> float:
-    vals = u.values_over() if vals_over is None else vals_over
-    return u.grid.average(np.abs(vals) ** p, u.grid.over)
 
 
 def _check_parameters(lam: float, q: float) -> None:
@@ -48,7 +43,7 @@ def quotient(u: SphereField, lam: float, q: float) -> float:
     _check_parameters(lam, q)
     vals = _require_positive(u, "quotient")
     num = 0.5 * AREA * grad_energy(u) + lam * AREA * avg_square(u)
-    den = (AREA * _power_avg(u, q + 1.0, vals)) ** (2.0 / (q + 1.0))
+    den = (AREA * power_average(u.grid, vals, q)) ** (2.0 / (q + 1.0))
     return num / den
 
 
@@ -61,7 +56,7 @@ def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
     _check_parameters(lam, q)
     grid = u.grid
     vals = _require_positive(u, "quotient_gradient")
-    int_pow = AREA * _power_avg(u, q + 1.0, vals)
+    int_pow = AREA * power_average(grid, vals, q)
     num = 0.5 * AREA * grad_energy(u) + lam * AREA * avg_square(u)
     den = int_pow ** (2.0 / (q + 1.0))
     c = num / int_pow

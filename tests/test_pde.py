@@ -67,6 +67,11 @@ class TestQuotient:
         with pytest.raises(DomainError):
             quotient(u, 1.0, 2.0)
 
+    def test_overflowing_power_average_is_a_domain_error(self, grid16):
+        # every u^3 is finite, their sum is not; no overflow warning
+        with pytest.raises(DomainError, match="not finite"):
+            quotient(SphereField.constant(grid16, 5e102), 1.0, 2.0)
+
     def test_rejects_nonpositive_lambda(self, grid16):
         u = SphereField.constant(grid16, 1.0)
         with pytest.raises(DomainError):

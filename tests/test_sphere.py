@@ -33,7 +33,7 @@ from ksl.sphere import (
     sobolev_check,
 )
 from ksl.sphere.grid import MAX_TABLE_BYTES, _legendre_table, table_bytes
-from ksl.sphere.ops import _energy_blocks
+from ksl.sphere.ops import _energy_blocks, power_average
 
 
 def _legendre_orders(L: int, mu: np.ndarray):
@@ -297,6 +297,21 @@ class TestGridInvariants:
                 buffers[id(a)] = a.nbytes
         assert table_bytes(L) == sum(buffers.values())
 
+    @pytest.mark.parametrize("L", [2, 8, 64])
+    def test_draw_slots_cover_the_basis_once_by_degree(self, L):
+        grid = make_grid(L)
+        slots = grid.draw_slots
+        assert slots.shape == ((L + 1) ** 2,)
+        # no slot twice, each a basis slot: m <= l, and no sin part at m = 0
+        assert np.unique(slots).size == slots.size
+        s, l, m = np.unravel_index(slots, grid.coeff_shape())
+        assert np.all(m <= l)
+        assert not np.any((s == 1) & (m == 0))
+        # degree k has 2k+1 basis slots, so the first (k+1)^2 draws, all of
+        # degree <= k, are exactly the degrees <= k
+        for k in range(L + 1):
+            assert np.all(l[: (k + 1) ** 2] <= k)
+
     def test_subgrids_share_lowering_factors(self, grid8):
         assert grid8.over.lower is grid8.base.lower
 
@@ -535,6 +550,21 @@ class TestSobolevCheck:
         with pytest.raises(DomainError, match="constant"):
             sobolev_check(SphereField.constant(grid16, 0.0), 2.0, C)
 
+    @pytest.mark.parametrize("value", [5e102, 1e200])
+    def test_overflowing_power_average_is_a_domain_error(self, grid8, value):
+        # at 5e102 every |u|^3 is finite but their sum is not; at 1e200 the
+        # powers overflow. The suite turns an overflow warning into an error.
+        with pytest.raises(DomainError, match="not finite"):
+            sobolev_check(SphereField.constant(grid8, value), 2.0, 0.5)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 2.4])
+    def test_power_average_matches_the_direct_power(self, grid16, q):
+        # the product fast paths (q = 1.5, 2, 3) and the general pow agree
+        # with |u|^(q+1) to round-off
+        vals = random_band_limited(grid16, 5).values_over()
+        direct = grid16.average(np.abs(vals) ** (q + 1.0), grid16.over)
+        assert power_average(grid16, vals, q) == pytest.approx(direct, rel=1e-14)
+
 
 class TestPerturbation:
     def test_equality_at_conjectured_constant(self, grid16):
@@ -579,6 +609,26 @@ class TestPerturbation:
         with pytest.raises(DomainError, match="constant"):
             perturbation_tcoeff(f, 2.0, C)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 1.0, 0.5, -1.0])
+    def test_rejects_exponent_outside_one_to_infinity(self, grid16, q):
+        # the bound sobolev_check applies; q = 1 + 1e-9 stays accepted
+        with pytest.raises(DomainError, match="exponent"):
+            perturbation_tcoeff(coordinate_z(grid16), q, 0.5)
+
+    def test_synthesizes_f_on_the_oversampled_grid_once(self, monkeypatch):
+        grid = make_grid(16)
+        synthesis = grid.synthesis
+        over_calls = 0
+
+        def counted(coeffs, sub=None):
+            nonlocal over_calls
+            over_calls += sub is grid.over
+            return synthesis(coeffs, sub)
+
+        monkeypatch.setattr(grid, "synthesis", counted)
+        perturbation_tcoeff(coordinate_z(grid), 2.0, 0.5)
+        assert over_calls == 1
+
 
 def loop_random_coeffs(grid, seed, lmax=None, decay=2.0):
     """Per-degree reference for the draw order of `random_band_limited`."""
@@ -621,3 +671,28 @@ class TestFieldBasics:
         z = coordinate_z(grid8)
         g = 2.0 * z - z
         assert np.max(np.abs(g.values - z.values)) < 1e-13
+
+    def test_from_coeffs_copies_its_input(self, grid8):
+        coeffs = loop_random_coeffs(grid8, 1)
+        f = SphereField.from_coeffs(grid8, coeffs)
+        assert not np.shares_memory(f.coeffs, coeffs)
+
+    def test_results_share_no_memory_with_operands(self, grid8):
+        f, g = random_band_limited(grid8, 1), random_band_limited(grid8, 2)
+        results = {
+            "copy": f.copy(),
+            "add": f + g,
+            "sub": f - g,
+            "mul": f * 1.0,
+            "rmul": 2.0 * f,
+            "neg": -f,
+            "box_op": box_op(f),
+        }
+        for name, result in results.items():
+            for operand in (f, g):
+                assert not np.shares_memory(result.coeffs, operand.coeffs), name
+
+    @pytest.mark.parametrize("scalar", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_factor_rejected(self, grid8, scalar):
+        with pytest.raises(DomainError, match="finite"):
+            _ = scalar * coordinate_z(grid8)
