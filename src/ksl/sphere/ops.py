@@ -74,15 +74,17 @@ def _check_exponent(q: float) -> None:
 def power_average(grid: QuadratureGrid, vals: np.ndarray, q: float) -> float:
     """Average of |v|^(q+1) over values on the oversampled grid.
 
-    The powers are formed in one buffer as |v|^(q-1) v v. numpy's in-place
-    power takes a plain product for the exponents 1, 2 and 0.5, so q = 2, 3
-    and 1.5 cost no pow call. An overflow anywhere, in the powers or in
-    their sum, leaves a non-finite average, which is a DomainError; no
+    The powers are formed in one buffer as |v|^(q-1) v v. At q = 2 the
+    power is skipped, since numpy's in-place power 1 still copies the
+    buffer; for the exponents 2 and 0.5 it takes a plain product, so q = 3
+    and 1.5 cost no pow call either. An overflow anywhere, in the powers or
+    in their sum, leaves a non-finite average, which is a DomainError; no
     warning is raised.
     """
     with np.errstate(over="ignore"):
         powers = np.abs(vals)
-        powers **= q - 1.0
+        if q - 1.0 != 1.0:
+            powers **= q - 1.0
         powers *= vals
         powers *= vals
         avg = grid.average(powers, grid.over)

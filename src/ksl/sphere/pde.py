@@ -190,6 +190,35 @@ _MAX_HALVINGS = 30
 _ZERO_SHIFT = 4.0 * _EPS
 
 
+def _frozen_mean_step(
+    grid: QuadratureGrid, diag: np.ndarray, jac_weight: np.ndarray, res: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """M's diagonal, z = M^-1 F and a bound on |F - J z|, from one residual F.
+
+    M is the Jacobian -box + lambda - A diag(jac_weight) S with its multiplier
+    frozen at its mean: -box + lambda - mean, diagonal in harmonic space (S is
+    synthesis onto the oversampled grid, A analysis from it). A degree whose
+    entry of M is zero up to round-off keeps its entry of -box + lambda (see
+    newton_solve); G is the set of those degrees. So
+    J - M = -A diag(jac_weight - mean) S - mean P_G, with P_G the projection
+    onto G. The oversampled grid integrates every product of two band-limited
+    fields exactly, so in its weighted L^2 norm S is an isometry and A a
+    contraction, and |F - J z| = |(M - J) z| <= spread |z| + |mean| |z_G|,
+    where spread is the largest |jac_weight - mean| over the grid. That is
+    the returned bound; spread costs two reductions of jac_weight, and the
+    bound no Jacobian product.
+    """
+    mean = grid.average(jac_weight, grid.over)
+    spread = max(jac_weight.max() - mean, mean - jac_weight.min())
+    shifted = diag - mean
+    guarded = np.abs(shifted) <= _ZERO_SHIFT * (diag + abs(mean))
+    shifted = np.where(guarded, diag, shifted)
+    z = res / shifted
+    z_sq = np.einsum("slm,slm->l", z, z)  # |z|^2 by degree
+    bound = spread * math.sqrt(z_sq.sum()) + abs(mean) * math.sqrt(z_sq @ guarded.ravel())
+    return shifted, z, bound
+
+
 def newton_solve(
     lam: float,
     q: float,
@@ -209,11 +238,16 @@ def newton_solve(
     u the multiplier is constant, so M = J exactly. At the constant solution
     lambda^(1/(q-1)) both are -box + lambda - q lambda, invertible unless
     (q - 1) lambda is an eigenvalue l(l+1)/2, so always below the threshold;
-    near it one inner iteration per step suffices at any L. A degree whose
-    entry of M is zero up to round-off, within 4 eps (-box + lambda +
+    near it M's own step -M^-1 F meets the forcing term at any L. A degree
+    whose entry of M is zero up to round-off, within 4 eps (-box + lambda +
     |mean|) of zero, keeps its entry of -box + lambda instead; at a constant
     start on such a resonance the mean's summation can leave that entry an
     ulp off zero, and dividing by it would wreck the preconditioner.
+    Before each linear solve the step skips GMRES when it can: with
+    z = M^-1 F, spread the largest |q u^{q-1} - mean| on the oversampled
+    grid and G the degrees whose entry of M was replaced, |F - J z| is at
+    most spread |z| + |mean| |z_G|, and where that bound is at most eta |F|
+    the step is -z, taken with no Jacobian product (see _frozen_mean_step).
     Each step is solved only to the Eisenstat-Walker (choice 2) relative
     residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where |F| is the
     coefficient 2-norm of the residual; eta_0 = 0.5, and eta_k
@@ -225,12 +259,13 @@ def newton_solve(
     residual's square exactly, so the sup is at least |F| / sqrt(4 pi), and
     the residual is synthesized only once |F| <= 2 tol sqrt(4 pi); an exit
     that reports the sup without converging synthesizes it then. The linear
-    solves use this module's `gmres` (restart 100, at most 500 cycles): one
-    product with J M^-1 per inner iteration and none besides, since the true
-    residual of a cycle is formed from the stored products, so a step's
-    inner_iterations is also its count of Jacobian products. Running out of
-    halvings or iterations, or a GMRES failure, yields a non-converged
-    report, not an exception; a tol that is not positive and finite, a
+    solves the bound does not settle use this module's `gmres` (restart 100,
+    at most 500 cycles): one product with J M^-1 per inner iteration and none
+    besides, since the true residual of a cycle is formed from the stored
+    products, so a step's inner_iterations is also its count of Jacobian
+    products, and 0 means M's step met eta. Running out of halvings or
+    iterations, or a GMRES failure, yields a non-converged report, not an
+    exception; a tol that is not positive and finite, a
     max_iters that is not an int >= 0, or a start field whose residual
     overflows the float range (such as u0^q at a large q), raises DomainError;
     a trial step whose residual overflows is halved like any other. The report's
@@ -260,7 +295,8 @@ def newton_solve(
     def finish(converged: bool, rsup: float | None, message: str) -> SolveReport:
         if rsup is None:
             rsup = _sup(grid, res)
-        u = SphereField.from_coeffs(grid, coeffs)
+        # the solver's own copy or candidate, which nothing else holds
+        u = SphereField._trusted(grid, coeffs)
         avg = u.mean()
         is_const = float(np.max(np.abs(u.values - avg))) < 10.0 * tol
         return SolveReport(
@@ -307,16 +343,15 @@ def newton_solve(
             eta = min(_EW_ETA_MAX, max(eta, 0.5 * tol / rnorm))
 
         jac_weight = q * vals ** (q - 1.0)
-        # the Jacobian with its multiplier frozen at its mean; a degree whose
-        # shifted entry is zero up to round-off keeps its unshifted one
-        mean = grid.average(jac_weight, grid.over)
-        shifted = diag - mean
-        shifted = np.where(np.abs(shifted) <= _ZERO_SHIFT * (diag + abs(mean)), diag, shifted)
-
-        y, info, inner = gmres(op, -res.ravel(), rtol=eta, restart=100, maxiter=500)
-        if info != 0:
-            return finish(False, rsup, f"linear solver stalled (info = {info})")
-        step = y.reshape(shape) / shifted
+        shifted, z, bound = _frozen_mean_step(grid, diag, jac_weight, res)
+        if bound <= eta * rnorm:
+            # M's own step meets the forcing term: no Jacobian product
+            step, inner = -z, 0
+        else:
+            y, info, inner = gmres(op, -res.ravel(), rtol=eta, restart=100, maxiter=500)
+            if info != 0:
+                return finish(False, rsup, f"linear solver stalled (info = {info})")
+            step = y.reshape(shape) / shifted
 
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):

@@ -172,11 +172,22 @@ class TestNewtonSolve:
             newton_solve(0.4, 2.0, tilted(grid16), **settings)
 
     def test_stalled_linear_solver_is_reported(self, grid16, monkeypatch):
-        monkeypatch.setattr(pde, "gmres", lambda op, rhs, **_: (np.zeros_like(rhs), 7, 1))
-        rep = newton_solve(0.4, 2.0, tilted(grid16))
+        # the first step from this start is one the frozen-mean bound does
+        # not settle, so it reaches the linear solver
+        calls = 0
+
+        def stalled(op, rhs, **_):
+            nonlocal calls
+            calls += 1
+            return np.zeros_like(rhs), 7, 1
+
+        monkeypatch.setattr(pde, "gmres", stalled)
+        u0 = random_positive_field(grid16, 22)
+        rep = newton_solve(0.9, 2.0, u0)
+        assert calls == 1
         assert not rep.converged
         assert rep.message == "linear solver stalled (info = 7)"
-        assert rep.residual_sup == residual_sup(tilted(grid16), 0.4, 2.0)
+        assert rep.residual_sup == residual_sup(u0, 0.9, 2.0)
 
     @pytest.mark.parametrize("max_iters", [0, 1, 2])
     def test_stopped_solve_reports_the_residual_sup(self, grid16, max_iters):
@@ -261,7 +272,7 @@ class TestNewtonSolve:
         assert len(rep.trace) == rep.iterations > 0
         norms = [step.residual_norm for step in rep.trace]
         assert all(b < a for a, b in zip(norms, norms[1:]))
-        assert all(step.inner_iterations >= 1 for step in rep.trace)
+        assert all(step.inner_iterations >= 0 for step in rep.trace)
         assert all(0.0 < step.scale <= 1.0 for step in rep.trace)
 
     def test_trace_records_each_accepted_step(self, grid16):
@@ -276,6 +287,8 @@ class TestNewtonSolve:
         rep = newton_solve(0.9, 2.0, random_positive_field(grid16, seed=22))
         self.check_trace(rep)
         assert any(step.scale < 1.0 for step in rep.trace)
+        # and at some iterate the frozen-mean step misses the forcing term
+        assert any(step.inner_iterations > 0 for step in rep.trace)
 
     def test_inner_iterations_independent_of_band_limit(self, grid8):
         # the same start functions on a 16x finer coefficient space: the
@@ -297,11 +310,12 @@ class TestNewtonSolve:
     def test_constant_start_on_a_zero_shifted_entry(self, grid16, lam, c):
         # mean(q u^{q-1}) = 2c = 1 + lam is the l = 1 entry of -box + lambda,
         # so the mean-frozen Jacobian has an exact zero there; that degree
-        # keeps its unshifted entry instead of dividing by zero
+        # keeps its unshifted entry instead of dividing by zero; M = J at a
+        # constant, so every step is M's own and takes no Jacobian product
         rep = newton_solve(lam, 2.0, SphereField.constant(grid16, c))
         assert rep.converged, rep.message
         assert rep.constant_value == pytest.approx(lam, abs=1e-8)
-        assert all(step.inner_iterations == 1 for step in rep.trace)
+        assert all(step.inner_iterations == 0 for step in rep.trace)
 
     @pytest.mark.parametrize("L", [8, 16, 24, 32])
     @pytest.mark.parametrize("c", [0.625, 0.75, 1.125, 1.5, 1.75, 2.0])
@@ -313,19 +327,68 @@ class TestNewtonSolve:
         rep = newton_solve(lam, 2.0, SphereField.constant(make_grid(L), c))
         assert rep.converged, rep.message
         assert rep.constant_value == pytest.approx(lam, abs=1e-8)
-        assert all(step.inner_iterations == 1 for step in rep.trace)
+        assert all(step.inner_iterations == 0 for step in rep.trace)
 
     @pytest.mark.parametrize("L", [8, 16, 32])
     @pytest.mark.parametrize("lam", [0.4, 0.9])
-    def test_near_constant_start_one_inner_iteration(self, L, lam):
-        # GMRES is right-preconditioned by the Jacobian with its multiplier
-        # frozen at its mean: exact at the constant solution, so near it each
-        # Newton step is one Krylov iteration at any band limit
+    def test_near_constant_start_takes_no_jacobian_product(self, L, lam):
+        # the Jacobian with its multiplier frozen at its mean is exact at the
+        # constant solution, so near it M's own step meets the forcing term
+        # and no Newton step calls GMRES, at any band limit
         grid = make_grid(L)
         u0 = SphereField.constant(grid, lam) + 1e-3 * coordinate_z(grid)
         rep = newton_solve(lam, 2.0, u0)
         assert rep.converged and rep.iterations > 0, rep.message
-        assert [step.inner_iterations for step in rep.trace] == [1] * rep.iterations
+        assert [step.inner_iterations for step in rep.trace] == [0] * rep.iterations
+
+
+def jacobian_product(u, lam, q, w):
+    """(-box + lambda) w - q u^{q-1} w, multiplied through the oversampled grid."""
+    grid = u.grid
+    weight = q * u.values_over() ** (q - 1.0)
+    product = grid.analysis(weight * grid.synthesis(w, grid.over), grid.over)
+    return w * (grid.minus_box_eigs[None, :, None] + lam) - product
+
+
+class TestFrozenMeanBound:
+    """|F - J z| <= spread |z| + |mean| |z_G| for z = M^-1 F.
+
+    newton_solve takes the step -z without GMRES wherever this bound meets
+    the forcing term, so it must hold for every positive u and residual F.
+    """
+
+    @staticmethod
+    def check(u, lam, q, F):
+        grid = u.grid
+        diag = grid.minus_box_eigs[None, :, None] + lam
+        weight = q * u.values_over() ** (q - 1.0)
+        shifted, z, bound = pde._frozen_mean_step(grid, diag, weight, F)
+        gap = F - jacobian_product(u, lam, q, z)
+        # the bound is exact arithmetic; the slack covers the transforms' round-off
+        assert np.linalg.norm(gap) <= bound + 1e-12 * np.linalg.norm(F)
+        return shifted
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("L", [8, 16, 32])
+    def test_random_positive_fields(self, L, q, seed):
+        grid = make_grid(L)
+        u = random_positive_field(grid, seed)
+        F = random_band_limited(grid, seed + 100, decay=0.0).coeffs
+        self.check(u, 0.9, q, F)
+
+    @pytest.mark.parametrize("L", [8, 16, 32])
+    def test_perturbed_constant_on_a_guarded_degree(self, L):
+        # mean(2u) = 2c = 1 + lambda is the l = 1 entry of -box + lambda, and
+        # the zero-mean tilt keeps the mean there, so that degree keeps its
+        # unshifted entry; only the |mean| |z_G| term covers it, the spread
+        # being 2e-3
+        lam, c = 0.9, 0.95
+        grid = make_grid(L)
+        u = SphereField.constant(grid, c) + 1e-3 * coordinate_z(grid)
+        F = random_band_limited(grid, L, decay=0.0).coeffs
+        shifted = self.check(u, lam, 2.0, F)
+        assert shifted[0, 1, 0] == 1.0 + lam
 
 
 class Dense:
