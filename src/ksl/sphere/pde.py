@@ -178,10 +178,11 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
     return x, maxiter, iterations
 
 
-# Eisenstat-Walker choice 2 forcing terms (SISC 17 (1996) 16)
+# Eisenstat-Walker choice 2 forcing terms (SISC 17 (1996) 16); eta_0 and
+# the cap are both _EW_ETA_MAX, as in Kelley's nsoli
 _EW_GAMMA = 0.9
 _EW_ALPHA = 2.0
-_EW_ETA_MAX = 0.5
+_EW_ETA_MAX = 0.9
 # Armijo constant of the residual-decrease test
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -250,33 +251,41 @@ def newton_solve(
     the step is -z, taken with no Jacobian product (see _frozen_mean_step).
     Each step is solved only to the Eisenstat-Walker (choice 2) relative
     residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where |F| is the
-    coefficient 2-norm of the residual; eta_0 = 0.5, and eta_k
+    coefficient 2-norm of the residual; eta_0 = 0.9, and eta_k
     is kept at least 0.9 eta_{k-1}^2 while that exceeds 0.1, at least
-    0.5 tol / |F_k|, and at most 0.5. A step is accepted at scale s when
-    the field stays positive and |F| drops by the factor 1 - 1e-4 s;
-    otherwise s is halved, at most 30 times. Iteration stops when the sup of
-    the residual on the base grid falls below tol. That grid integrates the
-    residual's square exactly, so the sup is at least |F| / sqrt(4 pi), and
-    the residual is synthesized only once |F| <= 2 tol sqrt(4 pi); an exit
-    that reports the sup without converging synthesizes it then. The linear
-    solves the bound does not settle use this module's `gmres` (restart 100,
-    at most 500 cycles): one product with J M^-1 per inner iteration and none
-    besides, since the true residual of a cycle is formed from the stored
-    products, so a step's inner_iterations is also its count of Jacobian
-    products, and 0 means M's step met eta. Running out of halvings or
-    iterations, or a GMRES failure, yields a non-converged report, not an
-    exception; a tol that is not positive and finite, a
-    max_iters that is not an int >= 0, or a start field whose residual
-    overflows the float range (such as u0^q at a large q), raises DomainError;
-    a trial step whose residual overflows is halved like any other. The report's
-    trace holds one NewtonStep per accepted step.
+    0.5 tol / |F_k|, and at most 0.9. That is the schedule of Kelley's
+    nsoli (Solving Nonlinear Equations with Newton's Method, SIAM 2003).
+    The cap decides how often the skip bound is met: the safeguard carries
+    0.9 eta_{k-1}^2 into the next step, so after a first step that cuts |F|
+    many times over, eta_1 is 0.73 under this cap where a cap of 0.5 would
+    give 0.225, and M's step, which misses the tighter term, would pay for
+    GMRES that the convergence theory does not ask for. A step is accepted
+    at scale s when the field stays positive and |F| drops by the factor
+    1 - 1e-4 s; otherwise s is halved, at most 30 times. Iteration stops
+    when the sup of the residual on the base grid falls below tol. That grid
+    integrates the residual's square exactly, so the sup is at least
+    |F| / sqrt(4 pi), and the residual is synthesized only once
+    |F| <= 2 tol sqrt(4 pi); an exit that reports the sup without converging
+    synthesizes it then. The linear solves the bound does not settle use
+    this module's `gmres` (restart 100, at most 500 cycles): one product
+    with J M^-1 per inner iteration and none besides, since the true
+    residual of a cycle is formed from the stored products, so a step's
+    inner_iterations is also its count of Jacobian products, and 0 means M's
+    step met eta. Running out of halvings or iterations, or a GMRES failure,
+    yields a non-converged report, not an exception; a tol that is not
+    positive and finite, a max_iters that is not an int >= 0 (a bool is not
+    one), or a start field whose residual overflows the float range (such as
+    u0^q at a large q), raises DomainError; a trial step whose residual
+    overflows is halved like any other. The report's trace holds one
+    NewtonStep per accepted step.
     """
     _check_parameters(lam, q)
     if not q > 1:
         raise DomainError(f"exponent must exceed 1, got q = {q}")
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive and finite, got tol = {tol}")
-    if not (isinstance(max_iters, int) and max_iters >= 0):
+    # bool is an int subclass, but True is not an iteration count
+    if not (isinstance(max_iters, int) and not isinstance(max_iters, bool) and max_iters >= 0):
         raise DomainError(f"max_iters must be an int >= 0, got {max_iters!r}")
     grid = u0.grid
     vals = _require_positive(u0, "newton_solve")
