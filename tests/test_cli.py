@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, config merging, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -142,6 +143,37 @@ class TestIntervalAndOptimize:
         assert code == 0
         assert rep["payload"]["optimize_k.k_star"] == 1.0
         assert rep["payload"]["optimize_k.threshold"] == pytest.approx(10.0 / 13.0)
+
+
+# SHA-256 of each closed-form stage's payload, canonical JSON. These stages
+# compute in mpmath and Python floats only, so the digests hold on every
+# platform; the grid stages, whose values follow the BLAS, are left out.
+CLOSED_FORM_PAYLOAD_SHA256 = {
+    "constants --n 1 --q-grid 1.1,2,5,9": (
+        "03f8b753909737ac502e57cb370d92ec276000e01b1c5c92b2aeeda514f2cfd8"
+    ),
+    "interval --n 2 --q-grid 1.2:3:7": (
+        "e0ff3bb2403ed37ab0b44c590c8497a67ab4059e9d935cd4fa80de8560db2616"
+    ),
+    "optimize-k --n 4 --q-grid 1.05:1.66:7 --lambda1 3": (
+        "9e59691d57b57a77995091fe427e1938f3f5650f605153449ec2862b2b0171ac"
+    ),
+    "optimize-k --n 2 --q 2 --k 1.0": (
+        "2a73c914ec990a62cf4413914ebceb13c74de251b573143c2df29f52b46cf896"
+    ),
+    # the boundary exponent, where every radicand is exactly zero
+    "constants --n 2 --q 3": (
+        "31f7a9b3eba1bea4e8d00a91575f5c5206ac969943e0e62deaf8d5ef7ab44f15"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_FORM_PAYLOAD_SHA256))
+def test_closed_form_payload_is_pinned(command, capsys, tmp_path):
+    code, rep = run_json(command.split(), capsys, tmp_path)
+    assert code == 0
+    canonical = json.dumps(rep["payload"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == CLOSED_FORM_PAYLOAD_SHA256[command]
 
 
 class TestVerifyCommands:
