@@ -304,6 +304,17 @@ def display_sub2() -> FormalExpr:
     )
 
 
+def display_boxsq_after_parts() -> FormalExpr:
+    # the squared-box identity once the box factor is integrated by parts
+    return FormalExpr(
+        {
+            K_EQ: (_be * _q - _be - _g - 1) / _be,
+            K_PLAIN: _lam * (_g + 1) / _be,
+            GRADBOX: _be + 1,
+        }
+    )
+
+
 def display_completion_quadruple() -> CoefficientSet:
     A1 = _g * (_g - 1) - 2 * _a * (_g - 1) + _a**2 + (3 * _g - 4 * _a) * (_be + 1) + (
         2 - 2 * _a / _g
@@ -350,6 +361,23 @@ def display_mixed_intermediate() -> FormalExpr:
     )
 
 
+def display_k_inequality() -> tuple[RationalFunction, RationalFunction, RationalFunction]:
+    # weights (Ak, Bk, Ck) of the base chain's k-inequality Ak k^2 + Bk k + Ck
+    # at slack eps
+    Ak = _n * (_n - 1) * _q
+    Bk = _q * (2 * _n**2 + _n * (_n - 1) * _ep - 2 * _n) - 4 * _n**2 - 4 * _n
+    Ck = _q * _ep * (_n - 1) ** 2 + _q * _n * (_n - 1)
+    return Ak, Bk, Ck
+
+
+def display_objective() -> tuple[RationalFunction, RationalFunction]:
+    # the refined chain's objective F(k) = weight * lam1 + rest, as (weight, rest)
+    A_q = 4 * _n**2 + 4 * _n + _q
+    weight = (1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / (A_q * _k)) / (_q - 1)
+    rest = _q * _n * (_k * _n + _n - 1) / ((_q - 1) * A_q * _k)
+    return weight, rest
+
+
 def display_solved_gradbox() -> FormalExpr:
     # gradient-box integral expressed through the other three basis terms
     den = _be * _q - _g
@@ -386,14 +414,7 @@ def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
         d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), display_sub1())
     elif idx == 2:
         raw = ibp(eq_in_boxsq())
-        intermediate = FormalExpr(
-            {
-                K_EQ: (_be * _q - _be - _g - 1) / _be,
-                K_PLAIN: _lam * (_g + 1) / _be,
-                GRADBOX: _be + 1,
-            }
-        )
-        d.expr("after_parts_integration", raw, intermediate)
+        d.expr("after_parts_integration", raw, display_boxsq_after_parts())
         final = raw.replace(GRADBOX, display_sub1())
         d.expr("after_first_identity", final, display_sub2())
         lam_zero = display_sub2().coefficient(K_PLAIN).substitute("lam", rf(0))
@@ -623,9 +644,7 @@ def verify_base_chain() -> PassReport:
     # (vi) discriminant of the beta-quadratic vs the displayed k-inequality;
     # cleared factor q/(k(n+1)^2), positive on the admissible region
     disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * lead_beta
-    Ak = _n * (_n - 1) * _q
-    Bk = _q * (2 * _n**2 + _n * (_n - 1) * _ep - 2 * _n) - 4 * _n**2 - 4 * _n
-    Ck = _q * _ep * (_n - 1) ** 2 + _q * _n * (_n - 1)
+    Ak, Bk, Ck = display_k_inequality()
     L = Ak * _k**2 + Bk * _k + Ck
     d.identity(
         "step6_discriminant_is_k_inequality",
@@ -777,14 +796,7 @@ def verify_grad_box_elimination() -> PassReport:
     d = _Derivation("grad_box_elimination")
 
     raw = ibp(eq_in_boxsq())
-    disp6 = FormalExpr(
-        {
-            K_EQ: (_be * _q - _be - _g - 1) / _be,
-            K_PLAIN: _lam * (_g + 1) / _be,
-            GRADBOX: _be + 1,
-        }
-    )
-    d.expr("boxsq_after_parts", raw, disp6)
+    d.expr("boxsq_after_parts", raw, display_boxsq_after_parts())
 
     # rearranged first identity: the equation-exponent energy through the rest
     keq_solved = FormalExpr(
@@ -963,11 +975,8 @@ def verify_refined_chain() -> PassReport:
     )
 
     # (ix) the threshold at the upper x-bound is the stated objective
-    F_disp = (
-        (1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / ((4 * _n**2 + 4 * _n + _q) * _k))
-        * _l1
-        + _q * _n * (_k * _n + _n - 1) / ((4 * _n**2 + 4 * _n + _q) * _k)
-    ) / (_q - 1)
+    F_weight, F_rest = display_objective()
+    F_disp = F_weight * _l1 + F_rest
     d.identity("step9_objective_recovered", rhs_thr.substitute("x", x_hi), F_disp)
     pt = {name: Fraction(1) for name in VARS}
     pt.update({"n": Fraction(2), "q": Fraction(2), "k": Fraction(1), "lam1": Fraction(1)})
@@ -1024,11 +1033,8 @@ def verify_chain_consistency() -> PassReport:
     """
     d = _Derivation("chain_consistency")
 
-    L0 = (
-        _n * (_n - 1) * _q * _k**2
-        + _k * (_q * (2 * _n**2 - 2 * _n) - 4 * _n**2 - 4 * _n)
-        + _q * _n * (_n - 1)
-    )
+    Ak, Bk, Ck = display_k_inequality()
+    L0 = (Ak * _k**2 + Bk * _k + Ck).substitute("eps", rf(0))
     d.identity(
         "same_k_quadratic",
         L0,
@@ -1036,18 +1042,15 @@ def verify_chain_consistency() -> PassReport:
         note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
     )
 
-    F_lin = (
-        1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / ((4 * _n**2 + 4 * _n + _q) * _k)
-    ) / (_q - 1)
-    F_const = _q * _n * (_k * _n + _n - 1) / ((_q - 1) * (4 * _n**2 + 4 * _n + _q) * _k)
+    F_weight, F_rest = display_objective()
     for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
-        d.root(f"spectral_weight_vanishes_at_{label}_endpoint", F_lin, "k", endpoint)
+        d.root(f"spectral_weight_vanishes_at_{label}_endpoint", F_weight, "k", endpoint)
 
     # threshold agreement: objective at the lower endpoint vs 1/(2*C) with C
     # the closed-form constant, as F * 2C - 1 vanishing there
     d.root(
         "threshold_agreement",
-        F_const * _two_c_at(_lo_end) - 1,
+        F_rest * _two_c_at(_lo_end) - 1,
         "k",
         _lo_end,
         "exact, as a remainder modulo the lower endpoint's quadratic",

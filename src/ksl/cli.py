@@ -10,15 +10,15 @@ Subcommands:
     all             everything above in one report
 
 Every option is one `_OPTIONS` entry, from which the parser, the config-file
-reader, the defaults and the report's `config` echo are all derived. Flags
-may go on either side of the subcommand. They can also come from a config
-file (key = value per line, '#' starts a comment) whose keys are the flag
-names; explicit flags win. Every float option, from either source, must be a
-finite number. The KSL_OUT environment variable overrides the output
-directory. Exit status: 0 when every invoked check passes, 1 on a failed
-check or a domain error (reported verbatim on stderr), 2 on bad usage. A
-domain error replaces only the records of the stage that raised it, so under
-`all` the other stages still report.
+reader, the defaults, the `RunConfig` attributes and the report's `config`
+echo are all derived. Flags may go on either side of the subcommand. They can
+also come from a config file (key = value per line, '#' starts a comment)
+whose keys are the flag names; explicit flags win. Every float option, from
+either source, must be a finite number. The KSL_OUT environment variable
+overrides the output directory. Exit status: 0 when every invoked check
+passes, 1 on a failed check or a domain error (reported verbatim on stderr),
+2 on bad usage. A domain error replaces only the records of the stage that
+raised it, so under `all` the other stages still report.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,19 +159,8 @@ def _attr(flag: str) -> str:
     return "lam" if flag == "lambda" else flag.replace("-", "_")
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    n: int
-    q: float
-    q_grid: tuple[float, ...] | None
-    k: float | str
-    lambda1: float
-    lam: float
-    L: int
-    seed: int
-    out: str
-    format: str
+class RunConfig(SimpleNamespace):
+    """The subcommand and one attribute per `_OPTIONS` entry, named by `_attr`."""
 
     @property
     def q_values(self) -> list[float]:
@@ -232,7 +221,7 @@ def _effective_config(ns: argparse.Namespace) -> RunConfig:
         if getattr(ns, flag) is not None:
             values[flag] = getattr(ns, flag)
     values["out"] = os.environ.get("KSL_OUT") or values["out"]
-    return RunConfig(ns.subcommand, **{_attr(flag): v for flag, v in values.items()})
+    return RunConfig(subcommand=ns.subcommand, **{_attr(flag): v for flag, v in values.items()})
 
 
 # ---------------------------------------------------------------- handlers
@@ -243,86 +232,72 @@ def _checked(section: str, label: str, fields: dict, residual: float, tol: float
     return Record(section, label, {**fields, "residual": residual, "status": status})
 
 
-def _row_label(i: int, total: int) -> str:
-    return "" if total == 1 else str(i)
+def _per_q(section: str, tol: float, row):
+    """A stage with one checked record per q value, from `row(cfg, dims)`.
+
+    `row` returns the record's fields after n and q, and its residual. On a
+    q grid the records are labelled by index, otherwise they are unlabelled.
+    """
+
+    def stage(cfg: RunConfig) -> list[Record]:
+        qs = cfg.q_values
+        recs = []
+        for i, qv in enumerate(qs):
+            fields, residual = row(cfg, Dimensions(cfg.n, qv))
+            label = "" if len(qs) == 1 else str(i)
+            recs.append(_checked(section, label, {"n": cfg.n, "q": qv, **fields}, residual, tol))
+        return recs
+
+    return stage
 
 
-def _cmd_constants(cfg: RunConfig) -> list[Record]:
-    recs = []
-    qs = cfg.q_values
-    for i, qv in enumerate(qs):
-        dims = Dimensions(cfg.n, qv)
-        rep = constants_report(dims)
-        raw, _ = riemannian_constants(dims)
-        fields = {
-            "n": cfg.n,
-            "q": qv,
-            "c_s": rep.c_s,
-            "c_riem_raw": raw,
-            "c_riem_bridged": rep.c_riem_bridged,
-            "c_conj": rep.c_conj,
-            "lambda1_lower": rep.lambda1_lower,
-        }
-        if cfg.n >= 2:
-            # the two closed forms of the rigidity threshold must agree
-            fields["threshold"] = base_threshold(dims)
-            residual = abs(fields["threshold"] - 1.0 / (2.0 * rep.c_s))
-        else:
-            # at n = 1 the sharp constant collapses onto (q-1)/2
-            residual = abs(rep.c_s - rep.c_conj)
-        recs.append(_checked("constants", _row_label(i, len(qs)), fields, residual, 1e-10))
-    return recs
+def _constants_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
+    rep = constants_report(dims)
+    raw, _ = riemannian_constants(dims)
+    fields = {
+        "c_s": rep.c_s,
+        "c_riem_raw": raw,
+        "c_riem_bridged": rep.c_riem_bridged,
+        "c_conj": rep.c_conj,
+        "lambda1_lower": rep.lambda1_lower,
+    }
+    if dims.n == 1:
+        # at n = 1 the sharp constant collapses onto (q-1)/2
+        return fields, abs(rep.c_s - rep.c_conj)
+    # the two closed forms of the rigidity threshold must agree
+    fields["threshold"] = base_threshold(dims)
+    return fields, abs(fields["threshold"] - 1.0 / (2.0 * rep.c_s))
 
 
-def _cmd_interval(cfg: RunConfig) -> list[Record]:
-    recs = []
-    qs = cfg.q_values
-    for i, qv in enumerate(qs):
-        dims = Dimensions(cfg.n, qv)
-        ki = k_interval(dims)
-        product = ki.k_lo * ki.k_hi
-        # both endpoints are roots of k^2 + (2 - 4(n+1)/((n-1)q)) k + 1
-        c1 = 2.0 - 4.0 * (cfg.n + 1) / ((cfg.n - 1) * qv)
-        root_lo = abs(ki.k_lo**2 + c1 * ki.k_lo + 1.0) / (1.0 + ki.k_lo**2)
-        root_hi = abs(ki.k_hi**2 + c1 * ki.k_hi + 1.0) / (1.0 + ki.k_hi**2)
-        fields = {
-            "n": cfg.n,
-            "q": qv,
-            "k_lo": ki.k_lo,
-            "k_hi": ki.k_hi,
-            "product": product,
-        }
-        residual = max(abs(product - 1.0), root_lo, root_hi)
-        recs.append(_checked("interval", _row_label(i, len(qs)), fields, residual, 1e-9))
-    return recs
+def _interval_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
+    ki = k_interval(dims)
+    product = ki.k_lo * ki.k_hi
+    # both endpoints are roots of k^2 + (2 - 4(n+1)/((n-1)q)) k + 1
+    c1 = 2.0 - 4.0 * (dims.n + 1) / ((dims.n - 1) * dims.q)
+    root_lo = abs(ki.k_lo**2 + c1 * ki.k_lo + 1.0) / (1.0 + ki.k_lo**2)
+    root_hi = abs(ki.k_hi**2 + c1 * ki.k_hi + 1.0) / (1.0 + ki.k_hi**2)
+    fields = {"k_lo": ki.k_lo, "k_hi": ki.k_hi, "product": product}
+    return fields, max(abs(product - 1.0), root_lo, root_hi)
 
 
-def _cmd_optimize_k(cfg: RunConfig) -> list[Record]:
-    recs = []
-    qs = cfg.q_values
-    for i, qv in enumerate(qs):
-        dims = Dimensions(cfg.n, qv)
-        ki = k_interval(dims)
-        if cfg.k == "auto":
-            k_star, threshold = optimize_k(dims, cfg.lambda1)
-        else:
-            k_star = float(cfg.k)
-            threshold = f_of_k(dims, k_star, cfg.lambda1)
-        pad = 1e-12 * max(1.0, ki.k_hi)
-        inside = ki.k_lo - pad <= k_star <= ki.k_hi + pad
-        agree = abs(threshold - f_of_k(dims, k_star, cfg.lambda1))
-        fields = {
-            "n": cfg.n,
-            "q": qv,
-            "lambda1": cfg.lambda1,
-            "k_lo": ki.k_lo,
-            "k_hi": ki.k_hi,
-            "k_star": k_star,
-            "threshold": threshold,
-        }
-        residual = agree if inside else float("inf")
-        recs.append(_checked("optimize_k", _row_label(i, len(qs)), fields, residual, 1e-9))
-    return recs
+def _optimize_k_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
+    ki = k_interval(dims)
+    if cfg.k == "auto":
+        k_star, threshold = optimize_k(dims, cfg.lambda1)
+    else:
+        k_star = float(cfg.k)
+        threshold = f_of_k(dims, k_star, cfg.lambda1)
+    pad = 1e-12 * max(1.0, ki.k_hi)
+    inside = ki.k_lo - pad <= k_star <= ki.k_hi + pad
+    agree = abs(threshold - f_of_k(dims, k_star, cfg.lambda1))
+    fields = {
+        "lambda1": cfg.lambda1,
+        "k_lo": ki.k_lo,
+        "k_hi": ki.k_hi,
+        "k_star": k_star,
+        "threshold": threshold,
+    }
+    return fields, agree if inside else float("inf")
 
 
 def _cmd_algebra_verify(cfg: RunConfig) -> list[Record]:
@@ -450,9 +425,9 @@ def _cmd_pde_solve(cfg: RunConfig, grid: QuadratureGrid) -> list[Record]:
 
 
 _STAGES = {
-    "constants": _cmd_constants,
-    "interval": _cmd_interval,
-    "optimize-k": _cmd_optimize_k,
+    "constants": _per_q("constants", 1e-10, _constants_row),
+    "interval": _per_q("interval", 1e-9, _interval_row),
+    "optimize-k": _per_q("optimize_k", 1e-9, _optimize_k_row),
     "algebra-verify": _cmd_algebra_verify,
     "sphere-verify": _cmd_sphere_verify,
     "pde-solve": _cmd_pde_solve,

@@ -87,22 +87,30 @@ def _mpq(dims: Dimensions):
     return mp.mpf(dims.n), mp.mpf(dims.q)
 
 
-def _clamp_tiny(value, scale=mp.mpf(1)):
-    # Radicands and differences that vanish identically at the boundary
-    # come out as O(10^-49) residue at 50 digits; snap them to zero.
-    if abs(value) < abs(scale) * mp.mpf("1e-40"):
-        return mp.mpf(0)
-    return value
-
-
 def _boundary_zero(dims: Dimensions, value, scale=mp.mpf(1)):
-    # A float q at the critical exponent can sit half an ulp above the real
+    # Radicands and differences that vanish identically at the boundary
+    # come out as O(10^-49) residue at 50 digits; snap them to zero. A float
+    # q at the critical exponent can sit half an ulp above the real
     # boundary; Dimensions accepts that window, so a small negative residue
-    # here is quantization noise, not a sign.
-    value = _clamp_tiny(value, scale)
-    if value < 0 and dims.boundary:
+    # there is quantization noise, not a sign.
+    if abs(value) < abs(scale) * mp.mpf("1e-40") or (value < 0 and dims.boundary):
         return mp.mpf(0)
     return value
+
+
+def _sqrt_radicand(dims: Dimensions, value, scale=mp.mpf(1)):
+    """Square root of a radicand that is nonnegative exactly for q <= (n+1)/(n-1)."""
+    rad = _boundary_zero(dims, value, scale)
+    if rad < 0:
+        raise DomainError(
+            f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
+        )
+    return mp.sqrt(rad)
+
+
+def _require_lambda1(lambda1: float) -> None:
+    if not 1 <= lambda1 < math.inf:
+        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
 
 
 def cs_bm(dims: Dimensions) -> float:
@@ -114,12 +122,8 @@ def cs_bm(dims: Dimensions) -> float:
     """
     with mp.workdps(50):
         n, q = _mpq(dims)
-        rad = _boundary_zero(dims, (n + 1) * (n + 1 - (n - 1) * q), (n + 1) ** 2)
-        if rad < 0:
-            raise DomainError(
-                f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
-            )
-        val = (q - 1) * (2 * n + q + 2 - 2 * mp.sqrt(rad)) / (2 * q * n)
+        root = _sqrt_radicand(dims, (n + 1) * (n + 1 - (n - 1) * q), (n + 1) ** 2)
+        val = (q - 1) * (2 * n + q + 2 - 2 * root) / (2 * q * n)
         return float(val)
 
 
@@ -128,15 +132,10 @@ def riemannian_constants(dims: Dimensions) -> tuple[float, float]:
 
     raw = (q-1)/m holds under the Ric >= (m-1)g normalization; rescaling the
     metric by (m-1) converts that hypothesis to Ric >= g and multiplies the
-    gradient-term constant by (m-1), giving bridged = (q-1)(m-1)/m.
+    gradient-term constant by (m-1), giving bridged = (q-1)(m-1)/m. Their
+    exponent bound q <= (m+2)/(m-2) is the (n+1)/(n-1) of Dimensions.
     """
     m = dims.m
-    if m > 2:
-        qmax = (m + 2) / (m - 2)
-        if dims.q > qmax * (1 + _BOUNDARY_RTOL):
-            raise DomainError(
-                f"exponent must satisfy q <= (m+2)/(m-2) = {qmax} for m = {m}, got q = {dims.q}"
-            )
     with mp.workdps(50):
         q = mp.mpf(dims.q)
         raw = (q - 1) / m
@@ -146,14 +145,11 @@ def riemannian_constants(dims: Dimensions) -> tuple[float, float]:
 
 def _k_endpoints_mp(dims: Dimensions):
     # Endpoints s -+ s*sqrt(1-(n-1)q/(n+1)) - 1 with s = 2(n+1)/(q(n-1)).
+    if dims.n == 1:
+        raise DomainError("interval unbounded at n = 1; use limit semantics")
     n, q = _mpq(dims)
     s = 2 * (n + 1) / (q * (n - 1))
-    rad = _boundary_zero(dims, 1 - (n - 1) * q / (n + 1))
-    if rad < 0:
-        raise DomainError(
-            f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
-        )
-    root = mp.sqrt(rad)
+    root = _sqrt_radicand(dims, 1 - (n - 1) * q / (n + 1))
     return s - s * root - 1, s + s * root - 1
 
 
@@ -164,8 +160,6 @@ def k_interval(dims: Dimensions) -> KInterval:
     which is why their product is 1. Degenerates to a single point at the
     boundary exponent.
     """
-    if dims.n == 1:
-        raise DomainError("interval unbounded at n = 1; use limit semantics")
     with mp.workdps(50):
         lo, hi = _k_endpoints_mp(dims)
         return KInterval(float(lo), float(hi))
@@ -206,8 +200,7 @@ def _require_k_feasible(dims: Dimensions, k: float) -> None:
 
 def f_of_k(dims: Dimensions, k: float, lambda1: float) -> float:
     """Threshold objective F(k); reciprocal of twice the generalized constant."""
-    if not 1 <= lambda1 < math.inf:
-        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
+    _require_lambda1(lambda1)
     _require_k_feasible(dims, k)
     with mp.workdps(50):
         return float(_f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1)))
@@ -219,8 +212,7 @@ def cs_general(dims: Dimensions, k: float, lambda1: float) -> float:
     At k equal to the lower interval endpoint the lambda1 weight vanishes and
     the value reduces to cs_bm regardless of lambda1.
     """
-    if not 1 <= lambda1 < math.inf:
-        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
+    _require_lambda1(lambda1)
     _require_k_feasible(dims, k)
     with mp.workdps(50):
         return float(1 / (2 * _f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1))))
@@ -236,12 +228,10 @@ def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
     Ties within 1e-9 of the maximum resolve to k_lo.
     Returns (k_star, lambda_threshold) with lambda_threshold = F(k_star).
     """
-    if dims.n == 1:
-        raise DomainError("interval unbounded at n = 1; use limit semantics")
-    if not 1 <= lambda1 < math.inf:
-        raise DomainError(f"lambda1 must be finite and >= 1, got {lambda1}")
     with mp.workdps(50):
+        # the endpoints first, so that n = 1 is the error reported there
         lo, hi = _k_endpoints_mp(dims)
+        _require_lambda1(lambda1)
         lam1 = mp.mpf(lambda1)
         k_c = min(max(mp.sqrt(1 - 1 / lam1), lo), hi)
         f_lo = _f_of_k_mp(dims, lo, lam1)
@@ -279,12 +269,8 @@ def k_lower_bound_eps0(dims: Dimensions) -> float:
 
 def _k_lower_bound_eps0_mp(dims: Dimensions):
     n, q = _mpq(dims)
-    rad = _boundary_zero(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n), (n**2 + n) ** 2)
-    if rad < 0:
-        raise DomainError(
-            f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
-        )
-    return (2 * n**2 + 2 * n - q * (n**2 - n) - 2 * mp.sqrt(rad)) / (n * (n - 1) * q)
+    root = _sqrt_radicand(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n), (n**2 + n) ** 2)
+    return (2 * n**2 + 2 * n - q * (n**2 - n) - 2 * root) / (n * (n - 1) * q)
 
 
 def base_threshold(dims: Dimensions) -> float:
@@ -313,11 +299,8 @@ def x_bounds(dims: Dimensions, k: float) -> tuple[float, float]:
     with mp.workdps(50):
         n, q = _mpq(dims)
         kk = mp.mpf(k)
-        denom = kk * n + n - 1
-        if denom <= 0:
-            raise DomainError(f"kn + n - 1 must be positive, got {float(denom)}")
         x_lo = (kk * n + n - kk) * q / (2 * (n + 1))
-        x_hi = (4 * n**2 + 4 * n + q) * kk / (2 * (n + 1) * denom)
+        x_hi = (4 * n**2 + 4 * n + q) * kk / (2 * (n + 1) * (kk * n + n - 1))
         return float(x_lo), float(x_hi)
 
 
@@ -328,8 +311,7 @@ def spectral_lambda_bound(dims: Dimensions, k: float, x: float, lambda1: float) 
     term is nonpositive for lambda1 >= 1 and feasible k, so the bound is
     maximized at x = x_hi, where it equals f_of_k.
     """
-    if not math.isfinite(lambda1):
-        raise DomainError(f"lambda1 must be finite, got {lambda1}")
+    _require_lambda1(lambda1)
     x_lo, x_hi = x_bounds(dims, k)
     tol = 1e-9 * max(1.0, abs(x_hi))
     if not (x_lo - tol <= x <= x_hi + tol):

@@ -107,8 +107,11 @@ class TestRiemannian:
         assert raw == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_q_beyond_m_range(self):
-        with pytest.raises(DomainError):
-            riemannian_constants(dims(2, 3.5))
+        # with m = 2n, (m+2)/(m-2) is the (n+1)/(n-1) that Dimensions enforces,
+        # so the bound is checked there and the boundary itself is accepted
+        with pytest.raises(DomainError, match=r"q <= \(n\+1\)/\(n-1\) = 3.0"):
+            dims(2, 3.5)
+        assert riemannian_constants(dims(2, 3.0)) == (0.5, 1.5)
 
 
 class TestKInterval:
@@ -276,6 +279,21 @@ def test_non_finite_inputs_rejected(bad):
     ]
     for call in calls:
         with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("lam1", [0.5, 1 - 1e-9])
+def test_lambda1_below_one_rejected(lam1):
+    d = dims(2, 2.0)
+    calls = [
+        lambda: optimize_k(d, lam1),
+        lambda: f_of_k(d, 1.0, lam1),
+        lambda: cs_general(d, 1.0, lam1),
+        # x = x_lo at k = 1; the bound peaks at x = x_hi only for lambda1 >= 1
+        lambda: spectral_lambda_bound(d, 1.0, 1.0, lam1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="lambda1 must be finite and >= 1"):
             call()
 
 
