@@ -33,6 +33,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from ..errors import DomainError
 from .ring import (
     Poly,
@@ -742,7 +744,10 @@ def verify_radical_gap_monotone(
     Samples 1000 points of psi on (0, t_max) with
     t_max = (beta_c - sqrt(beta_c^2 - 4 alpha^2 gamma_c))/(2 alpha^2), asserts
     strict increase between consecutive samples, and checks the closed-form
-    derivative is positive at each sample. This is the one sampling-based
+    derivative is positive at each sample. The samples are float64 arrays,
+    each expression evaluated in the operand order of its scalar form, so
+    every sample rounds as it would in Python floats and the verdicts are
+    those of a scalar loop. This is the one sampling-based
     verifier; everything else in this module is exact. Inputs the float
     sampling cannot represent (alpha^2, beta_c, gamma_c or t_max outside the
     positive normal floats, or a sampled radicand that rounds to <= 0) raise
@@ -774,16 +779,20 @@ def verify_radical_gap_monotone(
         raise DomainError(f"t_max = {t_max!r} must be a positive normal float to sample")
 
     npts = 1000
-    ts = [t_max * i / (npts + 1) for i in range(1, npts + 1)]
-    # one square root per sample serves psi(t) = af t - root and
-    # psi'(t) = af - (2 af^2 t - bf) / (2 root)
-    radicands = [a2 * t * t - bf * t + gf for t in ts]
-    if not all(r > 0 for r in radicands):
-        raise DomainError("a sampled radicand alpha^2 t^2 - beta_c t + gamma_c rounds to <= 0")
-    roots = [math.sqrt(r) for r in radicands]
-    values = [af * t - root for t, root in zip(ts, roots)]
-    increasing = all(b > a for a, b in zip(values, values[1:]))
-    derivative_pos = all(af - (2 * a2 * t - bf) / (2 * root) > 0 for t, root in zip(ts, roots))
+    # as in Python floats, an overflow gives inf without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = t_max * np.arange(1, npts + 1) / (npts + 1)
+        # one square root per sample serves psi(t) = af t - root and
+        # psi'(t) = af - (2 af^2 t - bf) / (2 root)
+        radicands = a2 * ts * ts - bf * ts + gf
+        if not (radicands > 0).all():
+            raise DomainError(
+                "a sampled radicand alpha^2 t^2 - beta_c t + gamma_c rounds to <= 0"
+            )
+        roots = np.sqrt(radicands)
+        values = af * ts - roots
+        increasing = bool((values[1:] > values[:-1]).all())
+        derivative_pos = bool((af - (2 * a2 * ts - bf) / (2 * roots) > 0).all())
     d = _Derivation("radical_gap_monotone")
     d.fact("strictly_increasing_between_samples", increasing, "a sample does not increase")
     d.fact("closed_form_derivative_positive", derivative_pos, "nonpositive at a sample")

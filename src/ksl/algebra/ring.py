@@ -28,6 +28,15 @@ Square roots never enter the ring. A :class:`RadExpr` only names a quadratic
 surd ``base + coef*sqrt(rad)``; "expr vanishes there" is decided by
 :func:`rf_at_radexpr` as a remainder modulo the surd's monic quadratic, that
 is, by arithmetic in Q(params)[t]/(m(t)).
+
+The two operations that run Horner's rule over a coefficient list do it in
+Poly, fraction-free, and keep one power of one denominator (Knuth, TAOCP
+Vol. 2, section 4.6.1). :meth:`RationalFunction.substitute` of a/b evaluates
+numerator and denominator as homogenised forms sum c_i a^i b^(d-i) and keeps
+b only to the difference of their degrees; :func:`rf_at_radexpr` clears the
+quadratic to D t^2 - T t + N and takes a pseudo-remainder over a power of D.
+Horner in RationalFunction arithmetic would multiply the denominators and
+cross-multiply a sum at every step.
 """
 
 from __future__ import annotations
@@ -425,10 +434,30 @@ class RationalFunction:
         return _rf(self.num**power, self.den**power)
 
     def substitute(self, name: str, value) -> "RationalFunction":
+        """self with `name` replaced by value = a/b, fraction-free.
+
+        num and den are polynomials of degrees dn and dm in `name`; each is
+        evaluated at a/b as its homogenisation H(a, b) = sum c_i a^i b^(d-i)
+        over b^d, by Horner in Poly, and the quotient keeps only b^|dn - dm|.
+        Raises DomainError when the substituted denominator H_den(a, b) is
+        the zero polynomial.
+        """
         value = _coerce_rf(value)
-        return _poly_substitute(self.num, name, value) / _poly_substitute(
-            self.den, name, value
-        )
+        a, b = value.num, value.den
+        num_parts, den_parts = self.num.coeffs_in(name), self.den.coeffs_in(name)
+        dn, dm = max(num_parts, default=0), max(den_parts, default=0)
+        b_pow = [ONE]
+        for _ in range(max(dn, dm)):
+            b_pow.append(b_pow[-1] * b)
+        num = _homogenised(num_parts, dn, a, b_pow)
+        den = _homogenised(den_parts, dm, a, b_pow)
+        if den.is_zero:
+            raise DomainError("division by zero rational function")
+        if dn > dm:
+            den = den * b_pow[dn - dm]
+        else:
+            num = num * b_pow[dm - dn]
+        return _rf(num, den)
 
     def limit_var_zero(self, name: str) -> "RationalFunction":
         """Limit as name -> 0, via clearing the shared minimal power.
@@ -483,17 +512,14 @@ ONE_RF = _rf(ONE, ONE)
 ZERO_RF = _rf(ZERO, ONE)
 
 
-def _poly_substitute(poly: Poly, name: str, value: RationalFunction) -> RationalFunction:
-    parts = poly.coeffs_in(name)
-    if not parts:
-        return ZERO_RF
-    top = max(parts)
-    result = ZERO_RF
-    for power in range(top, -1, -1):
-        result = result * value
+def _homogenised(parts: dict[int, Poly], top: int, a: Poly, b_pow: list[Poly]) -> Poly:
+    """sum c_i a^i b^(top-i) over the coefficients c_i = parts[i], by Horner in a."""
+    out = parts.get(top, ZERO)
+    for power in range(top - 1, -1, -1):
+        out = out * a
         if power in parts:
-            result = result + _rf(parts[power], ONE)
-    return result
+            out = out + parts[power] * b_pow[top - power]
+    return out
 
 
 def rf(num, den=None) -> RationalFunction:
@@ -533,18 +559,6 @@ class RadExpr:
         return f"({self.base!r}) + ({self.coef!r})*sqrt({self.rad!r})"
 
 
-def _remainder(
-    poly: Poly, name: str, trace: RationalFunction, norm: RationalFunction
-) -> tuple[RationalFunction, RationalFunction]:
-    """poly modulo t^2 - trace*t + norm in t = `name`, as (a, b) of a*t + b."""
-    parts = poly.coeffs_in(name)
-    a = b = ZERO_RF
-    for power in range(max(parts, default=-1), -1, -1):
-        # Horner: (a*t + b)*t + c with t^2 -> trace*t - norm
-        a, b = a * trace + b, _rf(parts.get(power, ZERO), ONE) - a * norm
-    return a, b
-
-
 def rf_at_radexpr(
     expr: RationalFunction, name: str, root: RadExpr
 ) -> tuple[RationalFunction, RationalFunction]:
@@ -552,18 +566,48 @@ def rf_at_radexpr(
 
     The quadratic is t^2 - trace*t + norm with trace = 2*base and
     norm = base^2 - coef^2*rad; base, coef and rad must not involve `name`.
+    Trace and norm are cleared to one denominator D, and each Poly p of
+    degree d in t is reduced modulo D t^2 - T t + N by pseudo-division in
+    Poly: D^j p = Q (D t^2 - T t + N) + A t + B with j = max(d - 1, 0), one
+    power of one denominator, and the remainder is returned as (A t + B)/D^j.
     A zero numerator remainder means expr vanishes at both conjugate roots.
     The converse fails only when coef^2*rad is a square, where m factors and
     a root of one factor can leave a nonzero remainder: a spurious failure,
     never a false pass. Raises DomainError when the denominator remainder has
-    zero norm, the one case in which it could vanish at the root.
+    zero norm, A^2 N + A B T + B^2 D = 0, the one case in which it could
+    vanish at the root.
     """
-    trace = 2 * root.base
-    norm = root.base * root.base - root.coef * root.coef * RationalFunction(root.rad)
-    t = v(name)
-    a, b = _remainder(expr.den, name, trace, norm)
-    if (a * a * norm + a * b * trace + b * b).is_zero:
+    bn, bd, cn, cd = root.base.num, root.base.den, root.coef.num, root.coef.den
+    # base = bn/e and coef = cn/e over one denominator e; then D = e^2
+    if bd != cd:
+        bn, cn, bd = bn * cd, cn * bd, bd * cd
+    D, T, N = bd * bd, (bn * bd).scaled(2), bn * bn - cn * cn * root.rad
+    d_pow = [ONE]
+    t = Poly.var(name)
+    a, b, j = _pseudo_remainder(expr.den, name, D, T, N, d_pow)
+    if (a * a * N + a * b * T + b * b * D).is_zero:
         raise DomainError("denominator has zero norm at the radical point")
-    den = a * t + b
-    a, b = _remainder(expr.num, name, trace, norm)
-    return a * t + b, den
+    den = _rf(a * t + b, d_pow[j])
+    a, b, j = _pseudo_remainder(expr.num, name, D, T, N, d_pow)
+    return _rf(a * t + b, d_pow[j]), den
+
+
+def _pseudo_remainder(
+    poly: Poly, name: str, D: Poly, T: Poly, N: Poly, d_pow: list[Poly]
+) -> tuple[Poly, Poly, int]:
+    """(A, B, j) with D^j poly = A t + B modulo D t^2 - T t + N, t = `name`.
+
+    `d_pow` holds the powers D^0, D^1, ... built so far; it is extended here
+    as far as this poly needs.
+    """
+    parts = poly.coeffs_in(name)
+    top = max(parts, default=0)
+    if top == 0:
+        return ZERO, parts.get(0, ZERO), 0
+    while len(d_pow) < top:
+        d_pow.append(d_pow[-1] * D)
+    # Horner: D*((a t + b) t) + D^e c with D t^2 -> T t - N
+    a, b = parts[top], parts.get(top - 1, ZERO)
+    for e, power in enumerate(range(top - 2, -1, -1), 1):
+        a, b = a * T + D * b, parts.get(power, ZERO) * d_pow[e] - a * N
+    return a, b, top - 1

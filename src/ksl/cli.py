@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import run_all
+from .algebra.checks import display_objective
 from .constants import (
     Dimensions,
     base_threshold,
@@ -281,15 +283,26 @@ def _interval_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
 
 
 def _optimize_k_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
+    """The threshold at k*, checked against a second computation.
+
+    With `--k auto`, optimize_k's F(k*) against f_of_k at the rounded k*.
+    With a fixed k, f_of_k against the algebra pillar's objective
+    weight*lam1 + rest, evaluated exactly at the float inputs, as a
+    relative gap.
+    """
     ki = k_interval(dims)
     if cfg.k == "auto":
         k_star, threshold = optimize_k(dims, cfg.lambda1)
+        agree = abs(threshold - f_of_k(dims, k_star, cfg.lambda1))
     else:
         k_star = float(cfg.k)
         threshold = f_of_k(dims, k_star, cfg.lambda1)
+        weight, rest = display_objective()
+        pt = {"k": Fraction(k_star), "q": Fraction(dims.q), "n": Fraction(dims.n)}
+        exact = weight.evaluate(pt) * Fraction(cfg.lambda1) + rest.evaluate(pt)
+        agree = float(abs(Fraction(threshold) - exact) / exact)
     pad = 1e-12 * max(1.0, ki.k_hi)
     inside = ki.k_lo - pad <= k_star <= ki.k_hi + pad
-    agree = abs(threshold - f_of_k(dims, k_star, cfg.lambda1))
     fields = {
         "lambda1": cfg.lambda1,
         "k_lo": ki.k_lo,

@@ -7,11 +7,14 @@ so a silent change to either the displays or the engine shows up twice.
 
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksl.algebra import (
     run_all,
@@ -220,6 +223,23 @@ def test_run_all_is_pinned():
     assert hashlib.sha256(points.encode()).hexdigest() == INSTANTIATIONS_SHA256
 
 
+def test_sampled_polys_do_not_swell(monkeypatch):
+    # every Poly that run_all evaluates at a sample point, by term count:
+    # substitution and surd remainders keep one power of one denominator,
+    # where Horner in RationalFunction arithmetic sampled 4,626 terms
+    terms = 0
+    missing = checks._PolyValues.__missing__
+
+    def counting(self, poly):
+        nonlocal terms
+        terms += len(poly.terms)
+        return missing(self, poly)
+
+    monkeypatch.setattr(checks._PolyValues, "__missing__", counting)
+    run_all()
+    assert terms <= 3750
+
+
 def test_upper_bound_step_reports_its_residual(monkeypatch):
     """A pure-Hessian weight other than +1 fails with a nonzero residual."""
     original = checks.anticross_identity
@@ -394,6 +414,74 @@ class TestMonotonicityVerifier:
         # 0 in floats at the first triple; disc overflows the floats at the second
         report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
         assert report.passed
+
+
+def scalar_radical_gap(alpha: Fraction, beta_c: Fraction, gamma_c: Fraction):
+    """The two verdicts of the radical-gap verifier by its first scalar loop,
+    or None where a sampled radicand rounds to <= 0; inputs must pass the
+    verifier's range checks."""
+    af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
+    a2 = af * af
+    disc = beta_c * beta_c - 4 * alpha * alpha * gamma_c
+    t_max = 2 * gf / (bf * (1 + math.sqrt(float(disc / (beta_c * beta_c)))))
+    ts = [t_max * i / 1001 for i in range(1, 1001)]
+    radicands = [a2 * t * t - bf * t + gf for t in ts]
+    if not all(r > 0 for r in radicands):
+        return None
+    roots = [math.sqrt(r) for r in radicands]
+    values = [af * t - root for t, root in zip(ts, roots)]
+    increasing = all(b > a for a, b in zip(values, values[1:]))
+    derivative_pos = all(af - (2 * a2 * t - bf) / (2 * root) > 0 for t, root in zip(ts, roots))
+    return [increasing, derivative_pos]
+
+
+def _near_zero_discriminant(alpha: Fraction, gamma_c: Fraction, digits: int) -> Fraction:
+    # beta_c just above 2 alpha sqrt(gamma_c): disc / beta_c^2 about 10^-digits
+    target = 4 * alpha**2 * gamma_c * (1 + Fraction(1, 10**digits))
+    return Fraction(math.isqrt(target.numerator * 10**80 // target.denominator) + 1, 10**40)
+
+
+class TestRadicalGapAgainstScalarLoop:
+    """The float64 array samples give the verdicts of the scalar loop."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta_c, gamma_c",
+        [
+            (Fraction(1), Fraction(3), Fraction(1)),
+            (Fraction(1), Fraction(21, 10), Fraction(11, 10)),
+            (Fraction(1, 10**10), Fraction(1), Fraction(1)),
+            (Fraction(1), Fraction(10**200), Fraction(1)),
+            (Fraction(1, 10), Fraction(2 * 10**20 + 1, 10**20), Fraction(100)),
+            (Fraction(1), _near_zero_discriminant(Fraction(1), Fraction(1), 30), Fraction(1)),
+            (Fraction(5), _near_zero_discriminant(Fraction(5), Fraction(1, 9), 14), Fraction(1, 9)),
+        ],
+        ids=[
+            "reference", "tight", "small_root_cancels", "discriminant_overflows",
+            "discriminant_rounds_negative", "near_zero_discriminant", "near_zero_scaled",
+        ],
+    )
+    def test_verdicts_match(self, alpha, beta_c, gamma_c):
+        assert beta_c**2 > 4 * alpha**2 * gamma_c
+        want = scalar_radical_gap(alpha, beta_c, gamma_c)
+        assert want is not None
+        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+        assert [s.ok for s in report.steps] == want
+
+    @given(
+        st.fractions(Fraction(1, 10**6), Fraction(10**6)),
+        st.fractions(Fraction(1, 10**6), Fraction(10**6)),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_match_on_random_triples(self, alpha, gamma_c, digits):
+        beta_c = _near_zero_discriminant(alpha, gamma_c, digits)
+        want = scalar_radical_gap(alpha, beta_c, gamma_c)
+        if want is None:
+            with pytest.raises(DomainError, match="rounds to <= 0"):
+                verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+            return
+        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+        assert [s.ok for s in report.steps] == want
 
 
 class TestBadIndex:

@@ -144,6 +144,18 @@ class TestIntervalAndOptimize:
         assert rep["payload"]["optimize_k.k_star"] == 1.0
         assert rep["payload"]["optimize_k.threshold"] == pytest.approx(10.0 / 13.0)
 
+    def test_fixed_k_row_catches_a_wrong_objective(self, capsys, tmp_path, monkeypatch):
+        # the fixed-k threshold is checked against the algebra pillar's exact
+        # objective, not against a second call of the same function
+        f_of_k = ksl.cli.f_of_k
+        monkeypatch.setattr(ksl.cli, "f_of_k", lambda *args: f_of_k(*args) * (1 + 1e-6))
+        code, rep = run_json(
+            ["optimize-k", "--n", "2", "--q", "2", "--k", "1.0"], capsys, tmp_path
+        )
+        assert code == 1
+        assert rep["payload"]["optimize_k.status"] == "fail"
+        assert rep["payload"]["optimize_k.residual"] == pytest.approx(1e-6, rel=1e-6)
+
 
 # SHA-256 of each closed-form stage's payload, canonical JSON. These stages
 # compute in mpmath and Python floats only, so the digests hold on every
@@ -159,7 +171,7 @@ CLOSED_FORM_PAYLOAD_SHA256 = {
         "9e59691d57b57a77995091fe427e1938f3f5650f605153449ec2862b2b0171ac"
     ),
     "optimize-k --n 2 --q 2 --k 1.0": (
-        "2a73c914ec990a62cf4413914ebceb13c74de251b573143c2df29f52b46cf896"
+        "a0c9fa501ac4ee0c6828fd748323d08fd87fbf0d93ef859467b50497732faf04"
     ),
     # the boundary exponent, where every radicand is exactly zero
     "constants --n 2 --q 3": (

@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ksl.algebra.ring import (
@@ -360,6 +360,71 @@ class TestRationalFunction:
             (1 / v("beta")).evaluate(pt)
 
 
+def rf_horner_substitute(poly: Poly, name: str, value: RationalFunction) -> RationalFunction:
+    """poly at name = value by Horner in RationalFunction arithmetic: the
+    substitution the fraction-free one replaced, kept as an oracle for it."""
+    parts = poly.coeffs_in(name)
+    result = rf(0)
+    for power in range(max(parts, default=0), -1, -1):
+        result = result * value + rf(parts.get(power, ZERO))
+    return result
+
+
+class TestFractionFreeSubstitution:
+    @given(
+        polys(), polys(), polys(), polys(), polys(), polys(),
+        st.sampled_from(VARS), st.integers(0, 3), st.integers(0, 3), st.booleans(), points(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_substitute_agrees_with_evaluation(self, p0, p1, q0, q1, a, b, name, i, j, vanish, pt):
+        x = Poly.var(name)
+        if vanish:
+            # den = q1 (x b - a) with a, b free of x vanishes at x = a/b
+            a, b = a.set_var_zero(name), b.set_var_zero(name)
+            den = q1 * (x * b - a)
+        else:
+            den = q0 + q1 * x**j
+        assume(not den.is_zero and not b.is_zero)
+        e, r = rf(p0 + p1 * x**i, den), rf(a, b)
+        zero_den = rf_horner_substitute(den, name, r).is_zero
+        assert zero_den or not vanish
+        try:
+            out = e.substitute(name, r)
+        except DomainError:
+            assert zero_den
+            return
+        assert not zero_den
+        assert rf_equal(out, rf_horner_substitute(e.num, name, r) / rf_horner_substitute(den, name, r))
+        try:
+            rv = r.evaluate(pt)
+        except ZeroDivisionError:
+            return
+        try:
+            want = e.evaluate({**pt, name: rv})
+        except ZeroDivisionError:
+            # a pole of e at x = r(pt) is a pole of the substituted form
+            with pytest.raises(ZeroDivisionError):
+                out.evaluate(pt)
+            return
+        assert out.evaluate(pt) == want
+
+    def test_only_the_degree_gap_of_the_denominator_stays(self):
+        # (x^3 + y) / (x^2 + 1) at x = a/b is (a^3 + y b^3) / (b (a^2 + b^2))
+        a, b = v("a"), v("b") + 2
+        e = (v("x") ** 3 + v("y")) / (v("x") ** 2 + 1)
+        out = e.substitute("x", a / b)
+        assert out.num == (a**3 + v("y") * b**3).num
+        assert out.den == (b * (a**2 + b**2)).num
+        flipped = (1 / e).substitute("x", a / b)
+        assert (flipped.num, flipped.den) == (out.den, out.num)
+
+    def test_a_vanishing_substituted_denominator_is_refused(self):
+        e = v("q") / (v("a") * v("y") - v("x"))
+        with pytest.raises(DomainError):
+            e.substitute("a", v("x") / v("y"))
+        assert rf_equal(e.substitute("a", v("x")), v("q") / (v("x") * v("y") - v("x")))
+
+
 class TestDenominatorFastPaths:
     """A sum over an equal denominator keeps it; a unit factor is returned as is."""
 
@@ -451,6 +516,19 @@ class TestScalarOperands:
             2 / rf(0)
 
 
+def rf_horner_remainder(
+    poly: Poly, name: str, trace: RationalFunction, norm: RationalFunction
+) -> tuple[RationalFunction, RationalFunction]:
+    """poly modulo t^2 - trace*t + norm in t = `name`, as (a, b) of a*t + b, by
+    Horner in RationalFunction arithmetic: the remainder that pseudo-division
+    replaced, kept as an oracle for it."""
+    parts = poly.coeffs_in(name)
+    a = b = rf(0)
+    for power in range(max(parts, default=-1), -1, -1):
+        a, b = a * trace + b, rf(parts.get(power, ZERO)) - a * norm
+    return a, b
+
+
 class TestRadExpr:
     RAD = Poly.var("q") ** 2 + 1
 
@@ -469,6 +547,35 @@ class TestRadExpr:
         num, den = rf_at_radexpr(rf(p) * self.minimal_poly(root) + rem, "k", root)
         assert rf_equal(num, rem)
         assert rf_equal(den, rf(1))
+
+    @given(*[polys(max_terms=3, max_power=1)] * 4, *[polys(max_terms=2, max_power=1)] * 5)
+    @settings(max_examples=40, deadline=None)
+    def test_rf_at_radexpr_matches_rf_horner(self, n0, n1, d0, d1, bn, bd, cn, cd, rad):
+        # base and coef over a shared denominator, as in the verifiers, or
+        # over two different ones; the inputs stay small because the oracle's
+        # denominators multiply at every step, past the exponent ceiling
+        k = Poly.var("k")
+        n0, n1, d0, d1, bn, bd, cn, cd, rad = (
+            x.set_var_zero("k") for x in (n0, n1, d0, d1, bn, bd, cn, cd, rad)
+        )
+        den = d0 + d1 * k**2
+        assume(not den.is_zero and not bd.is_zero)
+        root = RadExpr(rf(bn, bd), rf(cn, bd if cd.is_zero else cd), rad)
+        trace = 2 * root.base
+        norm = root.base * root.base - root.coef * root.coef * RationalFunction(root.rad)
+        a, b = rf_horner_remainder(den, "k", trace, norm)
+        try:
+            num_rem, den_rem = rf_at_radexpr(rf(n0 + n1 * k**3, den), "k", root)
+        except DomainError:
+            assert (a * a * norm + a * b * trace + b * b).is_zero
+            return
+        assert rf_equal(den_rem, a * v("k") + b)
+        # den_rem = (A k + B)/D^j has a nonzero norm; the norm form in the
+        # oracle's swollen a and b would cost seconds, in A and B it is cheap
+        A, B = rf(den_rem.num.coeffs_in("k").get(1, ZERO)), rf(den_rem.num.set_var_zero("k"))
+        assert not (A * A * norm + A * B * trace + B * B).is_zero
+        a, b = rf_horner_remainder(n0 + n1 * k**3, "k", trace, norm)
+        assert rf_equal(num_rem, a * v("k") + b)
 
     def test_rf_at_radexpr_on_quadratic_root(self):
         # k^2 - 2nk + (n^2 - rad) has roots n +- sqrt(rad)
