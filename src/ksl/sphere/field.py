@@ -1,4 +1,4 @@
-"""Scalar fields on the sphere with synchronized dual representations."""
+"""Scalar fields on the sphere, held as their harmonic coefficients."""
 
 from __future__ import annotations
 
@@ -11,25 +11,27 @@ from .grid import AREA, QuadratureGrid
 
 
 class SphereField:
-    """A band-limited field holding harmonic coefficients and grid values.
+    """A band-limited field: its harmonic coefficients on one grid.
 
-    Whichever representation was set last is current; the other is computed
-    on demand and cached. Construction always goes through one of the
-    classmethods so exactly one representation is marked current.
+    The coefficients are the field. Its values on the base grid are a cache,
+    synthesized from the coefficients on first use; `from_values` analyses
+    its array when it is called, so a field built from values that are not
+    band-limited is their projection onto the basis, and its `values` are
+    that projection's.
 
     `from_coeffs` and `from_values` take caller arrays: they check the shape
-    (and, for coefficients, that no slot outside the basis is set) and store
-    a copy, so a field never shares memory with its input; `copy()` goes
-    through `from_coeffs` too. Fields the library builds itself (a random
-    draw, `+ - *`, negation, `constant` and `box_op`) take the trusted path,
-    `_trusted`, which stores the array it is handed with neither check nor
-    copy. Each of those arrays is new, has the grid's shape, and is zero
-    outside the basis because its operands are.
+    (and, for coefficients, that no slot outside the basis is set) and keep
+    no array of the caller's, so a field never shares memory with its input;
+    `copy()` goes through `from_coeffs` too. Fields the library builds itself
+    (a random draw, `+ - *`, negation, `constant`, `box_op` and the solver's
+    results) call the constructor, which stores the array it is handed with
+    neither check nor copy. Each of those arrays is new, has the grid's
+    shape, and is zero outside the basis because its operands are.
     """
 
-    def __init__(self, grid: QuadratureGrid):
+    def __init__(self, grid: QuadratureGrid, coeffs: np.ndarray):
         self.grid = grid
-        self._coeffs: np.ndarray | None = None
+        self.coeffs = coeffs
         self._values: np.ndarray | None = None
 
     @classmethod
@@ -42,14 +44,7 @@ class SphereField:
         # slots that hold no basis function: m > l, and the sin part at m = 0
         if np.any(np.triu(coeffs, 1)) or np.any(coeffs[1, :, 0]):
             raise DomainError("coefficient array is nonzero at m > l or in the sin part at m = 0")
-        return cls._trusted(grid, coeffs.copy())
-
-    @classmethod
-    def _trusted(cls, grid: QuadratureGrid, coeffs: np.ndarray) -> "SphereField":
-        """A field that takes `coeffs` as it is: a new array no one else holds."""
-        f = cls(grid)
-        f._coeffs = coeffs
-        return f
+        return cls(grid, coeffs.copy())
 
     @classmethod
     def from_values(cls, grid: QuadratureGrid, values: np.ndarray) -> "SphereField":
@@ -57,26 +52,18 @@ class SphereField:
         expected = (grid.base.ntheta, grid.base.nphi)
         if values.shape != expected:
             raise DomainError(f"value array must have shape {expected}, got {values.shape}")
-        f = cls(grid)
-        f._values = values.copy()
-        return f
+        return cls(grid, grid.analysis(values))
 
     @classmethod
     def constant(cls, grid: QuadratureGrid, value: float) -> "SphereField":
         coeffs = np.zeros(grid.coeff_shape())
         coeffs[0, 0, 0] = value * np.sqrt(AREA)
-        return cls._trusted(grid, coeffs)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = self.grid.analysis(self._values)
-        return self._coeffs
+        return cls(grid, coeffs)
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = self.grid.synthesis(self._coeffs)
+            self._values = self.grid.synthesis(self.coeffs)
         return self._values
 
     def values_over(self) -> np.ndarray:
@@ -91,23 +78,23 @@ class SphereField:
 
     def __add__(self, other: "SphereField") -> "SphereField":
         self._check_same_grid(other)
-        return SphereField._trusted(self.grid, self.coeffs + other.coeffs)
+        return SphereField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SphereField") -> "SphereField":
         self._check_same_grid(other)
-        return SphereField._trusted(self.grid, self.coeffs - other.coeffs)
+        return SphereField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SphereField":
         scalar = float(scalar)
         # 0 * inf would set the slots outside the basis to NaN
         if not math.isfinite(scalar):
             raise DomainError(f"scalar factor must be finite, got {scalar}")
-        return SphereField._trusted(self.grid, self.coeffs * scalar)
+        return SphereField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SphereField":
-        return SphereField._trusted(self.grid, -self.coeffs)
+        return SphereField(self.grid, -self.coeffs)
 
     def mean(self) -> float:
         return float(self.coeffs[0, 0, 0]) / np.sqrt(AREA)

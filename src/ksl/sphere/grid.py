@@ -87,17 +87,17 @@ def _legendre_table(L: int, mu: np.ndarray) -> np.ndarray:
 
 
 def table_bytes(L: int) -> int:
-    """Bytes of every array a grid stores, its oversampled subgrid built.
+    """Bytes of every array a grid stores, both of its subgrids included.
 
     Per subgrid of ntheta x nphi nodes, with n = L+1: the Legendre table
     (ntheta n^2), the trig table (2n nphi), mu, wmu, sin(theta) and the row
     weights (4 ntheta) and phi (nphi); no full-grid weight array is stored.
     Both subgrids share one table of lowering factors (n^2), and the grid
-    adds its two eigenvalue rows (2n) and its table of draw slots (n^2
+    adds its row of -box eigenvalues (n) and its table of draw slots (n^2
     integers of 8 bytes).
     """
     n = L + 1
-    words = 2 * n * n + 2 * n
+    words = 2 * n * n + n
     for k in (1, OVERSAMPLE):
         ntheta, nphi = k * n, 2 * k * n
         words += ntheta * n * n + 2 * n * nphi + 4 * ntheta + nphi
@@ -167,20 +167,20 @@ class _SubGrid:
             2 * (L + 1), nphi
         )
 
-    def legendre_sums(self, x: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
+    def legendre_sums(self, x: np.ndarray, lead: np.ndarray) -> np.ndarray:
         """Theta profiles of coefficient rows x[m, k, l], as an (m, k, 2, t) view.
 
         [..., 0, :] is sum_l x dN_lm/dtheta(mu_t) and [..., 1, :] is
-        sum_l lead N_lm(mu_t), with lead defaulting to x. One matmul over
-        three stacked row sets: l x, lead, and e_lm x moved down one degree,
-        so that the derivative is (mu A - B) / sin(theta), formed in place on
-        rows of length ntheta. The (m, k) rows of the view merge without a
-        copy, so it reshapes to an (m k, 2 ntheta) matrix.
+        sum_l lead N_lm(mu_t). One matmul over three stacked row sets: l x,
+        lead, and e_lm x moved down one degree, so that the derivative is
+        (mu A - B) / sin(theta), formed in place on rows of length ntheta.
+        The (m, k) rows of the view merge without a copy, so it reshapes to
+        an (m k, 2 ntheta) matrix.
         """
         nm, k, nl = x.shape
         rows = np.empty((nm, k, 3, nl))
         np.multiply(x, np.arange(nl, dtype=float), out=rows[:, :, 0])
-        rows[:, :, 1] = x if lead is None else lead
+        rows[:, :, 1] = lead
         np.multiply(x[..., 1:], self.lower[:, None, 1:], out=rows[:, :, 2, :-1])
         rows[:, :, 2, -1] = 0.0
         sums = (rows.reshape(nm, 3 * k, nl) @ self.P).reshape(nm, k, 3, self.ntheta)
@@ -194,9 +194,11 @@ class _SubGrid:
 class QuadratureGrid:
     """Transform plans at band limit L; immutable after construction.
 
-    Besides the transform tables it holds the -box and |grad|^2 eigenvalue
-    of each degree, and `draw_slots`, the flat coefficient slot of each
-    Gaussian draw of `random_band_limited` in its degree-major order.
+    Its subgrids are `base` and `over`, the oversampled copy on which bare
+    powers u^q are integrated. Besides their transform tables it holds the
+    -box eigenvalue of each degree, and `draw_slots`, the flat coefficient
+    slot of each Gaussian draw of `random_band_limited` in its degree-major
+    order.
     """
 
     def __init__(self, L: int):
@@ -209,24 +211,13 @@ class QuadratureGrid:
                 f"above the limit of {MAX_TABLE_BYTES} bytes"
             )
         self.L = L
-        self.base = _SubGrid(L, L + 1, 2 * (L + 1), _lowering_factors(L))
-        self._over: _SubGrid | None = None
-        ls = np.arange(L + 1, dtype=float)
+        n = L + 1
+        self.base = _SubGrid(L, n, 2 * n, _lowering_factors(L))
+        self.over = _SubGrid(L, OVERSAMPLE * n, OVERSAMPLE * 2 * n, self.base.lower)
+        ls = np.arange(n, dtype=float)
         # -box eigenvalues l(l+1)/2, so lambda_1 = 1 on the first mode
         self.minus_box_eigs = ls * (ls + 1.0) / 2.0
-        self.grad_eigs = ls * (ls + 1.0)
         self.draw_slots = _draw_slots(L)
-
-    @property
-    def over(self) -> _SubGrid:
-        if self._over is None:
-            self._over = _SubGrid(
-                self.L,
-                OVERSAMPLE * (self.L + 1),
-                OVERSAMPLE * 2 * (self.L + 1),
-                self.base.lower,
-            )
-        return self._over
 
     def coeff_shape(self) -> tuple[int, int, int]:
         return (2, self.L + 1, self.L + 1)

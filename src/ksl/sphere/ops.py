@@ -15,7 +15,7 @@ from .grid import AREA, TWO_PI, QuadratureGrid
 def box_op(f: SphereField) -> SphereField:
     """The complex Laplacian: coefficient (l, m) is scaled by -l(l+1)/2."""
     grid = f.grid
-    return SphereField._trusted(grid, f.coeffs * (-grid.minus_box_eigs)[None, :, None])
+    return SphereField(grid, f.coeffs * (-grid.minus_box_eigs)[None, :, None])
 
 
 def avg_square(f: SphereField) -> float:
@@ -27,7 +27,8 @@ def avg_square(f: SphereField) -> float:
 def grad_energy(f: SphereField, method: str = "spectral") -> float:
     """Average of |grad f|^2 over the sphere.
 
-    The spectral path sums l(l+1) |f_lm|^2; the quadrature path squares the
+    The spectral path sums l(l+1) |f_lm|^2, twice the -box eigenvalue of each
+    degree (scaling by 2 is exact); the quadrature path squares the
     pointwise gradient synthesized on the grid. The two agree
     to transform accuracy and the tests hold them together. Both reduce
     row by row (per degree, per theta row) without a temporary of the
@@ -36,7 +37,7 @@ def grad_energy(f: SphereField, method: str = "spectral") -> float:
     grid = f.grid
     if method == "spectral":
         c = f.coeffs
-        return float(np.einsum("slm,slm->l", c, c) @ grid.grad_eigs) / AREA
+        return float(2.0 * (np.einsum("slm,slm->l", c, c) @ grid.minus_box_eigs)) / AREA
     if method == "quadrature":
         # each component's squares summed along its theta rows
         rows = sum(np.einsum("tj,tj->t", g, g) for g in grid.synth_gradient(f.coeffs))
@@ -170,18 +171,22 @@ def _energy_blocks(grid: QuadratureGrid):
     between two blocks vanishes up to round-off. Each block entry is still the
     tensor-product quadrature sum, factored into a Gauss-Legendre sum in theta
     and a sum over the sampled cos(m phi) / sin(m phi) values in phi.
+
+    The rows N_lm(mu_t) are read from the grid's Legendre table P[m, l, t],
+    and dN_lm/dtheta is formed from the same table by the degree-lowering
+    relation ((l N_lm) mu - e_lm N_{l-1,m}) / sin(theta), where N_{m-1,m}
+    is the table's zero padding and e_mm = 0.
     """
     sub = grid.base
     dphi = TWO_PI / sub.nphi
     inv_sin = 1.0 / sub.sintheta
-    # unit coefficient rows give the padded tables N_lm and dN_lm/dtheta
-    eye = np.broadcast_to(np.eye(grid.L + 1), (grid.L + 1,) * 3)
-    sums = sub.legendre_sums(eye)
-    dtheta, values = sums[:, :, 0], sums[:, :, 1]
+    ls = np.arange(grid.L + 1.0)[:, None]
     for m in range(grid.L + 1):
         # Y_lm = N_lm(cos theta) trig(m phi) / sqrt(norm); m = 0 drops Y_00
-        rows = values[m, max(m, 1) :]
-        drows = dtheta[m, max(m, 1) :]
+        lo = max(m, 1)
+        rows = sub.P[m, lo:]
+        lowered = sub.lower[m, lo:, None] * sub.P[m, lo - 1 : -1]
+        drows = (ls[lo:] * rows * sub.mu - lowered) / sub.sintheta
         norm = TWO_PI if m == 0 else np.pi
         P = (rows * sub.wmu) @ rows.T
         D = (drows * sub.wmu) @ drows.T
@@ -230,7 +235,7 @@ def random_band_limited(
     draws *= np.repeat(amp, 2 * np.arange(n) + 1)
     coeffs = np.zeros(grid.coeff_shape())
     np.put(coeffs, grid.draw_slots[: n * n], draws)
-    return SphereField._trusted(grid, coeffs)
+    return SphereField(grid, coeffs)
 
 
 def random_positive_field(

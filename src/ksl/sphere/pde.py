@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import DomainError
 from .field import SphereField
 from .grid import AREA, QuadratureGrid
-from .ops import avg_square, grad_energy, power_average
+from .ops import _check_exponent, avg_square, grad_energy, power_average
 
 
 def _require_positive(u: SphereField, who: str) -> np.ndarray:
@@ -34,17 +34,23 @@ def _require_positive(u: SphereField, who: str) -> np.ndarray:
 def _check_parameters(lam: float, q: float) -> None:
     if not (np.isfinite(lam) and lam > 0):
         raise DomainError(f"spectral parameter must be positive and finite, got {lam}")
-    if not np.isfinite(q):
-        raise DomainError(f"exponent must be finite, got q = {q}")
+    _check_exponent(q)
+
+
+def _quotient_parts(
+    u: SphereField, lam: float, q: float, who: str
+) -> tuple[np.ndarray, float, float]:
+    """u on the oversampled grid, the quotient's numerator and int |u|^(q+1)."""
+    _check_parameters(lam, q)
+    vals = _require_positive(u, who)
+    num = 0.5 * AREA * grad_energy(u) + lam * AREA * avg_square(u)
+    return vals, num, AREA * power_average(u.grid, vals, q)
 
 
 def quotient(u: SphereField, lam: float, q: float) -> float:
     """(int |del u|^2 + lambda int u^2) / (int |u|^{q+1})^{2/(q+1)}."""
-    _check_parameters(lam, q)
-    vals = _require_positive(u, "quotient")
-    num = 0.5 * AREA * grad_energy(u) + lam * AREA * avg_square(u)
-    den = (AREA * power_average(u.grid, vals, q)) ** (2.0 / (q + 1.0))
-    return num / den
+    _, num, int_pow = _quotient_parts(u, lam, q, "quotient")
+    return num / int_pow ** (2.0 / (q + 1.0))
 
 
 def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
@@ -53,16 +59,12 @@ def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
     The pairing of this field against a direction (as a raw sphere integral)
     equals the derivative of quotient along that direction.
     """
-    _check_parameters(lam, q)
     grid = u.grid
-    vals = _require_positive(u, "quotient_gradient")
-    int_pow = AREA * power_average(grid, vals, q)
-    num = 0.5 * AREA * grad_energy(u) + lam * AREA * avg_square(u)
+    vals, num, int_pow = _quotient_parts(u, lam, q, "quotient_gradient")
     den = int_pow ** (2.0 / (q + 1.0))
-    c = num / int_pow
     uq = grid.analysis(vals**q, grid.over)
-    resid = u.coeffs * (grid.minus_box_eigs[None, :, None] + lam) - c * uq
-    return SphereField.from_coeffs(grid, (2.0 / den) * resid)
+    resid = u.coeffs * (grid.minus_box_eigs[None, :, None] + lam) - (num / int_pow) * uq
+    return SphereField(grid, (2.0 / den) * resid)
 
 
 class NewtonStep(NamedTuple):
@@ -280,8 +282,6 @@ def newton_solve(
     NewtonStep per accepted step.
     """
     _check_parameters(lam, q)
-    if not q > 1:
-        raise DomainError(f"exponent must exceed 1, got q = {q}")
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive and finite, got tol = {tol}")
     # bool is an int subclass, but True is not an iteration count
@@ -305,7 +305,7 @@ def newton_solve(
         if rsup is None:
             rsup = _sup(grid, res)
         # the solver's own copy or candidate, which nothing else holds
-        u = SphereField._trusted(grid, coeffs)
+        u = SphereField(grid, coeffs)
         avg = u.mean()
         is_const = float(np.max(np.abs(u.values - avg))) < 10.0 * tol
         return SolveReport(

@@ -77,7 +77,16 @@ class TestQuotient:
         u = SphereField.constant(grid16, 1.0)
         with pytest.raises(DomainError):
             quotient(u, 0.0, 2.0)
-        for lam, q in ((np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0), (1.0, np.nan), (1.0, np.inf)):
+        for lam, q in (
+            (np.nan, 2.0),
+            (np.inf, 2.0),
+            (-np.inf, 2.0),
+            (1.0, np.nan),
+            (1.0, np.inf),
+            (1.0, -1.0),
+            (1.0, 0.5),
+            (1.0, 1.0),
+        ):
             with pytest.raises(DomainError):
                 quotient(u, lam, q)
             with pytest.raises(DomainError):

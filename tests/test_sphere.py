@@ -252,17 +252,6 @@ class TestBatchedKernel:
         np.testing.assert_array_equal(sub.to_grid[1], 0.0)
         np.testing.assert_allclose(gram, want, rtol=0, atol=1e-14)
 
-    def test_legendre_sums_match_tables(self, grid16):
-        # unit coefficient columns give every N_lm and dN_lm/dtheta row
-        L = grid16.L
-        sums = grid16.base.legendre_sums(np.broadcast_to(np.eye(L + 1), (L + 1,) * 3))
-        dtheta, values = sums[:, :, 0], sums[:, :, 1]
-        plm, dplm = legendre_tables(L, grid16.base.mu)
-        for m in range(L + 1):
-            np.testing.assert_array_equal(values[m, :m], 0.0)
-            np.testing.assert_allclose(values[m, m:], plm[m], rtol=0, atol=1e-14)
-            np.testing.assert_allclose(dtheta[m, m:], dplm[m], rtol=0, atol=1e-12)
-
 
 class TestGridInvariants:
     def test_rejects_small_band_limit(self):
@@ -497,10 +486,11 @@ class TestLambda1:
     def test_large_band_limit(self):
         assert abs(measure_lambda1(make_grid(64)) - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("L", [8, 16])
+    @pytest.mark.parametrize("L", [2, 3, 8, 16])
     def test_every_block_spectrum_is_exact(self, L):
         # measure_lambda1 sees only the minimum, which comes from m = 1; the
-        # whole spectrum of each block must be l(l+1)/2, l = max(m, 1)..L
+        # whole spectrum of each block must be l(l+1)/2, l = max(m, 1)..L,
+        # down to the one-row blocks of m = L
         blocks = list(_energy_blocks(make_grid(L)))
         assert len(blocks) == 2 * L + 1
         for m, K, M in blocks:
@@ -647,6 +637,18 @@ class TestFieldBasics:
     def test_from_values_shape_checked(self, grid8):
         with pytest.raises(DomainError):
             SphereField.from_values(grid8, np.ones((3, 3)))
+
+    def test_field_from_values_is_one_field(self, grid8):
+        # cos((L+1) phi) is the alternating sign on the phi nodes, which no
+        # order m <= L sees: the field of 2 + cos((L+1) phi) is the constant 2,
+        # and its values and sup are that field's, not the input's
+        L = grid8.L
+        phi = grid8.base.phi
+        raw = np.broadcast_to(2.0 + np.cos((L + 1) * phi), (grid8.base.ntheta, grid8.base.nphi))
+        f = SphereField.from_values(grid8, raw)
+        np.testing.assert_array_equal(f.values, grid8.synthesis(f.coeffs))
+        # a constant's sup squared is its mean square; the input's sup is 3
+        assert f.sup_norm() ** 2 == pytest.approx(avg_square(f), rel=1e-12)
 
     @pytest.mark.parametrize("slot", [(0, 2, 5), (1, 3, 0)], ids=["m_above_l", "sin_m0"])
     def test_from_coeffs_rejects_unused_slots(self, grid8, slot):
