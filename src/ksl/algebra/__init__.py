@@ -6,7 +6,6 @@ checks: the derivation-chain verifiers and their reports.
 """
 
 from .checks import (
-    CoefficientSet,
     PassReport,
     StepCheck,
     run_all,
@@ -43,7 +42,6 @@ from .terms import (
 )
 
 __all__ = [
-    "CoefficientSet",
     "FormalExpr",
     "FormalTerm",
     "J",

@@ -83,16 +83,6 @@ class PassReport:
     instantiations: list[dict] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The recurring quadruple multiplying the four basis integrals."""
-
-    A: RationalFunction
-    B: RationalFunction
-    C: RationalFunction
-    D: RationalFunction
-
-
 # shorthand generators
 _g = v("gamma")
 _a = v("a")
@@ -317,14 +307,19 @@ def display_boxsq_after_parts() -> FormalExpr:
     )
 
 
-def display_completion_quadruple() -> CoefficientSet:
+def display_completion_quadruple() -> FormalExpr:
+    """The pure-Hessian completion bound once the equation is used.
+
+    Its weights on GRAD4, K_EQ, K_PLAIN and MIXHESS2 are the paper's A1, B1,
+    C1 and D1.
+    """
     A1 = _g * (_g - 1) - 2 * _a * (_g - 1) + _a**2 + (3 * _g - 4 * _a) * (_be + 1) + (
         2 - 2 * _a / _g
     ) * (_be + 1) ** 2
     B1 = (3 * _g - 4 * _a) / _be + (2 - 2 * _a / _g) * ((_be * _q - _g) / _be)
     C1 = (4 * _a - 3 * _g) * _lam / _be + (2 - 2 * _a / _g) * _lam * (_g - _be) / _be - 1
     D1 = 2 * _a / _g - 1
-    return CoefficientSet(A1, B1, C1, D1)
+    return FormalExpr({GRAD4: A1, K_EQ: B1, K_PLAIN: C1, MIXHESS2: D1})
 
 
 def display_pure_completion_intermediate() -> FormalExpr:
@@ -340,7 +335,12 @@ def display_pure_completion_intermediate() -> FormalExpr:
     )
 
 
-def display_mixed_quadruple() -> CoefficientSet:
+def display_mixed_quadruple() -> FormalExpr:
+    """The mixed-Hessian completion bound once the equation is used.
+
+    Its weights on GRAD4, K_EQ, K_PLAIN and MIXHESS2 are the paper's A2, B2,
+    C2 and D2.
+    """
     A2 = (
         _b**2 * (1 - 1 / _n)
         + (_be + 1) ** 2 * (2 * _b / _g - 1 / _n)
@@ -349,7 +349,7 @@ def display_mixed_quadruple() -> CoefficientSet:
     B2 = (2 * _b / _g - 1 / _n) * (_q - _g / _be) + (2 * _b / _be) * (1 - 1 / _n)
     C2 = _lam * ((2 * _b / _g - 1 / _n) * ((_g - _be) / _be) - (2 * _b / _be) * (1 - 1 / _n))
     D2 = 1 - 2 * _b / _g
-    return CoefficientSet(A2, B2, C2, D2)
+    return FormalExpr({GRAD4: A2, K_EQ: B2, K_PLAIN: C2, MIXHESS2: D2})
 
 
 def display_mixed_intermediate() -> FormalExpr:
@@ -462,11 +462,7 @@ def verify_antihol_completion_bound() -> PassReport:
     d.expr("pre_equation_form", e3, display_pure_completion_intermediate())
 
     e4 = e3.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
-    quad = display_completion_quadruple()
-    expected = FormalExpr(
-        {GRAD4: quad.A, K_EQ: quad.B, K_PLAIN: quad.C, MIXHESS2: quad.D}
-    )
-    d.expr("final_coefficients", e4, expected)
+    d.expr("final_coefficients", e4, display_completion_quadruple())
 
     # parameter-off cross-check: a = 0 must reproduce the bare combination
     bare = (
@@ -496,12 +492,15 @@ def verify_midpoint_obstruction() -> PassReport:
     """
     d = _Derivation("midpoint_obstruction")
     quad = display_completion_quadruple()
-    d.identity("mixed_energy_weight_at_midpoint", quad.B.substitute("gamma", 2 * _a), _q)
-    d.identity("hessian_weight_at_midpoint", quad.D.substitute("gamma", 2 * _a), rf(0))
+    mixed_energy = quad.coefficient(K_EQ)
+    d.identity("mixed_energy_weight_at_midpoint", mixed_energy.substitute("gamma", 2 * _a), _q)
+    d.identity(
+        "hessian_weight_at_midpoint", quad.coefficient(MIXHESS2).substitute("gamma", 2 * _a), rf(0)
+    )
     # C1 - [(2 - 2a/gamma)(q-1) lam - 1] = -lam * B1, which is how the B- and
     # C-conditions combine into the displayed constraint on lam
-    combined = quad.C - ((2 - 2 * _a / _g) * (_q - 1) * _lam - 1)
-    d.identity("condition_combination_identity", combined, -_lam * quad.B)
+    combined = quad.coefficient(K_PLAIN) - ((2 - 2 * _a / _g) * (_q - 1) * _lam - 1)
+    d.identity("condition_combination_identity", combined, -_lam * mixed_energy)
 
     # the worked example a = 3, beta = 1, q = 2, where the midpoint form is q = 2
     pt = {name: Fraction(1) for name in VARS}
@@ -517,23 +516,25 @@ def verify_mixed_completion_bound() -> PassReport:
 
     e2 = e1.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
     quad = display_mixed_quadruple()
-    expected = FormalExpr(
-        {GRAD4: quad.A, K_EQ: quad.B, K_PLAIN: quad.C, MIXHESS2: quad.D}
-    )
-    d.expr("final_coefficients", e2, expected)
+    d.expr("final_coefficients", e2, quad)
 
-    d.identity("parameter_off_quartic", quad.A.substitute("b", rf(0)), -((_be + 1) ** 2) / _n)
-    d.identity("parameter_off_hessian", quad.D.substitute("b", rf(0)), rf(1))
+    d.identity(
+        "parameter_off_quartic",
+        quad.coefficient(GRAD4).substitute("b", rf(0)),
+        -((_be + 1) ** 2) / _n,
+    )
+    d.identity("parameter_off_hessian", quad.coefficient(MIXHESS2).substitute("b", rf(0)), rf(1))
 
     return d.finish(seed=47)
 
 
-def _combined_base_quadruple(q1: CoefficientSet, q2: CoefficientSet) -> CoefficientSet:
-    """The k-weighted combination of the completion quadruple q1 and the mixed
-    quadruple q2, with the trace split applied (display form)."""
-    Dc = q1.D + _k * q2.D
-    A = q1.A + _k * q2.A + (Dc / _n) * (_be + 1) ** 2
-    B = q1.B + _k * q2.B + (Dc / _n) * (_q - _g / _be)
+def _combined_base_quadruple(pre: FormalExpr) -> FormalExpr:
+    """The k-weighted combination `pre` of the two completion quadruples with
+    the trace split applied (display form): weights on GRAD4, K_EQ, K_PLAIN
+    and TRACEFREE."""
+    Dc = pre.coefficient(MIXHESS2)
+    A = pre.coefficient(GRAD4) + (Dc / _n) * (_be + 1) ** 2
+    B = pre.coefficient(K_EQ) + (Dc / _n) * (_q - _g / _be)
     C = (
         (4 * _a - 3 * _g) / _be
         + (2 - 2 * _a / _g) * (_g / _be - 1)
@@ -541,7 +542,7 @@ def _combined_base_quadruple(q1: CoefficientSet, q2: CoefficientSet) -> Coeffici
         - (2 * _b * _k / _be) * (1 - 1 / _n)
         + (_g / _be - 1) * (Dc / _n)
     ) * _lam - 1
-    return CoefficientSet(A, B, C, Dc)
+    return FormalExpr({GRAD4: A, K_EQ: B, K_PLAIN: C, TRACEFREE: Dc})
 
 
 def verify_base_chain() -> PassReport:
@@ -558,38 +559,20 @@ def verify_base_chain() -> PassReport:
     d = _Derivation("base_chain")
 
     # (i) combine, split the mixed-Hessian weight into trace-free + trace
-    q1 = display_completion_quadruple()
-    q2 = display_mixed_quadruple()
-    pre = FormalExpr(
-        {
-            GRAD4: q1.A + _k * q2.A,
-            K_EQ: q1.B + _k * q2.B,
-            K_PLAIN: q1.C + _k * q2.C,
-            MIXHESS2: q1.D + _k * q2.D,
-        }
+    pre = display_completion_quadruple() + display_mixed_quadruple().scale(_k)
+    split = pre.replace(MIXHESS2, FormalExpr({TRACEFREE: rf(1), BOXSQ: 1 / _n})).replace(
+        BOXSQ, display_sub2()
     )
-    Dc = pre.coefficient(MIXHESS2)
-    split = FormalExpr(
-        {
-            GRAD4: pre.coefficient(GRAD4),
-            K_EQ: pre.coefficient(K_EQ),
-            K_PLAIN: pre.coefficient(K_PLAIN),
-            TRACEFREE: Dc,
-            BOXSQ: Dc / _n,
-        }
-    ).replace(BOXSQ, display_sub2())
-    comb = _combined_base_quadruple(q1, q2)
-    expected = FormalExpr(
-        {GRAD4: comb.A, K_EQ: comb.B, K_PLAIN: comb.C, TRACEFREE: comb.D}
-    )
+    expected = _combined_base_quadruple(pre)
     d.expr("step1_combined", split, expected)
 
     # (ii) the b-choice forces the trace-free weight to -eps
     b_choice = ((_g * _ep / 2 + _a - _g / 2) / _k) + _g / 2
-    A_b = comb.A.substitute("b", b_choice)
-    B_b = comb.B.substitute("b", b_choice)
-    C_b = comb.C.substitute("b", b_choice)
-    d.identity("step2_tracefree_weight", comb.D.substitute("b", b_choice), -_ep)
+    A_b, B_b, C_b, D_b = (
+        expected.coefficient(term).substitute("b", b_choice)
+        for term in (GRAD4, K_EQ, K_PLAIN, TRACEFREE)
+    )
+    d.identity("step2_tracefree_weight", D_b, -_ep)
     theta = 1 + ((_n - 1) / _n) * (_k + _ep)
     A_ii = (
         _g * (_g - 1)
@@ -848,8 +831,9 @@ def verify_grad_box_elimination() -> PassReport:
     return d.finish(seed=61, worked=((pt, d.holds_at(pt)),))
 
 
-def _refined_quadruple() -> tuple[RationalFunction, ...]:
-    """Displayed weights after the gradient-box elimination (gamma form)."""
+def _refined_quadruple() -> FormalExpr:
+    """Displayed weights on GRAD4, BOXSQ, K_PLAIN and MIXHESS2 after the
+    gradient-box elimination (gamma form)."""
     S = 3 * _g - 4 * _a + 2 * _b * _k * (1 - 1 / _n)
     den = _be * _q - _g
     A = (
@@ -862,7 +846,7 @@ def _refined_quadruple() -> tuple[RationalFunction, ...]:
     B = 2 - 2 * _a / _g + _k * (2 * _b / _g - 1 / _n) + S / den
     C = -(_lam * (_q - 1) * S / den + 1)
     D = 2 * _a / _g - 1 + _k * (1 - 2 * _b / _g)
-    return A, B, C, D
+    return FormalExpr({GRAD4: A, BOXSQ: B, K_PLAIN: C, MIXHESS2: D})
 
 
 def verify_refined_chain() -> PassReport:
@@ -888,16 +872,16 @@ def verify_refined_chain() -> PassReport:
     mixed = display_mixed_intermediate()
     combined = pure + mixed.scale(_k)
     e1 = combined.replace(GRADBOX, display_solved_gradbox())
-    A, B, C, D = _refined_quadruple()
-    expected = FormalExpr({GRAD4: A, BOXSQ: B, K_PLAIN: C, MIXHESS2: D})
+    expected = _refined_quadruple()
     d.expr("step1_combined", e1, expected)
 
     # (ii) zero the Hessian weight
     b_choice = (_g / 2) * (1 - 1 / _k) + _a / _k
-    d.identity("step2_hessian_weight", D.substitute("b", b_choice), rf(0))
-    A_b = A.substitute("b", b_choice)
-    B_b = B.substitute("b", b_choice)
-    C_b = C.substitute("b", b_choice)
+    A_b, B_b, C_b, D_b = (
+        expected.coefficient(term).substitute("b", b_choice)
+        for term in (GRAD4, BOXSQ, K_PLAIN, MIXHESS2)
+    )
+    d.identity("step2_hessian_weight", D_b, rf(0))
     S_b = (3 * _g - 4 * _a + 2 * b_choice * _k * (1 - 1 / _n))
     den = _be * _q - _g
     d.identity("step2_box_weight_simplifies", B_b, 1 + (_n - 1) * _k / _n + S_b / den)

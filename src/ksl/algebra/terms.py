@@ -113,9 +113,6 @@ class FormalExpr:
             out[term] = out[term] + c if term in out else c
         return FormalExpr(out)
 
-    def __sub__(self, other: "FormalExpr") -> "FormalExpr":
-        return self + other.scale(-1)
-
     def scale(self, factor) -> "FormalExpr":
         """Every coefficient times factor: a RationalFunction, Poly, int or Fraction."""
         return FormalExpr({term: c * factor for term, c in self.coeffs.items()})
@@ -169,15 +166,9 @@ def eq_in_boxsq() -> FormalExpr:
 
 def ibp(expr: FormalExpr) -> FormalExpr:
     """Integrate every J(p) by parts: J(p) -> -p*K(p)."""
-    out: dict[FormalTerm, RationalFunction] = {}
-    for term, c in expr.coeffs.items():
-        if term.kind == "J":
-            kterm = K(term.exponent)
-            add = c * rf(-term.exponent)
-            out[kterm] = out[kterm] + add if kterm in out else add
-        else:
-            out[term] = out[term] + c if term in out else c
-    return FormalExpr(out)
+    for term in [t for t in expr.coeffs if t.kind == "J"]:
+        expr = expr.replace(term, FormalExpr({K(term.exponent): rf(-term.exponent)}))
+    return expr
 
 
 def pure_hessian_upper_bound() -> FormalExpr:

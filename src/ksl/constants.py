@@ -2,9 +2,12 @@
 
 Everything here is a pure function of a :class:`Dimensions` record (complex
 dimension ``n``, exponent ``q``) plus the occasional free parameter ``k``,
-``x`` or ``lambda1``. All arithmetic runs through mpmath at 50 significant
-digits and is rounded to a Python float on the way out; the nested radicals
-lose digits near the degenerate exponent otherwise.
+``x`` or ``lambda1``. All arithmetic runs at 50 significant digits in this
+module's own mpmath context and is rounded to a Python float on the way out;
+the nested radicals lose digits near the degenerate exponent otherwise. The
+context is private, so the caller's mpmath precision (``mpmath.mp``, shared by
+the whole process) is never read or changed, and threads computing constants
+cannot change each other's precision.
 
 Conventions. ``n`` is the complex dimension, ``m = 2n`` the real one. The
 admissible exponent range is ``1 < q <= (n+1)/(n-1)`` for ``n >= 2`` (the
@@ -18,9 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
+import mpmath
 
 from .errors import DomainError
+
+# every closed form is evaluated in this context, never in mpmath.mp
+mp = mpmath.mp.clone()
+mp.dps = 50
 
 # Boundary detection tolerance for q against (n+1)/(n-1).
 _BOUNDARY_RTOL = 1e-12
@@ -36,8 +43,9 @@ class Dimensions:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"complex dimension must be an integer >= 1, got n = {self.n}")
-        if not self.q > 1:
-            raise DomainError(f"exponent must satisfy q > 1, got q = {self.q}")
+        # NaN fails both comparisons, so it is rejected too
+        if not 1 < self.q < math.inf:
+            raise DomainError(f"exponent must be finite and exceed 1, got q = {self.q}")
         if self.n >= 2:
             qmax = (self.n + 1) / (self.n - 1)
             if self.q > qmax * (1 + _BOUNDARY_RTOL):
@@ -120,11 +128,10 @@ def cs_bm(dims: Dimensions) -> float:
     radicand is the perfect square (n+1)^2 and the value collapses to
     (q-1)/2 exactly.
     """
-    with mp.workdps(50):
-        n, q = _mpq(dims)
-        root = _sqrt_radicand(dims, (n + 1) * (n + 1 - (n - 1) * q), (n + 1) ** 2)
-        val = (q - 1) * (2 * n + q + 2 - 2 * root) / (2 * q * n)
-        return float(val)
+    n, q = _mpq(dims)
+    root = _sqrt_radicand(dims, (n + 1) * (n + 1 - (n - 1) * q), (n + 1) ** 2)
+    val = (q - 1) * (2 * n + q + 2 - 2 * root) / (2 * q * n)
+    return float(val)
 
 
 def riemannian_constants(dims: Dimensions) -> tuple[float, float]:
@@ -136,11 +143,10 @@ def riemannian_constants(dims: Dimensions) -> tuple[float, float]:
     exponent bound q <= (m+2)/(m-2) is the (n+1)/(n-1) of Dimensions.
     """
     m = dims.m
-    with mp.workdps(50):
-        q = mp.mpf(dims.q)
-        raw = (q - 1) / m
-        bridged = (q - 1) * (m - 1) / m
-        return float(raw), float(bridged)
+    q = mp.mpf(dims.q)
+    raw = (q - 1) / m
+    bridged = (q - 1) * (m - 1) / m
+    return float(raw), float(bridged)
 
 
 def _k_endpoints_mp(dims: Dimensions):
@@ -160,9 +166,8 @@ def k_interval(dims: Dimensions) -> KInterval:
     which is why their product is 1. Degenerates to a single point at the
     boundary exponent.
     """
-    with mp.workdps(50):
-        lo, hi = _k_endpoints_mp(dims)
-        return KInterval(float(lo), float(hi))
+    lo, hi = _k_endpoints_mp(dims)
+    return KInterval(float(lo), float(hi))
 
 
 def lambda1_coefficient(dims: Dimensions, k: float) -> float:
@@ -173,8 +178,7 @@ def lambda1_coefficient(dims: Dimensions, k: float) -> float:
     """
     if not 0 < k < math.inf:
         raise DomainError(f"k must be positive and finite, got k = {k}")
-    with mp.workdps(50):
-        return float(_lambda1_coefficient_mp(dims, mp.mpf(k)))
+    return float(_lambda1_coefficient_mp(dims, mp.mpf(k)))
 
 
 def _lambda1_coefficient_mp(dims: Dimensions, kk):
@@ -202,8 +206,7 @@ def f_of_k(dims: Dimensions, k: float, lambda1: float) -> float:
     """Threshold objective F(k); reciprocal of twice the generalized constant."""
     _require_lambda1(lambda1)
     _require_k_feasible(dims, k)
-    with mp.workdps(50):
-        return float(_f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1)))
+    return float(_f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1)))
 
 
 def cs_general(dims: Dimensions, k: float, lambda1: float) -> float:
@@ -214,8 +217,7 @@ def cs_general(dims: Dimensions, k: float, lambda1: float) -> float:
     """
     _require_lambda1(lambda1)
     _require_k_feasible(dims, k)
-    with mp.workdps(50):
-        return float(1 / (2 * _f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1))))
+    return float(1 / (2 * _f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1))))
 
 
 def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
@@ -228,17 +230,16 @@ def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
     Ties within 1e-9 of the maximum resolve to k_lo.
     Returns (k_star, lambda_threshold) with lambda_threshold = F(k_star).
     """
-    with mp.workdps(50):
-        # the endpoints first, so that n = 1 is the error reported there
-        lo, hi = _k_endpoints_mp(dims)
-        _require_lambda1(lambda1)
-        lam1 = mp.mpf(lambda1)
-        k_c = min(max(mp.sqrt(1 - 1 / lam1), lo), hi)
-        f_lo = _f_of_k_mp(dims, lo, lam1)
-        f_c = _f_of_k_mp(dims, k_c, lam1)
-        if f_lo >= f_c - mp.mpf("1e-9"):
-            return float(lo), float(f_lo)
-        return float(k_c), float(f_c)
+    # the endpoints first, so that n = 1 is the error reported there
+    lo, hi = _k_endpoints_mp(dims)
+    _require_lambda1(lambda1)
+    lam1 = mp.mpf(lambda1)
+    k_c = min(max(mp.sqrt(1 - 1 / lam1), lo), hi)
+    f_lo = _f_of_k_mp(dims, lo, lam1)
+    f_c = _f_of_k_mp(dims, k_c, lam1)
+    if f_lo >= f_c - mp.mpf("1e-9"):
+        return float(lo), float(f_lo)
+    return float(k_c), float(f_c)
 
 
 def epsilon_max(dims: Dimensions) -> float:
@@ -248,11 +249,10 @@ def epsilon_max(dims: Dimensions) -> float:
     boundary exponent where the radicand is a perfect square.
     """
     _require_n2(dims, "epsilon_max")
-    with mp.workdps(50):
-        n, q = _mpq(dims)
-        num = 4 * n * (n + 1) - 2 * q * (n - 1) - 2 * (n - 1) * mp.sqrt(q**2 + 4 * q * n * (n + 1))
-        val = _boundary_zero(dims, num, n * n) / (n * (n - 1) * q)
-        return float(val)
+    n, q = _mpq(dims)
+    num = 4 * n * (n + 1) - 2 * q * (n - 1) - 2 * (n - 1) * mp.sqrt(q**2 + 4 * q * n * (n + 1))
+    val = _boundary_zero(dims, num, n * n) / (n * (n - 1) * q)
+    return float(val)
 
 
 def k_lower_bound_eps0(dims: Dimensions) -> float:
@@ -263,8 +263,7 @@ def k_lower_bound_eps0(dims: Dimensions) -> float:
     bound coincide identically.
     """
     _require_n2(dims, "k_lower_bound_eps0")
-    with mp.workdps(50):
-        return float(_k_lower_bound_eps0_mp(dims))
+    return float(_k_lower_bound_eps0_mp(dims))
 
 
 def _k_lower_bound_eps0_mp(dims: Dimensions):
@@ -280,10 +279,9 @@ def base_threshold(dims: Dimensions) -> float:
     alike; the acceptance tests pin that agreement.
     """
     _require_n2(dims, "base_threshold")
-    with mp.workdps(50):
-        n, q = _mpq(dims)
-        val = 1 / ((q - 1) * (1 + (n - 1) / n * _k_lower_bound_eps0_mp(dims)))
-        return float(val)
+    n, q = _mpq(dims)
+    val = 1 / ((q - 1) * (1 + (n - 1) / n * _k_lower_bound_eps0_mp(dims)))
+    return float(val)
 
 
 def x_bounds(dims: Dimensions, k: float) -> tuple[float, float]:
@@ -296,12 +294,11 @@ def x_bounds(dims: Dimensions, k: float) -> tuple[float, float]:
     _require_n2(dims, "x_bounds")
     if not 0 < k < math.inf:
         raise DomainError(f"k must be positive and finite, got k = {k}")
-    with mp.workdps(50):
-        n, q = _mpq(dims)
-        kk = mp.mpf(k)
-        x_lo = (kk * n + n - kk) * q / (2 * (n + 1))
-        x_hi = (4 * n**2 + 4 * n + q) * kk / (2 * (n + 1) * (kk * n + n - 1))
-        return float(x_lo), float(x_hi)
+    n, q = _mpq(dims)
+    kk = mp.mpf(k)
+    x_lo = (kk * n + n - kk) * q / (2 * (n + 1))
+    x_hi = (4 * n**2 + 4 * n + q) * kk / (2 * (n + 1) * (kk * n + n - 1))
+    return float(x_lo), float(x_hi)
 
 
 def spectral_lambda_bound(dims: Dimensions, k: float, x: float, lambda1: float) -> float:
@@ -319,22 +316,20 @@ def spectral_lambda_bound(dims: Dimensions, k: float, x: float, lambda1: float) 
             f"x = {x} outside feasible range [{x_lo}, {x_hi}] for k = {k}, "
             f"n = {dims.n}, q = {dims.q}"
         )
-    with mp.workdps(50):
-        n, q = _mpq(dims)
-        kk, xx, lam1 = mp.mpf(k), mp.mpf(x), mp.mpf(lambda1)
-        val = lam1 / (q - 1) + (1 - lam1 * (1 + (n - 1) * kk / n)) * q * n / (
-            2 * (q - 1) * (n + 1) * xx
-        )
-        return float(val)
+    n, q = _mpq(dims)
+    kk, xx, lam1 = mp.mpf(k), mp.mpf(x), mp.mpf(lambda1)
+    val = lam1 / (q - 1) + (1 - lam1 * (1 + (n - 1) * kk / n)) * q * n / (
+        2 * (q - 1) * (n + 1) * xx
+    )
+    return float(val)
 
 
 def constants_report(dims: Dimensions) -> ConstantsReport:
     """Headline constants at one (n, q): sharp, bridged Riemannian, conjectured."""
     c_s = cs_bm(dims)
     _, bridged = riemannian_constants(dims)
-    with mp.workdps(50):
-        c_conj = float((mp.mpf(dims.q) - 1) / 2)
-        lam_lower = float((mp.mpf(dims.q) - 1) / (2 * mp.mpf(c_s)))
+    c_conj = float((mp.mpf(dims.q) - 1) / 2)
+    lam_lower = float((mp.mpf(dims.q) - 1) / (2 * mp.mpf(c_s)))
     return ConstantsReport(
         c_s=c_s,
         c_riem_bridged=bridged,

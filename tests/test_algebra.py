@@ -35,7 +35,7 @@ from ksl.algebra.checks import (
     display_mixed_quadruple,
 )
 from ksl.algebra.ring import VARS, RadExpr, rf, rf_equal, v
-from ksl.algebra.terms import ANTIHESS2, FormalExpr
+from ksl.algebra.terms import ANTIHESS2, GRAD4, K_EQ, K_PLAIN, MIXHESS2, FormalExpr
 from ksl.cli import run
 from ksl.errors import DomainError
 
@@ -272,26 +272,26 @@ def test_algebra_payload_is_pinned(capsys, tmp_path, monkeypatch):
 class TestTargetedIdentities:
     def test_midpoint_value_is_q(self):
         quad = display_completion_quadruple()
-        assert rf_equal(quad.B.substitute("gamma", 2 * v("a")), v("q"))
+        assert rf_equal(quad.coefficient(K_EQ).substitute("gamma", 2 * v("a")), v("q"))
 
     def test_midpoint_kills_hessian_weight(self):
         quad = display_completion_quadruple()
-        assert rf_equal(quad.D.substitute("gamma", 2 * v("a")), rf(0))
+        assert rf_equal(quad.coefficient(MIXHESS2).substitute("gamma", 2 * v("a")), rf(0))
 
     def test_parameter_off_mixed_quadruple(self):
         quad = display_mixed_quadruple()
         n = v("n")
         beta = v("beta")
-        assert rf_equal(quad.A.substitute("b", rf(0)), -((beta + 1) ** 2) / n)
-        assert rf_equal(quad.D.substitute("b", rf(0)), rf(1))
+        assert rf_equal(quad.coefficient(GRAD4).substitute("b", rf(0)), -((beta + 1) ** 2) / n)
+        assert rf_equal(quad.coefficient(MIXHESS2).substitute("b", rf(0)), rf(1))
 
     def test_lam_zero_drops_plain_energy_weights(self):
         quad1 = display_completion_quadruple()
         quad2 = display_mixed_quadruple()
         # with lam = 0 the plain-energy weights reduce to the lam-free parts
-        c1 = quad1.C.substitute("lam", rf(0))
+        c1 = quad1.coefficient(K_PLAIN).substitute("lam", rf(0))
         assert rf_equal(c1, rf(-1))
-        c2 = quad2.C.substitute("lam", rf(0))
+        c2 = quad2.coefficient(K_PLAIN).substitute("lam", rf(0))
         assert rf_equal(c2, rf(0))
 
     def test_feasibility_quadratic_at_reference_point(self):

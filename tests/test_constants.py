@@ -4,9 +4,11 @@ Oracle values were computed once with mpmath at 40+ digits (independent
 scripts, not the package code) and are frozen here as literals.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from ksl import (
     base_threshold,
     x_bounds,
 )
+from ksl import constants
 
 # Frozen oracles (mpmath, 40 digits, rounded to double).
 CS_22 = 0.5669872981077807
@@ -51,6 +54,11 @@ class TestDimensions:
             dims(2, 1.0)
         with pytest.raises(DomainError):
             dims(2, 0.5)
+        # n = 1 has no upper exponent bound, so only the finiteness test stops these
+        with pytest.raises(DomainError, match="finite and exceed 1"):
+            dims(1, math.inf)
+        with pytest.raises(DomainError, match="finite and exceed 1"):
+            dims(1, math.nan)
 
     def test_rejects_supercritical_q(self):
         with pytest.raises(DomainError):
@@ -295,6 +303,53 @@ def test_lambda1_below_one_rejected(lam1):
     for call in calls:
         with pytest.raises(DomainError, match="lambda1 must be finite and >= 1"):
             call()
+
+
+def _precision_probes():
+    """One or more calls of every public function of ksl.constants."""
+    d, d3 = dims(2, 2.0), dims(3, 1.5)
+    return [
+        (cs_bm, (d,)),
+        (cs_bm, (dims(1, 2.0),)),
+        (riemannian_constants, (d,)),
+        (k_interval, (d,)),
+        (lambda1_coefficient, (d, 1.0)),
+        (f_of_k, (d, 1.0, 2.0)),
+        (cs_general, (d, 1.0, 2.0)),
+        (optimize_k, (d, 1.0)),
+        (optimize_k, (d3, 4.0)),
+        (epsilon_max, (d,)),
+        (k_lower_bound_eps0, (d,)),
+        (base_threshold, (d3,)),
+        (x_bounds, (d, 1.0)),
+        (spectral_lambda_bound, (d, 1.0, 1.2, 1.0)),
+        (constants_report, (d3,)),
+    ]
+
+
+def test_constants_never_set_the_process_precision(monkeypatch):
+    probes = _precision_probes()
+    public = {
+        name
+        for name, f in inspect.getmembers(constants, inspect.isfunction)
+        if f.__module__ == constants.__name__ and not name.startswith("_")
+    }
+    assert {f.__name__ for f, _ in probes} == public
+    expected = [f(*args) for f, args in probes]
+
+    def refuse(ctx, value):
+        raise AssertionError("ksl.constants set an mpmath context's precision")
+
+    # every context shares these properties, so a write anywhere raises
+    patched = 0
+    for cls in type(mpmath.mp).__mro__:
+        for name in ("prec", "dps"):
+            prop = cls.__dict__.get(name)
+            if isinstance(prop, property):
+                monkeypatch.setattr(cls, name, property(prop.fget, refuse))
+                patched += 1
+    assert patched == 2
+    assert [f(*args) for f, args in probes] == expected
 
 
 class TestEpsilonMax:
