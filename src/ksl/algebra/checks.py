@@ -209,12 +209,28 @@ class _Derivation:
     step is also instantiated by `finish`. A `root` step, decided modulo a
     surd's quadratic, and a `fact` (a sample value, a positivity check or a
     cross-check) are recorded only.
+
+    A verifier runs its steps inside ``with _Derivation(name) as d:``. A
+    DomainError raised there (a limit that does not exist, a denominator
+    that vanishes at a radical point) ends the derivation with one failing
+    step, `domain_error`, whose residual is the message; the steps recorded
+    before it keep their verdicts and `finish` still samples their
+    identities, so a wrong display fails its own report and no other.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.steps: list[StepCheck] = []
         self.pairs: list[tuple[RationalFunction, RationalFunction]] = []
+
+    def __enter__(self) -> "_Derivation":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if isinstance(exc, DomainError):
+            self.fact("domain_error", False, str(exc))
+            return True
+        return False
 
     def identity(
         self, name: str, lhs: RationalFunction, rhs: RationalFunction, note: str = ""
@@ -410,74 +426,72 @@ def verify_substitution_identities(idx: int) -> PassReport:
 
 def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
     """Identity idx; (3) records `elim.passed` as its elimination cross-check."""
-    d = _Derivation(f"substitution_identities_{idx}")
-
-    if idx == 1:
-        d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), display_sub1())
-    elif idx == 2:
-        raw = ibp(eq_in_boxsq())
-        d.expr("after_parts_integration", raw, display_boxsq_after_parts())
-        final = raw.replace(GRADBOX, display_sub1())
-        d.expr("after_first_identity", final, display_sub2())
-        lam_zero = display_sub2().coefficient(K_PLAIN).substitute("lam", rf(0))
-        d.identity("plain_energy_weight_vanishes_without_lam", lam_zero, rf(0))
-    elif idx == 3:
-        expected = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
-        d.expr(
-            "trusted_axiom_transcription",
-            mixcross_identity(),
-            expected,
-            "axiom, not derived; proof needs geometry outside this engine",
-        )
-        # cross-check: the two independent routes to the solved gradient-box
-        # form (direct elimination vs solving identities (1)+(2)) agree
-        d.fact(
-            "cross_check_via_elimination",
-            elim.passed,
-            "see elimination report",
-            "consistency of the calculus built on this axiom",
-        )
-    else:
+    if idx not in (1, 2, 3):
         raise DomainError(f"idx must be 1, 2 or 3, got {idx}")
+    with _Derivation(f"substitution_identities_{idx}") as d:
+        if idx == 1:
+            d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), display_sub1())
+        elif idx == 2:
+            raw = ibp(eq_in_boxsq())
+            d.expr("after_parts_integration", raw, display_boxsq_after_parts())
+            final = raw.replace(GRADBOX, display_sub1())
+            d.expr("after_first_identity", final, display_sub2())
+            lam_zero = display_sub2().coefficient(K_PLAIN).substitute("lam", rf(0))
+            d.identity("plain_energy_weight_vanishes_without_lam", lam_zero, rf(0))
+        else:
+            expected = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
+            d.expr(
+                "trusted_axiom_transcription",
+                mixcross_identity(),
+                expected,
+                "axiom, not derived; proof needs geometry outside this engine",
+            )
+            # cross-check: the two independent routes to the solved gradient-box
+            # form (direct elimination vs solving identities (1)+(2)) agree
+            d.fact(
+                "cross_check_via_elimination",
+                elim.passed,
+                "see elimination report",
+                "consistency of the calculus built on this axiom",
+            )
 
     return d.finish(seed=100 + idx)
 
 
 def verify_antihol_completion_bound() -> PassReport:
     """Completion of the square on the pure-type Hessian (parameter a)."""
-    d = _Derivation("antihol_completion_bound")
-
-    # |pure Hessian + a grad pair/v|^2 expanded; the two conjugate cross
-    # terms are real and equal, hence the single 2a weight
-    expansion = FormalExpr({ANTIHESS2: rf(1), ANTICROSS: 2 * _a, GRAD4: _a**2})
-    e1 = expansion.replace(ANTICROSS, anticross_identity())
-    e2 = e1.replace(ANTIHESS2, pure_hessian_upper_bound())
-    d.identity(
-        "upper_bound_applied_with_positive_weight",
-        e1.coefficient(ANTIHESS2),
-        rf(1),
-        "bound usable because the pure-Hessian weight is +1",
-    )
-    e3 = e2.replace(MIXCROSS, mixcross_identity())
-    d.expr("pre_equation_form", e3, display_pure_completion_intermediate())
-
-    e4 = e3.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
-    d.expr("final_coefficients", e4, display_completion_quadruple())
-
-    # parameter-off cross-check: a = 0 must reproduce the bare combination
-    bare = (
-        FormalExpr({ANTIHESS2: rf(1)})
-        .replace(ANTIHESS2, pure_hessian_upper_bound())
-        .replace(MIXCROSS, mixcross_identity())
-        .replace(GRADBOX, display_sub1())
-        .replace(BOXSQ, display_sub2())
-    )
-    for term in (GRAD4, K_EQ, K_PLAIN, MIXHESS2):
+    with _Derivation("antihol_completion_bound") as d:
+        # |pure Hessian + a grad pair/v|^2 expanded; the two conjugate cross
+        # terms are real and equal, hence the single 2a weight
+        expansion = FormalExpr({ANTIHESS2: rf(1), ANTICROSS: 2 * _a, GRAD4: _a**2})
+        e1 = expansion.replace(ANTICROSS, anticross_identity())
+        e2 = e1.replace(ANTIHESS2, pure_hessian_upper_bound())
         d.identity(
-            f"parameter_off[{term!r}]",
-            e4.coefficient(term).substitute("a", rf(0)),
-            bare.coefficient(term),
+            "upper_bound_applied_with_positive_weight",
+            e1.coefficient(ANTIHESS2),
+            rf(1),
+            "bound usable because the pure-Hessian weight is +1",
         )
+        e3 = e2.replace(MIXCROSS, mixcross_identity())
+        d.expr("pre_equation_form", e3, display_pure_completion_intermediate())
+
+        e4 = e3.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
+        d.expr("final_coefficients", e4, display_completion_quadruple())
+
+        # parameter-off cross-check: a = 0 must reproduce the bare combination
+        bare = (
+            FormalExpr({ANTIHESS2: rf(1)})
+            .replace(ANTIHESS2, pure_hessian_upper_bound())
+            .replace(MIXCROSS, mixcross_identity())
+            .replace(GRADBOX, display_sub1())
+            .replace(BOXSQ, display_sub2())
+        )
+        for term in (GRAD4, K_EQ, K_PLAIN, MIXHESS2):
+            d.identity(
+                f"parameter_off[{term!r}]",
+                e4.coefficient(term).substitute("a", rf(0)),
+                bare.coefficient(term),
+            )
 
     return d.finish(seed=23)
 
@@ -490,17 +504,21 @@ def verify_midpoint_obstruction() -> PassReport:
     nonpositive. Also checks the identity that chains the two nonpositivity
     conditions together.
     """
-    d = _Derivation("midpoint_obstruction")
-    quad = display_completion_quadruple()
-    mixed_energy = quad.coefficient(K_EQ)
-    d.identity("mixed_energy_weight_at_midpoint", mixed_energy.substitute("gamma", 2 * _a), _q)
-    d.identity(
-        "hessian_weight_at_midpoint", quad.coefficient(MIXHESS2).substitute("gamma", 2 * _a), rf(0)
-    )
-    # C1 - [(2 - 2a/gamma)(q-1) lam - 1] = -lam * B1, which is how the B- and
-    # C-conditions combine into the displayed constraint on lam
-    combined = quad.coefficient(K_PLAIN) - ((2 - 2 * _a / _g) * (_q - 1) * _lam - 1)
-    d.identity("condition_combination_identity", combined, -_lam * mixed_energy)
+    with _Derivation("midpoint_obstruction") as d:
+        quad = display_completion_quadruple()
+        mixed_energy = quad.coefficient(K_EQ)
+        d.identity(
+            "mixed_energy_weight_at_midpoint", mixed_energy.substitute("gamma", 2 * _a), _q
+        )
+        d.identity(
+            "hessian_weight_at_midpoint",
+            quad.coefficient(MIXHESS2).substitute("gamma", 2 * _a),
+            rf(0),
+        )
+        # C1 - [(2 - 2a/gamma)(q-1) lam - 1] = -lam * B1, which is how the B- and
+        # C-conditions combine into the displayed constraint on lam
+        combined = quad.coefficient(K_PLAIN) - ((2 - 2 * _a / _g) * (_q - 1) * _lam - 1)
+        d.identity("condition_combination_identity", combined, -_lam * mixed_energy)
 
     # the worked example a = 3, beta = 1, q = 2, where the midpoint form is q = 2
     pt = {name: Fraction(1) for name in VARS}
@@ -510,20 +528,22 @@ def verify_midpoint_obstruction() -> PassReport:
 
 def verify_mixed_completion_bound() -> PassReport:
     """Completion of the square on the mixed Hessian via the trace inequality."""
-    d = _Derivation("mixed_completion_bound")
-    e1 = cauchy_schwarz_defect().replace(MIXCROSS, mixcross_identity())
-    d.expr("pre_equation_form", e1, display_mixed_intermediate())
+    with _Derivation("mixed_completion_bound") as d:
+        e1 = cauchy_schwarz_defect().replace(MIXCROSS, mixcross_identity())
+        d.expr("pre_equation_form", e1, display_mixed_intermediate())
 
-    e2 = e1.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
-    quad = display_mixed_quadruple()
-    d.expr("final_coefficients", e2, quad)
+        e2 = e1.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
+        quad = display_mixed_quadruple()
+        d.expr("final_coefficients", e2, quad)
 
-    d.identity(
-        "parameter_off_quartic",
-        quad.coefficient(GRAD4).substitute("b", rf(0)),
-        -((_be + 1) ** 2) / _n,
-    )
-    d.identity("parameter_off_hessian", quad.coefficient(MIXHESS2).substitute("b", rf(0)), rf(1))
+        d.identity(
+            "parameter_off_quartic",
+            quad.coefficient(GRAD4).substitute("b", rf(0)),
+            -((_be + 1) ** 2) / _n,
+        )
+        d.identity(
+            "parameter_off_hessian", quad.coefficient(MIXHESS2).substitute("b", rf(0)), rf(1)
+        )
 
     return d.finish(seed=47)
 
@@ -556,161 +576,162 @@ def verify_base_chain() -> PassReport:
     k-discriminant at eps = 0 and the slack ceiling; (viii) the k lower bound
     is a root and the resulting threshold equals the closed-form constant.
     """
-    d = _Derivation("base_chain")
+    with _Derivation("base_chain") as d:
+        # (i) combine, split the mixed-Hessian weight into trace-free + trace
+        pre = display_completion_quadruple() + display_mixed_quadruple().scale(_k)
+        split = pre.replace(MIXHESS2, FormalExpr({TRACEFREE: rf(1), BOXSQ: 1 / _n})).replace(
+            BOXSQ, display_sub2()
+        )
+        expected = _combined_base_quadruple(pre)
+        d.expr("step1_combined", split, expected)
 
-    # (i) combine, split the mixed-Hessian weight into trace-free + trace
-    pre = display_completion_quadruple() + display_mixed_quadruple().scale(_k)
-    split = pre.replace(MIXHESS2, FormalExpr({TRACEFREE: rf(1), BOXSQ: 1 / _n})).replace(
-        BOXSQ, display_sub2()
-    )
-    expected = _combined_base_quadruple(pre)
-    d.expr("step1_combined", split, expected)
+        # (ii) the b-choice forces the trace-free weight to -eps
+        b_choice = ((_g * _ep / 2 + _a - _g / 2) / _k) + _g / 2
+        A_b, B_b, C_b, D_b = (
+            expected.coefficient(term).substitute("b", b_choice)
+            for term in (GRAD4, K_EQ, K_PLAIN, TRACEFREE)
+        )
+        d.identity("step2_tracefree_weight", D_b, -_ep)
+        theta = 1 + ((_n - 1) / _n) * (_k + _ep)
+        A_ii = (
+            _g * (_g - 1)
+            - 2 * _a * (_g - 1)
+            + _a**2
+            + (3 * _g - 4 * _a) * (_be + 1)
+            + (_be + 1) ** 2 * theta
+            + b_choice**2 * _k * (1 - 1 / _n)
+            + 2 * b_choice * _k * (_be + 1) * (1 - 1 / _n)
+        )
+        B_ii = (3 * _g - 4 * _a) / _be + (_q - _g / _be) * theta + (
+            2 * b_choice * _k / _be
+        ) * (1 - 1 / _n)
+        C_ii = (
+            (4 * _a - 3 * _g) / _be
+            + (_g / _be - 1) * theta
+            - (2 * b_choice * _k / _be) * (1 - 1 / _n)
+        ) * _lam - 1
+        d.identity("step2_quartic_weight", A_b, A_ii)
+        d.identity("step2_mixed_energy_weight", B_b, B_ii)
+        d.identity("step2_plain_energy_weight", C_b, C_ii)
 
-    # (ii) the b-choice forces the trace-free weight to -eps
-    b_choice = ((_g * _ep / 2 + _a - _g / 2) / _k) + _g / 2
-    A_b, B_b, C_b, D_b = (
-        expected.coefficient(term).substitute("b", b_choice)
-        for term in (GRAD4, K_EQ, K_PLAIN, TRACEFREE)
-    )
-    d.identity("step2_tracefree_weight", D_b, -_ep)
-    theta = 1 + ((_n - 1) / _n) * (_k + _ep)
-    A_ii = (
-        _g * (_g - 1)
-        - 2 * _a * (_g - 1)
-        + _a**2
-        + (3 * _g - 4 * _a) * (_be + 1)
-        + (_be + 1) ** 2 * theta
-        + b_choice**2 * _k * (1 - 1 / _n)
-        + 2 * b_choice * _k * (_be + 1) * (1 - 1 / _n)
-    )
-    B_ii = (3 * _g - 4 * _a) / _be + (_q - _g / _be) * theta + (
-        2 * b_choice * _k / _be
-    ) * (1 - 1 / _n)
-    C_ii = (
-        (4 * _a - 3 * _g) / _be
-        + (_g / _be - 1) * theta
-        - (2 * b_choice * _k / _be) * (1 - 1 / _n)
-    ) * _lam - 1
-    d.identity("step2_quartic_weight", A_b, A_ii)
-    d.identity("step2_mixed_energy_weight", B_b, B_ii)
-    d.identity("step2_plain_energy_weight", C_b, C_ii)
+        # (iii) weights at gamma = 0 (continuity in gamma; the pole cancels)
+        A0 = A_b.limit_var_zero("gamma")
+        B0 = B_b.limit_var_zero("gamma")
+        A0_disp = (
+            2 * _a
+            + _a**2
+            + (_a**2 / _k) * ((_n - 1) / _n)
+            - 2 * _a * (_be + 1) * ((_n + 1) / _n)
+            + theta * (_be + 1) ** 2
+        )
+        B0_disp = -(2 * _a / _be) * ((_n + 1) / _n) + _q * theta
+        C0_disp = ((2 * _a / _be) * ((_n + 1) / _n) - theta) * _lam - 1
+        d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
+        d.identity("step3_mixed_energy_weight_at_zero", B0, B0_disp)
+        d.identity("step3_plain_energy_weight_at_zero", C_b.limit_var_zero("gamma"), C0_disp)
 
-    # (iii) weights at gamma = 0 (continuity in gamma; the pole cancels)
-    A0 = A_b.limit_var_zero("gamma")
-    B0 = B_b.limit_var_zero("gamma")
-    A0_disp = (
-        2 * _a
-        + _a**2
-        + (_a**2 / _k) * ((_n - 1) / _n)
-        - 2 * _a * (_be + 1) * ((_n + 1) / _n)
-        + theta * (_be + 1) ** 2
-    )
-    B0_disp = -(2 * _a / _be) * ((_n + 1) / _n) + _q * theta
-    C0_disp = ((2 * _a / _be) * ((_n + 1) / _n) - theta) * _lam - 1
-    d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
-    d.identity("step3_mixed_energy_weight_at_zero", B0, B0_disp)
-    d.identity("step3_plain_energy_weight_at_zero", C_b.limit_var_zero("gamma"), C0_disp)
+        # (iv) the a-choice kills the mixed energy weight
+        a_choice = _q * theta * _n * _be / (2 * (_n + 1))
+        d.identity("step4_mixed_energy_killed", B0.substitute("a", a_choice), rf(0))
 
-    # (iv) the a-choice kills the mixed energy weight
-    a_choice = _q * theta * _n * _be / (2 * (_n + 1))
-    d.identity("step4_mixed_energy_killed", B0.substitute("a", a_choice), rf(0))
+        # (v) quartic weight = theta * (quadratic in beta); theta > 0 is the
+        # cleared factor (positive whenever k, eps >= 0)
+        lead_beta = _q**2 * theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1
+        quad_beta = _be**2 * lead_beta + _be * (2 - _q / (_n + 1)) + 1
+        d.identity(
+            "step5_quartic_factors",
+            A0.substitute("a", a_choice),
+            theta * quad_beta,
+            note="cleared factor: 1 + ((n-1)/n)(k+eps), positive for k > 0, eps >= 0",
+        )
 
-    # (v) quartic weight = theta * (quadratic in beta); theta > 0 is the
-    # cleared factor (positive whenever k, eps >= 0)
-    lead_beta = _q**2 * theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1
-    quad_beta = _be**2 * lead_beta + _be * (2 - _q / (_n + 1)) + 1
-    d.identity(
-        "step5_quartic_factors",
-        A0.substitute("a", a_choice),
-        theta * quad_beta,
-        note="cleared factor: 1 + ((n-1)/n)(k+eps), positive for k > 0, eps >= 0",
-    )
+        # (vi) discriminant of the beta-quadratic vs the displayed k-inequality;
+        # cleared factor q/(k(n+1)^2), positive on the admissible region
+        disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * lead_beta
+        Ak, Bk, Ck = display_k_inequality()
+        L = Ak * _k**2 + Bk * _k + Ck
+        d.identity(
+            "step6_discriminant_is_k_inequality",
+            disc_beta * _k * (_n + 1) ** 2,
+            -_q * L,
+            note=(
+                "cleared factor: q/(k(n+1)^2); side condition recorded: the "
+                "k-quadratic's leading weight n(n-1)q is positive for n >= 2"
+            ),
+        )
 
-    # (vi) discriminant of the beta-quadratic vs the displayed k-inequality;
-    # cleared factor q/(k(n+1)^2), positive on the admissible region
-    disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * lead_beta
-    Ak, Bk, Ck = display_k_inequality()
-    L = Ak * _k**2 + Bk * _k + Ck
-    d.identity(
-        "step6_discriminant_is_k_inequality",
-        disc_beta * _k * (_n + 1) ** 2,
-        -_q * L,
-        note=(
-            "cleared factor: q/(k(n+1)^2); side condition recorded: the "
-            "k-quadratic's leading weight n(n-1)q is positive for n >= 2"
-        ),
-    )
+        # (vii) k-discriminant of the inequality at eps = 0, and the eps ceiling
+        delta = Bk**2 - 4 * Ak * Ck
+        delta0_disp = (4 * _n**2 + 4 * _n) ** 2 - 16 * (_n**2 + _n) * _q * (_n**2 - _n)
+        d.identity("step7_discriminant_at_zero_slack", delta.substitute("eps", rf(0)), delta0_disp)
+        pt22 = {name: Fraction(1) for name in VARS}
+        pt22.update({"n": Fraction(2), "q": Fraction(2)})
+        val22 = delta0_disp.evaluate(pt22)
+        d.fact(
+            "step7_sample_value", val22 == 192, str(val22), "24^2 - 16*6*2*2 = 192 at n = 2, q = 2"
+        )
+        # the slack ceiling is an exact root of the eps-quadratic delta(eps)
+        rad_eps = Poly.var("q") ** 2 + 4 * Poly.var("q") * Poly.var("n") * (
+            Poly.var("n") + 1
+        )
+        eps_max = RadExpr(
+            (4 * _n * (_n + 1) - 2 * _q * (_n - 1)) / (_n * (_n - 1) * _q),
+            -2 * (_n - 1) / (_n * (_n - 1) * _q),
+            rad_eps,
+        )
+        d.root(
+            "step7_slack_ceiling_is_root",
+            delta,
+            "eps",
+            eps_max,
+            "delta(eps) is an upward parabola in eps; feasibility is eps <= ceiling",
+        )
+        d.identity(
+            "step7_eps_parabola_opens_up",
+            rf(delta.num.coeffs_in("eps").get(2, Poly()), delta.den),
+            (_q * _n * (_n - 1)) ** 2,
+            note="leading eps-weight is a square, positive on the admissible region",
+        )
 
-    # (vii) k-discriminant of the inequality at eps = 0, and the eps ceiling
-    delta = Bk**2 - 4 * Ak * Ck
-    delta0_disp = (4 * _n**2 + 4 * _n) ** 2 - 16 * (_n**2 + _n) * _q * (_n**2 - _n)
-    d.identity("step7_discriminant_at_zero_slack", delta.substitute("eps", rf(0)), delta0_disp)
-    pt22 = {name: Fraction(1) for name in VARS}
-    pt22.update({"n": Fraction(2), "q": Fraction(2)})
-    val22 = delta0_disp.evaluate(pt22)
-    d.fact("step7_sample_value", val22 == 192, str(val22), "24^2 - 16*6*2*2 = 192 at n = 2, q = 2")
-    # the slack ceiling is an exact root of the eps-quadratic delta(eps)
-    rad_eps = Poly.var("q") ** 2 + 4 * Poly.var("q") * Poly.var("n") * (
-        Poly.var("n") + 1
-    )
-    eps_max = RadExpr(
-        (4 * _n * (_n + 1) - 2 * _q * (_n - 1)) / (_n * (_n - 1) * _q),
-        -2 * (_n - 1) / (_n * (_n - 1) * _q),
-        rad_eps,
-    )
-    d.root(
-        "step7_slack_ceiling_is_root",
-        delta,
-        "eps",
-        eps_max,
-        "delta(eps) is an upward parabola in eps; feasibility is eps <= ceiling",
-    )
-    d.identity(
-        "step7_eps_parabola_opens_up",
-        rf(delta.num.coeffs_in("eps").get(2, Poly()), delta.den),
-        (_q * _n * (_n - 1)) ** 2,
-        note="leading eps-weight is a square, positive on the admissible region",
-    )
-
-    # (viii) the k lower bound is a root of the zero-slack inequality, and
-    # the threshold it induces equals the closed-form constant's threshold
-    rad2 = (Poly.var("n") ** 2 + Poly.var("n")) ** 2 - (
-        Poly.var("n") ** 2 - Poly.var("n")
-    ) * Poly.var("q") * (Poly.var("n") ** 2 + Poly.var("n"))
-    k_lo_big = RadExpr(
-        (2 * _n**2 + 2 * _n - _q * (_n**2 - _n)) / (_n * (_n - 1) * _q),
-        -2 / (_n * (_n - 1) * _q),
-        rad2,
-    )
-    d.root("step8_lower_bound_is_root", L.substitute("eps", rf(0)), "k", k_lo_big)
-    d.identity(
-        "step8_radicand_rescaling",
-        rf(rad2),
-        _n**2 * rf(_rad_small),
-        "big radicand = n^2 * small radicand; factor n > 0",
-    )
-    # sqrt(f^2 r) = |f| sqrt(r), so the rescaling keeps the sign of the radical
-    # term only where the factor is positive
-    samples = [(n, 1 + Fraction(j, 2 * (n - 1))) for n in (2, 3, 4, 7) for j in (1, 2, 3, 4)]
-    base_pt = dict.fromkeys(VARS, Fraction(1))
-    factor_ok = all(_n.evaluate({**base_pt, "n": Fraction(n), "q": q}) > 0 for n, q in samples)
-    d.fact(
-        "step8_rescaling_factor_positive",
-        factor_ok,
-        "nonpositive at a sample point",
-        "factor n > 0 at 16 admissible points: n in {2, 3, 4, 7}, "
-        "q = 1 + j/(2(n-1)) for j = 1..4, the last on the boundary",
-    )
-    # with sqrt(big radicand) = n*sqrt(small radicand), 2C is a function of k
-    d.root(
-        "step8_threshold_identity",
-        (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(k_lo_big, _n),
-        "k",
-        k_lo_big,
-        "reciprocals agree iff these agree; 2C written in k through "
-        "sqrt(small radicand) = (k - base)/(n*coef), remainder modulo the "
-        "lower bound's quadratic",
-    )
+        # (viii) the k lower bound is a root of the zero-slack inequality, and
+        # the threshold it induces equals the closed-form constant's threshold
+        rad2 = (Poly.var("n") ** 2 + Poly.var("n")) ** 2 - (
+            Poly.var("n") ** 2 - Poly.var("n")
+        ) * Poly.var("q") * (Poly.var("n") ** 2 + Poly.var("n"))
+        k_lo_big = RadExpr(
+            (2 * _n**2 + 2 * _n - _q * (_n**2 - _n)) / (_n * (_n - 1) * _q),
+            -2 / (_n * (_n - 1) * _q),
+            rad2,
+        )
+        d.root("step8_lower_bound_is_root", L.substitute("eps", rf(0)), "k", k_lo_big)
+        d.identity(
+            "step8_radicand_rescaling",
+            rf(rad2),
+            _n**2 * rf(_rad_small),
+            "big radicand = n^2 * small radicand; factor n > 0",
+        )
+        # sqrt(f^2 r) = |f| sqrt(r), so the rescaling keeps the sign of the radical
+        # term only where the factor is positive
+        samples = [(n, 1 + Fraction(j, 2 * (n - 1))) for n in (2, 3, 4, 7) for j in (1, 2, 3, 4)]
+        base_pt = dict.fromkeys(VARS, Fraction(1))
+        factor_ok = all(_n.evaluate({**base_pt, "n": Fraction(n), "q": q}) > 0 for n, q in samples)
+        d.fact(
+            "step8_rescaling_factor_positive",
+            factor_ok,
+            "nonpositive at a sample point",
+            "factor n > 0 at 16 admissible points: n in {2, 3, 4, 7}, "
+            "q = 1 + j/(2(n-1)) for j = 1..4, the last on the boundary",
+        )
+        # with sqrt(big radicand) = n*sqrt(small radicand), 2C is a function of k
+        d.root(
+            "step8_threshold_identity",
+            (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(k_lo_big, _n),
+            "k",
+            k_lo_big,
+            "reciprocals agree iff these agree; 2C written in k through "
+            "sqrt(small radicand) = (k - base)/(n*coef), remainder modulo the "
+            "lower bound's quadratic",
+        )
 
     return d.finish(seed=53, extra_avoid=(Poly.var("n") + 1,))
 
@@ -785,43 +806,42 @@ def verify_radical_gap_monotone(
 
 def verify_grad_box_elimination() -> PassReport:
     """Eliminating the gradient-box integral from the squared-box identity."""
-    d = _Derivation("grad_box_elimination")
+    with _Derivation("grad_box_elimination") as d:
+        raw = ibp(eq_in_boxsq())
+        d.expr("boxsq_after_parts", raw, display_boxsq_after_parts())
 
-    raw = ibp(eq_in_boxsq())
-    d.expr("boxsq_after_parts", raw, display_boxsq_after_parts())
+        # rearranged first identity: the equation-exponent energy through the rest
+        keq_solved = FormalExpr(
+            {GRADBOX: _be, K_PLAIN: _lam, GRAD4: -_be * (_be + 1)}
+        )
+        back = display_sub1().replace(K_EQ, keq_solved)
+        d.expr("rearrangement_consistency", back, FormalExpr({GRADBOX: rf(1)}))
 
-    # rearranged first identity: the equation-exponent energy through the rest
-    keq_solved = FormalExpr(
-        {GRADBOX: _be, K_PLAIN: _lam, GRAD4: -_be * (_be + 1)}
-    )
-    back = display_sub1().replace(K_EQ, keq_solved)
-    d.expr("rearrangement_consistency", back, FormalExpr({GRADBOX: rf(1)}))
+        eliminated = raw.replace(K_EQ, keq_solved)
+        elim_disp = FormalExpr(
+            {
+                GRADBOX: _be * _q - _g,
+                K_PLAIN: _lam * (_q - 1),
+                GRAD4: -(_be * _q - _be - _g - 1) * (_be + 1),
+            }
+        )
+        d.expr("after_elimination", eliminated, elim_disp)
 
-    eliminated = raw.replace(K_EQ, keq_solved)
-    elim_disp = FormalExpr(
-        {
-            GRADBOX: _be * _q - _g,
-            K_PLAIN: _lam * (_q - 1),
-            GRAD4: -(_be * _q - _be - _g - 1) * (_be + 1),
-        }
-    )
-    d.expr("after_elimination", eliminated, elim_disp)
+        # solve for the gradient-box integral and compare the displayed form
+        solved = display_solved_gradbox()
+        # plugging the solved form into the eliminated identity must return BOXSQ
+        roundtrip = elim_disp.replace(GRADBOX, solved)
+        d.expr("solve_roundtrip", roundtrip, FormalExpr({BOXSQ: rf(1)}))
 
-    # solve for the gradient-box integral and compare the displayed form
-    solved = display_solved_gradbox()
-    # plugging the solved form into the eliminated identity must return BOXSQ
-    roundtrip = elim_disp.replace(GRADBOX, solved)
-    d.expr("solve_roundtrip", roundtrip, FormalExpr({BOXSQ: rf(1)}))
+        # alternate derivation: solve the two substitution identities directly
+        alt = display_sub2().replace(K_EQ, keq_solved)
+        d.expr("alternate_derivation", alt, elim_disp)
 
-    # alternate derivation: solve the two substitution identities directly
-    alt = display_sub2().replace(K_EQ, keq_solved)
-    d.expr("alternate_derivation", alt, elim_disp)
-
-    d.identity(
-        "plain_energy_weight_vanishes_without_lam",
-        solved.coefficient(K_PLAIN).substitute("lam", rf(0)),
-        rf(0),
-    )
+        d.identity(
+            "plain_energy_weight_vanishes_without_lam",
+            solved.coefficient(K_PLAIN).substitute("lam", rf(0)),
+            rf(0),
+        )
 
     # worked instantiation from the contract: gamma=1, beta=2, q=3, lam=1/5
     pt = {name: Fraction(1) for name in VARS}
@@ -865,143 +885,142 @@ def verify_refined_chain() -> PassReport:
     (xii) gamma is (1 - lam1) times a positive factor, so the objective is
     concave and its maximizer on the interval is that point clipped to it.
     """
-    d = _Derivation("refined_chain")
+    with _Derivation("refined_chain") as d:
+        # (i) combine and eliminate
+        pure = display_pure_completion_intermediate()
+        mixed = display_mixed_intermediate()
+        combined = pure + mixed.scale(_k)
+        e1 = combined.replace(GRADBOX, display_solved_gradbox())
+        expected = _refined_quadruple()
+        d.expr("step1_combined", e1, expected)
 
-    # (i) combine and eliminate
-    pure = display_pure_completion_intermediate()
-    mixed = display_mixed_intermediate()
-    combined = pure + mixed.scale(_k)
-    e1 = combined.replace(GRADBOX, display_solved_gradbox())
-    expected = _refined_quadruple()
-    d.expr("step1_combined", e1, expected)
+        # (ii) zero the Hessian weight
+        b_choice = (_g / 2) * (1 - 1 / _k) + _a / _k
+        A_b, B_b, C_b, D_b = (
+            expected.coefficient(term).substitute("b", b_choice)
+            for term in (GRAD4, BOXSQ, K_PLAIN, MIXHESS2)
+        )
+        d.identity("step2_hessian_weight", D_b, rf(0))
+        S_b = (3 * _g - 4 * _a + 2 * b_choice * _k * (1 - 1 / _n))
+        den = _be * _q - _g
+        d.identity("step2_box_weight_simplifies", B_b, 1 + (_n - 1) * _k / _n + S_b / den)
 
-    # (ii) zero the Hessian weight
-    b_choice = (_g / 2) * (1 - 1 / _k) + _a / _k
-    A_b, B_b, C_b, D_b = (
-        expected.coefficient(term).substitute("b", b_choice)
-        for term in (GRAD4, BOXSQ, K_PLAIN, MIXHESS2)
-    )
-    d.identity("step2_hessian_weight", D_b, rf(0))
-    S_b = (3 * _g - 4 * _a + 2 * b_choice * _k * (1 - 1 / _n))
-    den = _be * _q - _g
-    d.identity("step2_box_weight_simplifies", B_b, 1 + (_n - 1) * _k / _n + S_b / den)
+        # (iii) weights at gamma = 0
+        A0 = A_b.limit_var_zero("gamma")
+        B0 = B_b.limit_var_zero("gamma")
+        C0 = C_b.limit_var_zero("gamma")
+        A0_disp = (
+            2 * _a
+            + _a**2
+            + (_a**2 / _k) * ((_n - 1) / _n)
+            - 2 * _a * ((_n + 1) / _n) * (_be * _q - _be - 1) * (_be + 1) / (_be * _q)
+        )
+        B0_disp = 1 + (_n - 1) * _k / _n - (2 * _a / (_be * _q)) * ((_n + 1) / _n)
+        C0_disp = (_lam * (_q - 1) / (_be * _q)) * (2 * _a * (_n + 1) / _n) - 1
+        d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
+        d.identity("step3_box_weight_at_zero", B0, B0_disp)
+        d.identity("step3_plain_energy_weight_at_zero", C0, C0_disp)
 
-    # (iii) weights at gamma = 0
-    A0 = A_b.limit_var_zero("gamma")
-    B0 = B_b.limit_var_zero("gamma")
-    C0 = C_b.limit_var_zero("gamma")
-    A0_disp = (
-        2 * _a
-        + _a**2
-        + (_a**2 / _k) * ((_n - 1) / _n)
-        - 2 * _a * ((_n + 1) / _n) * (_be * _q - _be - 1) * (_be + 1) / (_be * _q)
-    )
-    B0_disp = 1 + (_n - 1) * _k / _n - (2 * _a / (_be * _q)) * ((_n + 1) / _n)
-    C0_disp = (_lam * (_q - 1) / (_be * _q)) * (2 * _a * (_n + 1) / _n) - 1
-    d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
-    d.identity("step3_box_weight_at_zero", B0, B0_disp)
-    d.identity("step3_plain_energy_weight_at_zero", C0, C0_disp)
+        # (iv) ratio substitution a = x*y, beta = y; cleared factor x
+        y2 = _x + _x * ((_n - 1) / (_k * _n)) - 2 * ((_n + 1) / _n) + 2 * ((_n + 1) / (_q * _n))
+        y1 = 2 + 2 * ((_n + 1) / (_q * _n)) - 2 * ((_q - 1) / _q) * ((_n + 1) / _n)
+        y0 = 2 * ((_n + 1) / (_q * _n))
+        d.identity(
+            "step4_quartic_is_x_times_quadratic",
+            A0.substitute("a", _x * _y).substitute("beta", _y),
+            _x * (_y**2 * y2 + _y * y1 + y0),
+            note="cleared factor: x = a/beta, nonzero by construction",
+        )
 
-    # (iv) ratio substitution a = x*y, beta = y; cleared factor x
-    y2 = _x + _x * ((_n - 1) / (_k * _n)) - 2 * ((_n + 1) / _n) + 2 * ((_n + 1) / (_q * _n))
-    y1 = 2 + 2 * ((_n + 1) / (_q * _n)) - 2 * ((_q - 1) / _q) * ((_n + 1) / _n)
-    y0 = 2 * ((_n + 1) / (_q * _n))
-    d.identity(
-        "step4_quartic_is_x_times_quadratic",
-        A0.substitute("a", _x * _y).substitute("beta", _y),
-        _x * (_y**2 * y2 + _y * y1 + y0),
-        note="cleared factor: x = a/beta, nonzero by construction",
-    )
+        # (v) discriminant of the y-quadratic against the x upper bound;
+        # cleared factor 8(n+1)(nk+n-1)/(q k n^2) > 0
+        x_hi = (4 * _n**2 + 4 * _n + _q) * _k / (2 * (_n + 1) * (_k * _n + _n - 1))
+        c_hi = 8 * (_n + 1) * (_n * _k + _n - 1) / (_q * _k * _n**2)
+        d.identity(
+            "step5_discriminant_linear_in_x",
+            y1**2 - 4 * y2 * y0,
+            c_hi * (x_hi - _x),
+            note="cleared factor: 8(n+1)(nk+n-1)/(q k n^2), positive for k > 0",
+        )
 
-    # (v) discriminant of the y-quadratic against the x upper bound;
-    # cleared factor 8(n+1)(nk+n-1)/(q k n^2) > 0
-    x_hi = (4 * _n**2 + 4 * _n + _q) * _k / (2 * (_n + 1) * (_k * _n + _n - 1))
-    c_hi = 8 * (_n + 1) * (_n * _k + _n - 1) / (_q * _k * _n**2)
-    d.identity(
-        "step5_discriminant_linear_in_x",
-        y1**2 - 4 * y2 * y0,
-        c_hi * (x_hi - _x),
-        note="cleared factor: 8(n+1)(nk+n-1)/(q k n^2), positive for k > 0",
-    )
+        # (vi) the mixed-energy condition is the x lower bound
+        B0_x = B0.substitute("a", _x * _y).substitute("beta", _y)
+        x_lo = (_k * _n + _n - _k) * _q / (2 * (_n + 1))
+        c_lo = 2 * (_n + 1) / (_q * _n)
+        d.identity(
+            "step6_box_weight_linear_in_x",
+            B0_x,
+            c_lo * (x_lo - _x),
+            note="cleared factor: 2(n+1)/(qn), positive",
+        )
 
-    # (vi) the mixed-energy condition is the x lower bound
-    B0_x = B0.substitute("a", _x * _y).substitute("beta", _y)
-    x_lo = (_k * _n + _n - _k) * _q / (2 * (_n + 1))
-    c_lo = 2 * (_n + 1) / (_q * _n)
-    d.identity(
-        "step6_box_weight_linear_in_x",
-        B0_x,
-        c_lo * (x_lo - _x),
-        note="cleared factor: 2(n+1)/(qn), positive",
-    )
+        # (vii) compatibility of the bounds is the k-quadratic; its roots are the
+        # feasibility interval endpoints
+        gap_factor = _q * _n * (_n - 1) / (2 * (_n + 1) * (_k * _n + _n - 1))
+        d.identity(
+            "step7_gap_is_k_quadratic",
+            x_hi - x_lo,
+            -gap_factor * _kq,
+            note="cleared factor: qn(n-1)/(2(n+1)(kn+n-1)), positive for n >= 2, k > 0",
+        )
+        for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
+            d.root(f"step7_{label}_endpoint_is_root", _kq, "k", endpoint)
+        # conjugate endpoints: the product is base^2 - coef^2 * radicand
+        d.identity(
+            "step7_endpoint_product_one",
+            _lo_end.base * _lo_end.base - _lo_end.coef * _lo_end.coef * rf(_lo_end.rad),
+            rf(1),
+            "constant term of the monic k-quadratic",
+        )
 
-    # (vii) compatibility of the bounds is the k-quadratic; its roots are the
-    # feasibility interval endpoints
-    gap_factor = _q * _n * (_n - 1) / (2 * (_n + 1) * (_k * _n + _n - 1))
-    d.identity(
-        "step7_gap_is_k_quadratic",
-        x_hi - x_lo,
-        -gap_factor * _kq,
-        note="cleared factor: qn(n-1)/(2(n+1)(kn+n-1)), positive for n >= 2, k > 0",
-    )
-    for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
-        d.root(f"step7_{label}_endpoint_is_root", _kq, "k", endpoint)
-    # conjugate endpoints: the product is base^2 - coef^2 * radicand
-    d.identity(
-        "step7_endpoint_product_one",
-        _lo_end.base * _lo_end.base - _lo_end.coef * _lo_end.coef * rf(_lo_end.rad),
-        rf(1),
-        "constant term of the monic k-quadratic",
-    )
+        # (viii) the spectral bound rearranges to the threshold inequality
+        C0_x = C0.substitute("a", _x * _y).substitute("beta", _y)
+        rhs_thr = _l1 / (_q - 1) + (1 - _l1 * (1 + (_n - 1) * _k / _n)) * _q * _n / (
+            2 * (_q - 1) * (_n + 1) * _x
+        )
+        c_combo = 2 * _x * (_n + 1) * (_q - 1) / (_q * _n)
+        d.identity(
+            "step8_threshold_rearrangement",
+            C0_x + _l1 * B0_x,
+            c_combo * (_lam - rhs_thr),
+            note="cleared factor: 2x(n+1)(q-1)/(qn), positive for x > 0, q > 1",
+        )
 
-    # (viii) the spectral bound rearranges to the threshold inequality
-    C0_x = C0.substitute("a", _x * _y).substitute("beta", _y)
-    rhs_thr = _l1 / (_q - 1) + (1 - _l1 * (1 + (_n - 1) * _k / _n)) * _q * _n / (
-        2 * (_q - 1) * (_n + 1) * _x
-    )
-    c_combo = 2 * _x * (_n + 1) * (_q - 1) / (_q * _n)
-    d.identity(
-        "step8_threshold_rearrangement",
-        C0_x + _l1 * B0_x,
-        c_combo * (_lam - rhs_thr),
-        note="cleared factor: 2x(n+1)(q-1)/(qn), positive for x > 0, q > 1",
-    )
+        # (ix) the threshold at the upper x-bound is the stated objective
+        F_weight, F_rest = display_objective()
+        F_disp = F_weight * _l1 + F_rest
+        d.identity("step9_objective_recovered", rhs_thr.substitute("x", x_hi), F_disp)
+        pt = {name: Fraction(1) for name in VARS}
+        pt.update({"n": Fraction(2), "q": Fraction(2), "k": Fraction(1), "lam1": Fraction(1)})
+        val = F_disp.evaluate(pt)
+        d.fact(
+            "step9_sample_value",
+            val == Fraction(10, 13),
+            str(val),
+            "objective at n=2, q=2, k=1, spectral parameter 1",
+        )
 
-    # (ix) the threshold at the upper x-bound is the stated objective
-    F_weight, F_rest = display_objective()
-    F_disp = F_weight * _l1 + F_rest
-    d.identity("step9_objective_recovered", rhs_thr.substitute("x", x_hi), F_disp)
-    pt = {name: Fraction(1) for name in VARS}
-    pt.update({"n": Fraction(2), "q": Fraction(2), "k": Fraction(1), "lam1": Fraction(1)})
-    val = F_disp.evaluate(pt)
-    d.fact(
-        "step9_sample_value",
-        val == Fraction(10, 13),
-        str(val),
-        "objective at n=2, q=2, k=1, spectral parameter 1",
-    )
-
-    # (x) F = alpha + beta*k + gamma/k; (xi) F' = beta - gamma/k^2 vanishes at
-    # k^2 = gamma/beta = 1 - 1/lam1; (xii) gamma, read off F as lim k*F at
-    # k = 0, is (1 - lam1) times a positive factor, so F'' = 2 gamma/k^3 <= 0
-    A_q = 4 * _n**2 + 4 * _n + _q
-    pos_factor = _q * _n * (_n - 1) / ((_q - 1) * A_q)
-    f_alpha = (_l1 * (A_q - _q * (2 * _n**2 - 2 * _n + 1)) + _q * _n**2) / ((_q - 1) * A_q)
-    f_beta, f_gamma = -_l1 * pos_factor, (1 - _l1) * pos_factor
-    d.identity("step10_objective_split", F_disp, f_alpha + f_beta * _k + f_gamma / _k)
-    d.identity(
-        "step11_stationary_point",
-        f_beta * (1 - 1 / _l1),
-        f_gamma,
-        "F' = beta - gamma/k^2 vanishes at k^2 = 1 - 1/lam1",
-    )
-    d.identity(
-        "step12_curvature_sign",
-        (F_disp * _k).limit_var_zero("k"),
-        f_gamma,
-        "cleared factor: qn(n-1)/((q-1)(4n^2+4n+q)), positive for n >= 2, q > 1; "
-        "so F'' = 2 gamma/k^3 <= 0 on k > 0 for lam1 >= 1",
-    )
+        # (x) F = alpha + beta*k + gamma/k; (xi) F' = beta - gamma/k^2 vanishes at
+        # k^2 = gamma/beta = 1 - 1/lam1; (xii) gamma, read off F as lim k*F at
+        # k = 0, is (1 - lam1) times a positive factor, so F'' = 2 gamma/k^3 <= 0
+        A_q = 4 * _n**2 + 4 * _n + _q
+        pos_factor = _q * _n * (_n - 1) / ((_q - 1) * A_q)
+        f_alpha = (_l1 * (A_q - _q * (2 * _n**2 - 2 * _n + 1)) + _q * _n**2) / ((_q - 1) * A_q)
+        f_beta, f_gamma = -_l1 * pos_factor, (1 - _l1) * pos_factor
+        d.identity("step10_objective_split", F_disp, f_alpha + f_beta * _k + f_gamma / _k)
+        d.identity(
+            "step11_stationary_point",
+            f_beta * (1 - 1 / _l1),
+            f_gamma,
+            "F' = beta - gamma/k^2 vanishes at k^2 = 1 - 1/lam1",
+        )
+        d.identity(
+            "step12_curvature_sign",
+            (F_disp * _k).limit_var_zero("k"),
+            f_gamma,
+            "cleared factor: qn(n-1)/((q-1)(4n^2+4n+q)), positive for n >= 2, q > 1; "
+            "so F'' = 2 gamma/k^3 <= 0 on k > 0 for lam1 >= 1",
+        )
 
     return d.finish(
         seed=71,
@@ -1024,30 +1043,29 @@ def verify_chain_consistency() -> PassReport:
     half the reciprocal of the closed-form constant), with the spectral
     weight vanishing at both endpoints.
     """
-    d = _Derivation("chain_consistency")
+    with _Derivation("chain_consistency") as d:
+        Ak, Bk, Ck = display_k_inequality()
+        L0 = (Ak * _k**2 + Bk * _k + Ck).substitute("eps", rf(0))
+        d.identity(
+            "same_k_quadratic",
+            L0,
+            _n * (_n - 1) * _q * _kq,
+            note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
+        )
 
-    Ak, Bk, Ck = display_k_inequality()
-    L0 = (Ak * _k**2 + Bk * _k + Ck).substitute("eps", rf(0))
-    d.identity(
-        "same_k_quadratic",
-        L0,
-        _n * (_n - 1) * _q * _kq,
-        note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
-    )
+        F_weight, F_rest = display_objective()
+        for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
+            d.root(f"spectral_weight_vanishes_at_{label}_endpoint", F_weight, "k", endpoint)
 
-    F_weight, F_rest = display_objective()
-    for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
-        d.root(f"spectral_weight_vanishes_at_{label}_endpoint", F_weight, "k", endpoint)
-
-    # threshold agreement: objective at the lower endpoint vs 1/(2*C) with C
-    # the closed-form constant, as F * 2C - 1 vanishing there
-    d.root(
-        "threshold_agreement",
-        F_rest * _two_c_at(_lo_end) - 1,
-        "k",
-        _lo_end,
-        "exact, as a remainder modulo the lower endpoint's quadratic",
-    )
+        # threshold agreement: objective at the lower endpoint vs 1/(2*C) with C
+        # the closed-form constant, as F * 2C - 1 vanishing there
+        d.root(
+            "threshold_agreement",
+            F_rest * _two_c_at(_lo_end) - 1,
+            "k",
+            _lo_end,
+            "exact, as a remainder modulo the lower endpoint's quadratic",
+        )
 
     return d.finish(seed=83, extra_avoid=(Poly.var("n") - 1, Poly.var("q") - 1))
 
@@ -1056,7 +1074,8 @@ def run_all() -> list[PassReport]:
     """Every exact verifier, plus the two in-range monotonicity examples.
 
     The elimination report is computed once and also serves as identity (3)'s
-    cross-check.
+    cross-check. A DomainError inside a derivation fails that report alone
+    (see `_Derivation`), so the list always holds twelve reports.
     """
     elim = verify_grad_box_elimination()
     reports = [

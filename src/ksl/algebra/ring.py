@@ -565,8 +565,11 @@ def rf_at_radexpr(
     """expr.num and expr.den modulo the root's quadratic, each as a*t + b in t = `name`.
 
     The quadratic is t^2 - trace*t + norm with trace = 2*base and
-    norm = base^2 - coef^2*rad; base, coef and rad must not involve `name`.
-    Trace and norm are cleared to one denominator D, and each Poly p of
+    norm = base^2 - coef^2*rad; base, coef and rad must not involve `name`,
+    and base and coef must share one denominator Poly e, as every radical
+    point of the verifiers does; otherwise DomainError is raised, since
+    clearing two denominators multiplies them into every power of D. Trace
+    and norm are then cleared to the one denominator D = e^2, and each Poly p of
     degree d in t is reduced modulo D t^2 - T t + N by pseudo-division in
     Poly: D^j p = Q (D t^2 - T t + N) + A t + B with j = max(d - 1, 0), one
     power of one denominator, and the remainder is returned as (A t + B)/D^j.
@@ -577,11 +580,10 @@ def rf_at_radexpr(
     zero norm, A^2 N + A B T + B^2 D = 0, the one case in which it could
     vanish at the root.
     """
-    bn, bd, cn, cd = root.base.num, root.base.den, root.coef.num, root.coef.den
-    # base = bn/e and coef = cn/e over one denominator e; then D = e^2
-    if bd != cd:
-        bn, cn, bd = bn * cd, cn * bd, bd * cd
-    D, T, N = bd * bd, (bn * bd).scaled(2), bn * bn - cn * cn * root.rad
+    bn, e, cn = root.base.num, root.base.den, root.coef.num
+    if root.coef.den != e:
+        raise DomainError("base and coef of the radical point must share one denominator")
+    D, T, N = e * e, (bn * e).scaled(2), bn * bn - cn * cn * root.rad
     d_pow = [ONE]
     t = Poly.var(name)
     a, b, j = _pseudo_remainder(expr.den, name, D, T, N, d_pow)

@@ -7,7 +7,6 @@ from .ops import (
     avg_square,
     box_op,
     grad_energy,
-    holo_energy,
     measure_lambda1,
     perturbation_tcoeff,
     random_band_limited,
@@ -26,7 +25,6 @@ __all__ = [
     "box_op",
     "coordinate_z",
     "grad_energy",
-    "holo_energy",
     "make_grid",
     "measure_lambda1",
     "newton_solve",

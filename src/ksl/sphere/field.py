@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .grid import AREA, QuadratureGrid
+from .grid import QuadratureGrid
 
 
 class SphereField:
@@ -19,9 +19,13 @@ class SphereField:
     band-limited is their projection onto the basis, and its `values` are
     that projection's.
 
+    The layout of the array is the grid's: the field reads its slots only
+    through grid members, so the basis test, the constant field and the mean
+    are `in_basis`, `constant_coeffs` and `coeffs_mean` there.
+
     `from_coeffs` and `from_values` take caller arrays: they check the shape
-    (and, for coefficients, that no slot outside the basis is set) and keep
-    no array of the caller's, so a field never shares memory with its input;
+    (and, for coefficients, the grid's basis test) and keep no array of the
+    caller's, so a field never shares memory with its input;
     `copy()` goes through `from_coeffs` too. Fields the library builds itself
     (a random draw, `+ - *`, negation, `constant`, `box_op` and the solver's
     results) call the constructor, which stores the array it is handed with
@@ -41,8 +45,7 @@ class SphereField:
             raise DomainError(
                 f"coefficient array must have shape {grid.coeff_shape()}, got {coeffs.shape}"
             )
-        # slots that hold no basis function: m > l, and the sin part at m = 0
-        if np.any(np.triu(coeffs, 1)) or np.any(coeffs[1, :, 0]):
+        if not grid.in_basis(coeffs):
             raise DomainError("coefficient array is nonzero at m > l or in the sin part at m = 0")
         return cls(grid, coeffs.copy())
 
@@ -56,9 +59,7 @@ class SphereField:
 
     @classmethod
     def constant(cls, grid: QuadratureGrid, value: float) -> "SphereField":
-        coeffs = np.zeros(grid.coeff_shape())
-        coeffs[0, 0, 0] = value * np.sqrt(AREA)
-        return cls(grid, coeffs)
+        return cls(grid, grid.constant_coeffs(value))
 
     @property
     def values(self) -> np.ndarray:
@@ -97,7 +98,7 @@ class SphereField:
         return SphereField(self.grid, -self.coeffs)
 
     def mean(self) -> float:
-        return float(self.coeffs[0, 0, 0]) / np.sqrt(AREA)
+        return self.grid.coeffs_mean(self.coeffs)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -93,8 +93,8 @@ def table_bytes(L: int) -> int:
     (ntheta n^2), the trig table (2n nphi), mu, wmu, sin(theta) and the row
     weights (4 ntheta) and phi (nphi); no full-grid weight array is stored.
     Both subgrids share one table of lowering factors (n^2), and the grid
-    adds its row of -box eigenvalues (n) and its table of draw slots (n^2
-    integers of 8 bytes).
+    adds its -box eigenvalue of each degree (n) and its table of draw slots
+    (n^2 integers of 8 bytes).
     """
     n = L + 1
     words = 2 * n * n + n
@@ -195,10 +195,13 @@ class QuadratureGrid:
     """Transform plans at band limit L; immutable after construction.
 
     Its subgrids are `base` and `over`, the oversampled copy on which bare
-    powers u^q are integrated. Besides their transform tables it holds the
-    -box eigenvalue of each degree, and `draw_slots`, the flat coefficient
-    slot of each Gaussian draw of `random_band_limited` in its degree-major
-    order.
+    powers u^q are integrated. Besides their transform tables it holds
+    `minus_box_diag`, the -box eigenvalue of each degree in the shape
+    (1, L+1, 1) that broadcasts over a coefficient array, and `draw_slots`,
+    the flat coefficient slot of each Gaussian draw of `random_band_limited`
+    in its degree-major order. It is the one module that knows the
+    coefficient layout c[s, l, m] (s = 0 cos, 1 sin); other modules read it
+    through these two and the methods under "coefficient layout".
     """
 
     def __init__(self, L: int):
@@ -214,13 +217,34 @@ class QuadratureGrid:
         n = L + 1
         self.base = _SubGrid(L, n, 2 * n, _lowering_factors(L))
         self.over = _SubGrid(L, OVERSAMPLE * n, OVERSAMPLE * 2 * n, self.base.lower)
-        ls = np.arange(n, dtype=float)
+        ls = np.arange(n, dtype=float)[None, :, None]
         # -box eigenvalues l(l+1)/2, so lambda_1 = 1 on the first mode
-        self.minus_box_eigs = ls * (ls + 1.0) / 2.0
+        self.minus_box_diag = ls * (ls + 1.0) / 2.0
         self.draw_slots = _draw_slots(L)
+
+    # coefficient layout ---------------------------------------------------
 
     def coeff_shape(self) -> tuple[int, int, int]:
         return (2, self.L + 1, self.L + 1)
+
+    def degree_square_sums(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum over s, m of coeffs[s, l, m]^2, one entry per degree l."""
+        return np.einsum("slm,slm->l", coeffs, coeffs)
+
+    def in_basis(self, coeffs: np.ndarray) -> bool:
+        """Whether every set slot holds a basis function: none at m > l,
+        none in the sin part at m = 0."""
+        return not (np.any(np.triu(coeffs, 1)) or np.any(coeffs[1, :, 0]))
+
+    def constant_coeffs(self, value: float) -> np.ndarray:
+        """Coefficients of the constant field `value`: value sqrt(4 pi) on Y_00."""
+        coeffs = np.zeros(self.coeff_shape())
+        coeffs[0, 0, 0] = value * np.sqrt(AREA)
+        return coeffs
+
+    def coeffs_mean(self, coeffs: np.ndarray) -> float:
+        """Sphere average of the field with these coefficients, read off Y_00."""
+        return float(coeffs[0, 0, 0]) / np.sqrt(AREA)
 
     # transforms -----------------------------------------------------------
     # Coefficients are c[s, l, m] (s = 0 cos, 1 sin); the Legendre matmul

@@ -13,9 +13,10 @@ from .grid import AREA, TWO_PI, QuadratureGrid
 
 
 def box_op(f: SphereField) -> SphereField:
-    """The complex Laplacian: coefficient (l, m) is scaled by -l(l+1)/2."""
+    """The complex Laplacian: each coefficient of degree l is scaled by
+    -l(l+1)/2, the negated `minus_box_diag` of the field's grid."""
     grid = f.grid
-    return SphereField(grid, f.coeffs * (-grid.minus_box_eigs)[None, :, None])
+    return SphereField(grid, f.coeffs * -grid.minus_box_diag)
 
 
 def avg_square(f: SphereField) -> float:
@@ -27,8 +28,9 @@ def avg_square(f: SphereField) -> float:
 def grad_energy(f: SphereField, method: str = "spectral") -> float:
     """Average of |grad f|^2 over the sphere.
 
-    The spectral path sums l(l+1) |f_lm|^2, twice the -box eigenvalue of each
-    degree (scaling by 2 is exact); the quadrature path squares the
+    The spectral path weights the grid's per-degree square sums of the
+    coefficients by l(l+1), twice the -box eigenvalue of each degree
+    (scaling by 2 is exact); the quadrature path squares the
     pointwise gradient synthesized on the grid. The two agree
     to transform accuracy and the tests hold them together. Both reduce
     row by row (per degree, per theta row) without a temporary of the
@@ -36,18 +38,13 @@ def grad_energy(f: SphereField, method: str = "spectral") -> float:
     """
     grid = f.grid
     if method == "spectral":
-        c = f.coeffs
-        return float(2.0 * (np.einsum("slm,slm->l", c, c) @ grid.minus_box_eigs)) / AREA
+        sums = grid.degree_square_sums(f.coeffs)
+        return float(2.0 * (sums @ grid.minus_box_diag.ravel())) / AREA
     if method == "quadrature":
         # each component's squares summed along its theta rows
         rows = sum(np.einsum("tj,tj->t", g, g) for g in grid.synth_gradient(f.coeffs))
         return float(grid.base.row_weights @ rows) / AREA
     raise DomainError(f"unknown gradient method {method!r}")
-
-
-def holo_energy(f: SphereField) -> float:
-    """Average of the holomorphic gradient energy, half the real one."""
-    return 0.5 * grad_energy(f)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
         raise DomainError(f"eigenfunction must have zero mean, got {f.mean():.3e}")
     af2 = avg_square(f)
     lhs_t2 = q * af2
-    lam1 = holo_energy(f) / af2
+    lam1 = 0.5 * grad_energy(f) / af2
     rhs_t2 = (2.0 * C * lam1 + 1.0) * af2
 
     h = 1e-3

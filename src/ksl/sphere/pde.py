@@ -63,7 +63,7 @@ def quotient_gradient(u: SphereField, lam: float, q: float) -> SphereField:
     vals, num, int_pow = _quotient_parts(u, lam, q, "quotient_gradient")
     den = int_pow ** (2.0 / (q + 1.0))
     uq = grid.analysis(vals**q, grid.over)
-    resid = u.coeffs * (grid.minus_box_eigs[None, :, None] + lam) - (num / int_pow) * uq
+    resid = u.coeffs * (grid.minus_box_diag + lam) - (num / int_pow) * uq
     return SphereField(grid, (2.0 / den) * resid)
 
 
@@ -217,7 +217,7 @@ def _frozen_mean_step(
     guarded = np.abs(shifted) <= _ZERO_SHIFT * (diag + abs(mean))
     shifted = np.where(guarded, diag, shifted)
     z = res / shifted
-    z_sq = np.einsum("slm,slm->l", z, z)  # |z|^2 by degree
+    z_sq = grid.degree_square_sums(z)  # |z|^2 by degree
     bound = spread * math.sqrt(z_sq.sum()) + abs(mean) * math.sqrt(z_sq @ guarded.ravel())
     return shifted, z, bound
 
@@ -292,7 +292,7 @@ def newton_solve(
 
     shape = grid.coeff_shape()
     size = int(np.prod(shape))
-    diag = grid.minus_box_eigs[None, :, None] + lam
+    diag = grid.minus_box_diag + lam
     coeffs = u0.coeffs.copy()
     res, rnorm = _residual(grid, coeffs, vals, diag, q)
     if not np.isfinite(rnorm):

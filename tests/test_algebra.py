@@ -353,6 +353,50 @@ class TestPerturbedEndpoint:
         assert not report.passed
 
 
+class TestFailClosed:
+    """A display with its K_EQ and K_PLAIN weights swapped makes the base
+    chain's gamma = 0 limit raise; that fails the base chain's own report."""
+
+    @pytest.fixture
+    def swapped(self, monkeypatch):
+        quad = display_completion_quadruple()
+        swap = {K_EQ: K_PLAIN, K_PLAIN: K_EQ}
+        moved = FormalExpr({swap.get(t, t): quad.coefficient(t) for t in quad.terms()})
+        monkeypatch.setattr(checks, "display_completion_quadruple", lambda: moved)
+
+    def test_run_all_keeps_every_report(self, swapped):
+        reports = run_all()
+        assert len(reports) == 12
+        [base] = [r for r in reports if r.name == "base_chain"]
+        assert not base.passed
+        *before, last = base.steps
+        assert last.name == "domain_error" and not last.ok
+        assert last.residual == "limit at gamma = 0 does not exist"
+        # the eight steps recorded before the error keep their verdicts, and
+        # their identities, two of them false, are still sampled
+        assert len(before) == 8
+        assert [s.name for s in before if not s.ok] == [
+            "step1_combined[K(gamma + 1)]",
+            "step2_mixed_energy_weight",
+        ]
+        assert len(base.instantiations) == 3
+        assert not any(rec["agree"] for rec in base.instantiations)
+        verdicts = {r.name: r.passed for r in reports}
+        assert not verdicts["antihol_completion_bound"]
+        assert not verdicts["midpoint_obstruction"]
+        assert verdicts["refined_chain"] and verdicts["chain_consistency"]
+
+    def test_algebra_verify_reports_every_row(self, swapped, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("KSL_OUT", raising=False)
+        assert run(["algebra-verify", "--out", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert not any(key.startswith("algebra-verify.") for key in payload)
+        assert payload["algebra.base_chain.status"] == "fail"
+        assert payload["algebra.base_chain.domain_error.status"] == "fail"
+        assert payload["algebra.chain_consistency.status"] == "pass"
+        assert sum(key.count(".") == 2 and key.endswith(".status") for key in payload) == 12
+
+
 class TestMonotonicityVerifier:
     def test_reference_triple_passes(self):
         report = verify_radical_gap_monotone(Fraction(1), Fraction(3), Fraction(1))

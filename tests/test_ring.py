@@ -548,19 +548,19 @@ class TestRadExpr:
         assert rf_equal(num, rem)
         assert rf_equal(den, rf(1))
 
-    @given(*[polys(max_terms=3, max_power=1)] * 4, *[polys(max_terms=2, max_power=1)] * 5)
+    @given(*[polys(max_terms=3, max_power=1)] * 4, *[polys(max_terms=2, max_power=1)] * 4)
     @settings(max_examples=40, deadline=None)
-    def test_rf_at_radexpr_matches_rf_horner(self, n0, n1, d0, d1, bn, bd, cn, cd, rad):
-        # base and coef over a shared denominator, as in the verifiers, or
-        # over two different ones; the inputs stay small because the oracle's
-        # denominators multiply at every step, past the exponent ceiling
+    def test_rf_at_radexpr_matches_rf_horner(self, n0, n1, d0, d1, bn, bd, cn, rad):
+        # base and coef over one shared denominator, as in the verifiers; the
+        # inputs stay small because the oracle's denominators multiply at
+        # every step, past the exponent ceiling
         k = Poly.var("k")
-        n0, n1, d0, d1, bn, bd, cn, cd, rad = (
-            x.set_var_zero("k") for x in (n0, n1, d0, d1, bn, bd, cn, cd, rad)
+        n0, n1, d0, d1, bn, bd, cn, rad = (
+            x.set_var_zero("k") for x in (n0, n1, d0, d1, bn, bd, cn, rad)
         )
         den = d0 + d1 * k**2
         assume(not den.is_zero and not bd.is_zero)
-        root = RadExpr(rf(bn, bd), rf(cn, bd if cd.is_zero else cd), rad)
+        root = RadExpr(rf(bn, bd), rf(cn, bd), rad)
         trace = 2 * root.base
         norm = root.base * root.base - root.coef * root.coef * RationalFunction(root.rad)
         a, b = rf_horner_remainder(den, "k", trace, norm)
@@ -576,6 +576,17 @@ class TestRadExpr:
         assert not (A * A * norm + A * B * trace + B * B).is_zero
         a, b = rf_horner_remainder(n0 + n1 * k**3, "k", trace, norm)
         assert rf_equal(num_rem, a * v("k") + b)
+
+    def test_rf_at_radexpr_rejects_unshared_denominators(self):
+        # n + sqrt(rad)/2 is a root of the same quadratic over any shared
+        # denominator, but base n/1 and coef 1/2 do not share one
+        n = v("n")
+        quad = v("k") ** 2 - 2 * n * v("k") + n**2 - RationalFunction(self.RAD) / 4
+        with pytest.raises(DomainError, match="share one denominator"):
+            rf_at_radexpr(quad, "k", RadExpr(n, rf(1, 2), self.RAD))
+        num, den = rf_at_radexpr(quad, "k", RadExpr(rf(2 * Poly.var("n"), 2), rf(1, 2), self.RAD))
+        assert num.is_zero
+        assert rf_equal(den, rf(quad.den))
 
     def test_rf_at_radexpr_on_quadratic_root(self):
         # k^2 - 2nk + (n^2 - rad) has roots n +- sqrt(rad)

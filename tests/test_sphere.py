@@ -25,7 +25,6 @@ from ksl.sphere import (
     box_op,
     coordinate_z,
     grad_energy,
-    holo_energy,
     make_grid,
     measure_lambda1,
     perturbation_tcoeff,
@@ -301,6 +300,43 @@ class TestGridInvariants:
         for k in range(L + 1):
             assert np.all(l[: (k + 1) ** 2] <= k)
 
+    @pytest.mark.parametrize("L", [2, 8])
+    def test_layout_members_match_a_slot_loop(self, L):
+        # the grid is the one owner of c[s, l, m]: each member it offers for
+        # the layout is checked slot by slot against the draw slots' (s, l, m)
+        grid = make_grid(L)
+        shape = grid.coeff_shape()
+        slots = list(zip(*(a.tolist() for a in np.unravel_index(grid.draw_slots, shape))))
+        eigs = np.broadcast_to(grid.minus_box_diag, shape)
+        for s, l, m in slots:
+            assert eigs[s, l, m] == l * (l + 1) / 2
+        # small integers square and sum exactly in any order
+        coeffs = np.zeros(shape)
+        sums = [0.0] * (L + 1)
+        rng = np.random.default_rng(L)
+        for s, l, m in slots:
+            coeffs[s, l, m] = float(rng.integers(-9, 10))
+            sums[l] += coeffs[s, l, m] ** 2
+        assert grid.degree_square_sums(coeffs).tolist() == sums
+        assert grid.in_basis(coeffs)
+        for slot in np.ndindex(*shape):
+            if slot not in slots:
+                s, l, m = slot
+                assert m > l or (s == 1 and m == 0)
+                lone = np.zeros(shape)
+                lone[slot] = 1.0
+                assert not grid.in_basis(lone)
+        const = grid.constant_coeffs(-0.7)
+        for s, l, m in slots:
+            assert const[s, l, m] == (-0.7 * math.sqrt(AREA) if l == 0 else 0.0)
+        assert np.count_nonzero(const) == 1
+        [(s0, l0, m0)] = [slot for slot in slots if slot[1] == 0]
+        assert grid.coeffs_mean(coeffs) == coeffs[s0, l0, m0] / math.sqrt(AREA)
+        assert grid.coeffs_mean(const) == pytest.approx(-0.7, rel=1e-15)
+        assert grid.coeffs_mean(coeffs) == pytest.approx(
+            grid.average(grid.synthesis(coeffs)), abs=1e-12
+        )
+
     def test_subgrids_share_lowering_factors(self, grid8):
         assert grid8.over.lower is grid8.base.lower
 
@@ -408,7 +444,7 @@ class TestBoxOperator:
     def test_energy_identity(self, grid16):
         # int |del f|^2 = -int f box f
         f = random_band_limited(grid16, seed=12)
-        lhs = AREA * holo_energy(f)
+        lhs = 0.5 * AREA * grad_energy(f)
         rhs = -grid16.integrate(f.values * box_op(f).values)
         assert abs(lhs - rhs) < 1e-10
 
