@@ -24,11 +24,9 @@ from .constants import (
     k_interval,
     k_lower_bound_eps0,
     lambda1_coefficient,
-    spectral_lambda_bound,
     optimize_k,
     riemannian_constants,
     base_threshold,
-    x_bounds,
 )
 from .errors import DomainError
 
@@ -45,11 +43,9 @@ __all__ = [
     "k_interval",
     "k_lower_bound_eps0",
     "lambda1_coefficient",
-    "spectral_lambda_bound",
     "optimize_k",
     "riemannian_constants",
     "base_threshold",
-    "x_bounds",
 ]
 
 __version__ = "0.1.0"

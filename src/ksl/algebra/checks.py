@@ -388,6 +388,11 @@ def display_k_inequality() -> tuple[RationalFunction, RationalFunction, Rational
     return Ak, Bk, Ck
 
 
+def display_closed_forms() -> tuple[RadExpr, RadExpr, RadExpr]:
+    # the closed-form constant as 2C, and the feasible k interval's (lower, upper) ends
+    return _two_c, _lo_end, _hi_end
+
+
 def display_objective() -> tuple[RationalFunction, RationalFunction]:
     # the refined chain's objective F(k) = weight * lam1 + rest, as (weight, rest)
     A_q = 4 * _n**2 + 4 * _n + _q

@@ -2,7 +2,7 @@
 
 Subcommands:
     constants       closed-form constants at (n, q), optionally over a q grid
-    interval        feasible k interval endpoints and their root identities
+    interval        feasible k interval endpoints and their product
     optimize-k      threshold at the closed-form best k (or at a fixed k)
     algebra-verify  run every exact derivation verifier
     sphere-verify   quadrature, transform, and inequality checks on the sphere
@@ -34,8 +34,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .algebra import run_all
-from .algebra.checks import display_objective
+from .algebra import RadExpr, run_all
+from .algebra.checks import display_closed_forms, display_objective
 from .constants import (
     Dimensions,
     base_threshold,
@@ -68,6 +68,11 @@ SPHERE_LAMBDA1 = 1.0
 
 # most values a q grid may hold, checked before any value is built
 MAX_GRID_POINTS = 10_000
+
+# the algebra pillar's exact forms, the closed-form rows' second computation:
+# 2C, the k interval's ends, and the refined chain's objective (weight, rest)
+_TWO_C, _K_LO, _K_HI = display_closed_forms()
+_OBJECTIVE = display_objective()
 
 
 class UsageError(Exception):
@@ -145,7 +150,8 @@ _OPTIONS = {
         _parse_grid,
         None,
         f"exponent grid, 'lo:hi:count' or comma list, at most {MAX_GRID_POINTS} "
-        "values; overrides --q",
+        "values; overrides --q for constants, interval and optimize-k only "
+        "(pde-solve runs at --q, sphere-verify at q = 2)",
     ),
     "k": (_parse_k, "auto", "interpolation weight, number or 'auto'"),
     "lambda1": (_finite_float, 1.0, "spectral gap"),
@@ -253,7 +259,25 @@ def _per_q(section: str, tol: float, row):
     return stage
 
 
+def _surd(expr: RadExpr, dims: Dimensions) -> float:
+    """base + coef*sqrt(rad) at (n, q), exact but for one float square root.
+
+    A float q at the boundary exponent may sit half an ulp above (n+1)/(n-1),
+    which Dimensions accepts; the exact radicand there is a tiny negative
+    number, snapped to 0.
+    """
+    pt = {"n": Fraction(dims.n), "q": Fraction(dims.q)}
+    rad = expr.rad.evaluate(pt)
+    root = Fraction(math.sqrt(0 if rad < 0 and dims.boundary else rad))
+    return float(expr.base.evaluate(pt) + expr.coef.evaluate(pt) * root)
+
+
+def _gap(value: float, exact: float) -> float:
+    return abs(value - exact) / abs(exact)
+
+
 def _constants_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
+    """c_s against C, and at n >= 2 the rigidity threshold against 1/(2C)."""
     rep = constants_report(dims)
     raw, _ = riemannian_constants(dims)
     fields = {
@@ -263,44 +287,40 @@ def _constants_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
         "c_conj": rep.c_conj,
         "lambda1_lower": rep.lambda1_lower,
     }
-    if dims.n == 1:
-        # at n = 1 the sharp constant collapses onto (q-1)/2
-        return fields, abs(rep.c_s - rep.c_conj)
-    # the two closed forms of the rigidity threshold must agree
-    fields["threshold"] = base_threshold(dims)
-    return fields, abs(fields["threshold"] - 1.0 / (2.0 * rep.c_s))
+    two_c = _surd(_TWO_C, dims)
+    gaps = [_gap(rep.c_s, two_c / 2)]
+    if dims.n >= 2:
+        fields["threshold"] = base_threshold(dims)
+        gaps.append(_gap(fields["threshold"], 1.0 / two_c))
+    return fields, max(gaps)
 
 
 def _interval_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
     ki = k_interval(dims)
     product = ki.k_lo * ki.k_hi
-    # both endpoints are roots of k^2 + (2 - 4(n+1)/((n-1)q)) k + 1
-    c1 = 2.0 - 4.0 * (dims.n + 1) / ((dims.n - 1) * dims.q)
-    root_lo = abs(ki.k_lo**2 + c1 * ki.k_lo + 1.0) / (1.0 + ki.k_lo**2)
-    root_hi = abs(ki.k_hi**2 + c1 * ki.k_hi + 1.0) / (1.0 + ki.k_hi**2)
     fields = {"k_lo": ki.k_lo, "k_hi": ki.k_hi, "product": product}
-    return fields, max(abs(product - 1.0), root_lo, root_hi)
+    gap_lo = _gap(ki.k_lo, _surd(_K_LO, dims))
+    gap_hi = _gap(ki.k_hi, _surd(_K_HI, dims))
+    return fields, max(abs(product - 1.0), gap_lo, gap_hi)
 
 
 def _optimize_k_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
-    """The threshold at k*, checked against a second computation.
+    """The threshold at k* against the refined chain's objective.
 
-    With `--k auto`, optimize_k's F(k*) against f_of_k at the rounded k*.
-    With a fixed k, f_of_k against the algebra pillar's objective
-    weight*lam1 + rest, evaluated exactly at the float inputs, as a
-    relative gap.
+    k* is optimize_k's closed-form maximizer with `--k auto`, else the given
+    k. The objective weight*lam1 + rest is evaluated exactly at the float
+    inputs, and the residual is the threshold's relative gap from it.
     """
     ki = k_interval(dims)
     if cfg.k == "auto":
         k_star, threshold = optimize_k(dims, cfg.lambda1)
-        agree = abs(threshold - f_of_k(dims, k_star, cfg.lambda1))
     else:
         k_star = float(cfg.k)
         threshold = f_of_k(dims, k_star, cfg.lambda1)
-        weight, rest = display_objective()
-        pt = {"k": Fraction(k_star), "q": Fraction(dims.q), "n": Fraction(dims.n)}
-        exact = weight.evaluate(pt) * Fraction(cfg.lambda1) + rest.evaluate(pt)
-        agree = float(abs(Fraction(threshold) - exact) / exact)
+    weight, rest = _OBJECTIVE
+    pt = {"k": Fraction(k_star), "q": Fraction(dims.q), "n": Fraction(dims.n)}
+    exact = weight.evaluate(pt) * Fraction(cfg.lambda1) + rest.evaluate(pt)
+    agree = float(abs(Fraction(threshold) - exact) / exact)
     pad = 1e-12 * max(1.0, ki.k_hi)
     inside = ki.k_lo - pad <= k_star <= ki.k_hi + pad
     fields = {

@@ -1,8 +1,8 @@
 """Closed-form constants for the Kahler Sobolev inequality family.
 
 Everything here is a pure function of a :class:`Dimensions` record (complex
-dimension ``n``, exponent ``q``) plus the occasional free parameter ``k``,
-``x`` or ``lambda1``. All arithmetic runs at 50 significant digits in this
+dimension ``n``, exponent ``q``) plus the occasional free parameter ``k``
+or ``lambda1``. All arithmetic runs at 50 significant digits in this
 module's own mpmath context and is rounded to a Python float on the way out;
 the nested radicals lose digits near the degenerate exponent otherwise. The
 context is private, so the caller's mpmath precision (``mpmath.mp``, shared by
@@ -281,46 +281,6 @@ def base_threshold(dims: Dimensions) -> float:
     _require_n2(dims, "base_threshold")
     n, q = _mpq(dims)
     val = 1 / ((q - 1) * (1 + (n - 1) / n * _k_lower_bound_eps0_mp(dims)))
-    return float(val)
-
-
-def x_bounds(dims: Dimensions, k: float) -> tuple[float, float]:
-    """Feasible range for the auxiliary ratio x at a given k.
-
-    x_lo = (kn+n-k)q/(2(n+1)) comes from the sign condition on the linear
-    coefficient, x_hi = (4n^2+4n+q)k/(2(n+1)(kn+n-1)) from the discriminant;
-    x_lo <= x_hi exactly when k lies in the feasible interval.
-    """
-    _require_n2(dims, "x_bounds")
-    if not 0 < k < math.inf:
-        raise DomainError(f"k must be positive and finite, got k = {k}")
-    n, q = _mpq(dims)
-    kk = mp.mpf(k)
-    x_lo = (kk * n + n - kk) * q / (2 * (n + 1))
-    x_hi = (4 * n**2 + 4 * n + q) * kk / (2 * (n + 1) * (kk * n + n - 1))
-    return float(x_lo), float(x_hi)
-
-
-def spectral_lambda_bound(dims: Dimensions, k: float, x: float, lambda1: float) -> float:
-    """Lower bound on lambda forced by a nonconstant solution, as a function of x.
-
-    lambda1/(q-1) + (1 - lambda1(1+(n-1)k/n)) * qn/(2(q-1)(n+1)x). The second
-    term is nonpositive for lambda1 >= 1 and feasible k, so the bound is
-    maximized at x = x_hi, where it equals f_of_k.
-    """
-    _require_lambda1(lambda1)
-    x_lo, x_hi = x_bounds(dims, k)
-    tol = 1e-9 * max(1.0, abs(x_hi))
-    if not (x_lo - tol <= x <= x_hi + tol):
-        raise DomainError(
-            f"x = {x} outside feasible range [{x_lo}, {x_hi}] for k = {k}, "
-            f"n = {dims.n}, q = {dims.q}"
-        )
-    n, q = _mpq(dims)
-    kk, xx, lam1 = mp.mpf(k), mp.mpf(x), mp.mpf(lambda1)
-    val = lam1 / (q - 1) + (1 - lam1 * (1 + (n - 1) * kk / n)) * q * n / (
-        2 * (q - 1) * (n + 1) * xx
-    )
     return float(val)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, config merging, determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksl.cli
+import ksl.constants
 from ksl.cli import run
 from ksl.report import Record, build_report, flatten, payload_bytes, render_csv
 from ksl.sphere import SolveReport
@@ -106,6 +108,20 @@ class TestConstantsCommand:
         assert code == 0
         assert rep["payload"]["constants.c_s"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, q", [("1", "3"), ("2", "2")])
+    def test_row_catches_a_wrong_constant(self, n, q, capsys, tmp_path, monkeypatch):
+        # c_s is checked against the algebra pillar's exact surd 2C/2
+        report = ksl.cli.constants_report
+        monkeypatch.setattr(
+            ksl.cli,
+            "constants_report",
+            lambda d: dataclasses.replace(report(d), c_s=report(d).c_s * (1 + 1e-6)),
+        )
+        code, rep = run_json(["constants", "--n", n, "--q", q], capsys, tmp_path)
+        assert code == 1
+        assert rep["payload"]["constants.status"] == "fail"
+        assert rep["payload"]["constants.residual"] == pytest.approx(1e-6, rel=1e-6)
+
 
 class TestIntervalAndOptimize:
     def test_interval_csv_one_row_per_tuple(self, capsys, tmp_path):
@@ -129,6 +145,28 @@ class TestIntervalAndOptimize:
         assert lines[0].startswith("section,label,")
         assert (tmp_path / "interval.csv").read_text() == out
 
+    def test_interval_row_catches_a_wrong_end(self, capsys, tmp_path, monkeypatch):
+        k_interval = ksl.cli.k_interval
+        monkeypatch.setattr(
+            ksl.cli,
+            "k_interval",
+            lambda d: dataclasses.replace(k_interval(d), k_lo=k_interval(d).k_lo * (1 + 1e-6)),
+        )
+        code, rep = run_json(["interval", "--n", "2", "--q", "2"], capsys, tmp_path)
+        assert code == 1
+        assert rep["payload"]["interval.status"] == "fail"
+        assert rep["payload"]["interval.residual"] == pytest.approx(1e-6, rel=1e-5)
+
+    @pytest.mark.parametrize("command", ["constants", "interval", "optimize-k"])
+    def test_rows_pass_at_the_float_boundary_exponent(self, command, capsys, tmp_path):
+        # the float q sits above 5/3, where the exact radicand is about -1e-15
+        code, rep = run_json(
+            [command, "--n", "4", "--q", "1.6666666666666667"], capsys, tmp_path
+        )
+        assert code == 0
+        section = command.replace("-", "_")
+        assert rep["payload"][f"{section}.residual"] <= 1e-14
+
     def test_optimize_auto(self, capsys, tmp_path):
         code, rep = run_json(["optimize-k", "--n", "2", "--q", "2"], capsys, tmp_path)
         assert code == 0
@@ -145,16 +183,20 @@ class TestIntervalAndOptimize:
         assert rep["payload"]["optimize_k.threshold"] == pytest.approx(10.0 / 13.0)
 
     def test_fixed_k_row_catches_a_wrong_objective(self, capsys, tmp_path, monkeypatch):
-        # the fixed-k threshold is checked against the algebra pillar's exact
-        # objective, not against a second call of the same function
-        f_of_k = ksl.cli.f_of_k
-        monkeypatch.setattr(ksl.cli, "f_of_k", lambda *args: f_of_k(*args) * (1 + 1e-6))
-        code, rep = run_json(
-            ["optimize-k", "--n", "2", "--q", "2", "--k", "1.0"], capsys, tmp_path
+        # the threshold, at a fixed k and at the closed-form best k alike, is
+        # checked against the algebra pillar's exact objective, not against a
+        # second call of the same closed form
+        f_of_k_mp = ksl.constants._f_of_k_mp
+        monkeypatch.setattr(
+            ksl.constants, "_f_of_k_mp", lambda *args: f_of_k_mp(*args) * (1 + 1e-6)
         )
-        assert code == 1
-        assert rep["payload"]["optimize_k.status"] == "fail"
-        assert rep["payload"]["optimize_k.residual"] == pytest.approx(1e-6, rel=1e-6)
+        for k in ("1.0", "auto"):
+            code, rep = run_json(
+                ["optimize-k", "--n", "2", "--q", "2", "--k", k], capsys, tmp_path
+            )
+            assert code == 1
+            assert rep["payload"]["optimize_k.status"] == "fail"
+            assert rep["payload"]["optimize_k.residual"] == pytest.approx(1e-6, rel=1e-6)
 
 
 # SHA-256 of each closed-form stage's payload, canonical JSON. These stages
@@ -165,10 +207,10 @@ CLOSED_FORM_PAYLOAD_SHA256 = {
         "03f8b753909737ac502e57cb370d92ec276000e01b1c5c92b2aeeda514f2cfd8"
     ),
     "interval --n 2 --q-grid 1.2:3:7": (
-        "e0ff3bb2403ed37ab0b44c590c8497a67ab4059e9d935cd4fa80de8560db2616"
+        "debcf4c5174dbe331c3b6eb49721af74a8b71d29e7080447bbc0da78770ce598"
     ),
     "optimize-k --n 4 --q-grid 1.05:1.66:7 --lambda1 3": (
-        "9e59691d57b57a77995091fe427e1938f3f5650f605153449ec2862b2b0171ac"
+        "accf91f4e5ae7f6d15417c21d2d7f088210534b7a377052277d8b655a9681534"
     ),
     "optimize-k --n 2 --q 2 --k 1.0": (
         "a0c9fa501ac4ee0c6828fd748323d08fd87fbf0d93ef859467b50497732faf04"

@@ -24,11 +24,9 @@ from ksl import (
     k_interval,
     k_lower_bound_eps0,
     lambda1_coefficient,
-    spectral_lambda_bound,
     optimize_k,
     riemannian_constants,
     base_threshold,
-    x_bounds,
 )
 from ksl import constants
 
@@ -38,7 +36,6 @@ K_LO_22 = 0.2679491924311227  # 2 - sqrt(3)
 K_HI_22 = 3.732050807568877  # 2 + sqrt(3)
 THRESHOLD_22 = 0.8818539703952119  # 1/(2*CS_22)
 EPS_MAX_22 = 1.3944487245360107
-X_MERGE_22 = 0.7559830641437073  # (4 - sqrt(3))/3
 
 
 def dims(n, q):
@@ -280,10 +277,6 @@ def test_non_finite_inputs_rejected(bad):
         lambda: cs_general(d, bad, 1.0),
         lambda: cs_general(d, 1.0, bad),
         lambda: lambda1_coefficient(d, bad),
-        lambda: x_bounds(d, bad),
-        lambda: spectral_lambda_bound(d, bad, 1.0, 1.0),
-        lambda: spectral_lambda_bound(d, 1.0, bad, 1.0),
-        lambda: spectral_lambda_bound(d, 1.0, 1.0, bad),
     ]
     for call in calls:
         with pytest.raises(DomainError):
@@ -297,8 +290,6 @@ def test_lambda1_below_one_rejected(lam1):
         lambda: optimize_k(d, lam1),
         lambda: f_of_k(d, 1.0, lam1),
         lambda: cs_general(d, 1.0, lam1),
-        # x = x_lo at k = 1; the bound peaks at x = x_hi only for lambda1 >= 1
-        lambda: spectral_lambda_bound(d, 1.0, 1.0, lam1),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="lambda1 must be finite and >= 1"):
@@ -321,8 +312,6 @@ def _precision_probes():
         (epsilon_max, (d,)),
         (k_lower_bound_eps0, (d,)),
         (base_threshold, (d3,)),
-        (x_bounds, (d, 1.0)),
-        (spectral_lambda_bound, (d, 1.0, 1.2, 1.0)),
         (constants_report, (d3,)),
     ]
 
@@ -404,53 +393,6 @@ class TestBaseThreshold:
                 assert t == pytest.approx(1 / (2 * cs_bm(dims(n, q))), abs=1e-10)
                 count += 1
         assert count == 100
-
-
-class TestXBounds:
-    def test_hand_values_k1(self):
-        x_lo, x_hi = x_bounds(dims(2, 2.0), 1.0)
-        assert x_lo == pytest.approx(1.0, abs=1e-14)
-        assert x_hi == pytest.approx(13 / 9, abs=1e-14)
-
-    def test_merge_at_interval_endpoint(self):
-        x_lo, x_hi = x_bounds(dims(2, 2.0), K_LO_22)
-        assert x_lo == pytest.approx(X_MERGE_22, abs=1e-10)
-        assert x_hi == pytest.approx(X_MERGE_22, abs=1e-10)
-
-    def test_infeasible_outside_interval(self):
-        x_lo, x_hi = x_bounds(dims(2, 2.0), 5.0)
-        assert x_lo > x_hi
-
-    def test_ordering_tracks_interval(self):
-        iv = k_interval(dims(3, 1.5))
-        for k in (iv.k_lo * 1.01, 1.0, iv.k_hi * 0.99):
-            x_lo, x_hi = x_bounds(dims(3, 1.5), k)
-            assert x_lo <= x_hi
-
-
-class TestLambdaBoundStar3:
-    def test_at_x_hi_equals_f_of_k(self):
-        for k in (0.5, 1.0, 2.0):
-            _, x_hi = x_bounds(dims(2, 2.0), k)
-            assert spectral_lambda_bound(dims(2, 2.0), k, x_hi, 1.0) == pytest.approx(
-                f_of_k(dims(2, 2.0), k, 1.0), abs=1e-12
-            )
-
-    def test_hand_value_at_x_lo(self):
-        # 1/(q-1) + (1 - 3/2)*4/(2*3*1) = 1 - 1/3 = 2/3
-        assert spectral_lambda_bound(dims(2, 2.0), 1.0, 1.0, 1.0) == pytest.approx(
-            2 / 3, abs=1e-14
-        )
-
-    def test_monotone_in_x_for_large_lambda1(self):
-        x_lo, x_hi = x_bounds(dims(2, 2.0), 1.0)
-        xs = [x_lo + (x_hi - x_lo) * i / 10 for i in range(11)]
-        vals = [spectral_lambda_bound(dims(2, 2.0), 1.0, x, 1.0) for x in xs]
-        assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_x_outside_range(self):
-        with pytest.raises(DomainError):
-            spectral_lambda_bound(dims(2, 2.0), 1.0, 0.5, 1.0)
 
 
 class TestConstantsReport:
