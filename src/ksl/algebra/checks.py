@@ -12,7 +12,8 @@ evaluated once, in integers, to a numerator over a positive denominator, and
 the two sides are compared by integer cross-multiplication; a vanishing
 denominator rejects the point exactly where a Fraction division would. Root
 steps and recorded facts (sample values, positivity, the elimination
-cross-check) are not sampled.
+cross-check) are not sampled. Nothing here rounds: the radical-gap lemma,
+too, is proved exactly at each rational triple it is given.
 
 Square-root identities are root checks: a quadratic surd k = base +
 coef*sqrt(r) is a root of its monic quadratic m(k), and an expression
@@ -27,13 +28,9 @@ notes, because dividing by them is where the inequality direction comes from.
 
 from __future__ import annotations
 
-import math
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from ..errors import DomainError
 from .ring import (
@@ -97,14 +94,6 @@ _l1 = v("lam1")
 _x = v("x")
 _y = v("y")
 
-# the radicand of the closed-form constant C; twice C over it; the monic
-# k-quadratic and its roots, the feasible interval's conjugate endpoints
-_rad_small = (Poly.var("n") + 1) * (Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q"))
-_two_c = RadExpr((_q - 1) * (2 * _n + _q + 2) / (_q * _n), -2 * (_q - 1) / (_q * _n), _rad_small)
-_kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
-_lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), _rad_small)
-_hi_end = RadExpr(_lo_end.base, -_lo_end.coef, _rad_small)
-
 # denominators excluded from every instantiation, per the localization the
 # whole calculus lives in
 _EXCLUDED = [
@@ -162,6 +151,11 @@ def _holds_at(pairs: list[tuple[RationalFunction, RationalFunction]], at: _PolyV
         if n1 * t1 * s2 * d2 != n2 * t2 * s1 * d1:
             return False
     return True
+
+
+def _point(**values) -> dict[str, Fraction]:
+    """A worked point: each named variable at its given value, every other at 1."""
+    return {name: Fraction(values.get(name, 1)) for name in VARS}
 
 
 def _record(pt: dict, agree: bool) -> dict:
@@ -295,122 +289,132 @@ def _two_c_at(endpoint: RadExpr, factor: RationalFunction | int = 1) -> Rational
 
 
 # ---------------------------------------------------------------------------
-# transcribed target displays (independent of the derivation code paths)
+# transcribed target displays (independent of the derivation code paths),
+# each built once here; a display only constructs, and every replace,
+# substitute or limit on it runs inside a verifier's derivation
 
+# the equation substituted into one box factor of the gradient-box integral
+_sub1 = FormalExpr({K_EQ: 1 / _be, K_PLAIN: -_lam / _be, GRAD4: _be + 1})
 
-def display_sub1() -> FormalExpr:
-    return FormalExpr({K_EQ: 1 / _be, K_PLAIN: -_lam / _be, GRAD4: _be + 1})
+# the same inside the squared box, after parts and the first identity
+_sub2 = FormalExpr(
+    {
+        K_EQ: (_be * _q - _g) / _be,
+        K_PLAIN: _lam * (_g - _be) / _be,
+        GRAD4: (_be + 1) ** 2,
+    }
+)
 
+# the squared-box identity once the box factor is integrated by parts
+_boxsq_after_parts = FormalExpr(
+    {
+        K_EQ: (_be * _q - _be - _g - 1) / _be,
+        K_PLAIN: _lam * (_g + 1) / _be,
+        GRADBOX: _be + 1,
+    }
+)
 
-def display_sub2() -> FormalExpr:
-    return FormalExpr(
-        {
-            K_EQ: (_be * _q - _g) / _be,
-            K_PLAIN: _lam * (_g - _be) / _be,
-            GRAD4: (_be + 1) ** 2,
-        }
-    )
+# the pure-Hessian completion bound once the equation is used; its weights on
+# GRAD4, K_EQ, K_PLAIN and MIXHESS2 are the paper's A1, B1, C1 and D1
+_completion_quadruple = FormalExpr(
+    {
+        GRAD4: _g * (_g - 1)
+        - 2 * _a * (_g - 1)
+        + _a**2
+        + (3 * _g - 4 * _a) * (_be + 1)
+        + (2 - 2 * _a / _g) * (_be + 1) ** 2,
+        K_EQ: (3 * _g - 4 * _a) / _be + (2 - 2 * _a / _g) * ((_be * _q - _g) / _be),
+        K_PLAIN: (4 * _a - 3 * _g) * _lam / _be
+        + (2 - 2 * _a / _g) * _lam * (_g - _be) / _be
+        - 1,
+        MIXHESS2: 2 * _a / _g - 1,
+    }
+)
 
+# bound on the completed pure Hessian square before the equation is used
+_pure_completion_intermediate = FormalExpr(
+    {
+        GRAD4: _g * (_g - 1) - 2 * _a * (_g - 1) + _a**2,
+        GRADBOX: 3 * _g - 4 * _a,
+        BOXSQ: 2 - 2 * _a / _g,
+        MIXHESS2: 2 * _a / _g - 1,
+        K_PLAIN: rf(-1),
+    }
+)
 
-def display_boxsq_after_parts() -> FormalExpr:
-    # the squared-box identity once the box factor is integrated by parts
-    return FormalExpr(
-        {
-            K_EQ: (_be * _q - _be - _g - 1) / _be,
-            K_PLAIN: _lam * (_g + 1) / _be,
-            GRADBOX: _be + 1,
-        }
-    )
-
-
-def display_completion_quadruple() -> FormalExpr:
-    """The pure-Hessian completion bound once the equation is used.
-
-    Its weights on GRAD4, K_EQ, K_PLAIN and MIXHESS2 are the paper's A1, B1,
-    C1 and D1.
-    """
-    A1 = _g * (_g - 1) - 2 * _a * (_g - 1) + _a**2 + (3 * _g - 4 * _a) * (_be + 1) + (
-        2 - 2 * _a / _g
-    ) * (_be + 1) ** 2
-    B1 = (3 * _g - 4 * _a) / _be + (2 - 2 * _a / _g) * ((_be * _q - _g) / _be)
-    C1 = (4 * _a - 3 * _g) * _lam / _be + (2 - 2 * _a / _g) * _lam * (_g - _be) / _be - 1
-    D1 = 2 * _a / _g - 1
-    return FormalExpr({GRAD4: A1, K_EQ: B1, K_PLAIN: C1, MIXHESS2: D1})
-
-
-def display_pure_completion_intermediate() -> FormalExpr:
-    # bound on the completed pure Hessian square before the equation is used
-    return FormalExpr(
-        {
-            GRAD4: _g * (_g - 1) - 2 * _a * (_g - 1) + _a**2,
-            GRADBOX: 3 * _g - 4 * _a,
-            BOXSQ: 2 - 2 * _a / _g,
-            MIXHESS2: 2 * _a / _g - 1,
-            K_PLAIN: rf(-1),
-        }
-    )
-
-
-def display_mixed_quadruple() -> FormalExpr:
-    """The mixed-Hessian completion bound once the equation is used.
-
-    Its weights on GRAD4, K_EQ, K_PLAIN and MIXHESS2 are the paper's A2, B2,
-    C2 and D2.
-    """
-    A2 = (
-        _b**2 * (1 - 1 / _n)
+# the mixed-Hessian completion bound once the equation is used; its weights on
+# GRAD4, K_EQ, K_PLAIN and MIXHESS2 are the paper's A2, B2, C2 and D2
+_mixed_quadruple = FormalExpr(
+    {
+        GRAD4: _b**2 * (1 - 1 / _n)
         + (_be + 1) ** 2 * (2 * _b / _g - 1 / _n)
-        + 2 * (_be + 1) * _b * (1 - 1 / _n)
-    )
-    B2 = (2 * _b / _g - 1 / _n) * (_q - _g / _be) + (2 * _b / _be) * (1 - 1 / _n)
-    C2 = _lam * ((2 * _b / _g - 1 / _n) * ((_g - _be) / _be) - (2 * _b / _be) * (1 - 1 / _n))
-    D2 = 1 - 2 * _b / _g
-    return FormalExpr({GRAD4: A2, K_EQ: B2, K_PLAIN: C2, MIXHESS2: D2})
+        + 2 * (_be + 1) * _b * (1 - 1 / _n),
+        K_EQ: (2 * _b / _g - 1 / _n) * (_q - _g / _be) + (2 * _b / _be) * (1 - 1 / _n),
+        K_PLAIN: _lam
+        * ((2 * _b / _g - 1 / _n) * ((_g - _be) / _be) - (2 * _b / _be) * (1 - 1 / _n)),
+        MIXHESS2: 1 - 2 * _b / _g,
+    }
+)
 
+# the trace inequality on the b-shifted mixed Hessian before the equation is used
+_mixed_intermediate = FormalExpr(
+    {
+        MIXHESS2: 1 - 2 * _b / _g,
+        GRAD4: _b**2 * (1 - 1 / _n),
+        BOXSQ: 2 * _b / _g - 1 / _n,
+        GRADBOX: 2 * _b * (1 - 1 / _n),
+    }
+)
 
-def display_mixed_intermediate() -> FormalExpr:
-    return FormalExpr(
-        {
-            MIXHESS2: 1 - 2 * _b / _g,
-            GRAD4: _b**2 * (1 - 1 / _n),
-            BOXSQ: 2 * _b / _g - 1 / _n,
-            GRADBOX: 2 * _b * (1 - 1 / _n),
-        }
-    )
+# weights (Ak, Bk, Ck) of the base chain's k-inequality Ak k^2 + Bk k + Ck
+# at slack eps
+_k_inequality = (
+    _n * (_n - 1) * _q,
+    _q * (2 * _n**2 + _n * (_n - 1) * _ep - 2 * _n) - 4 * _n**2 - 4 * _n,
+    _q * _ep * (_n - 1) ** 2 + _q * _n * (_n - 1),
+)
 
+# the radicand of the closed-form constant C; twice C over it; the monic
+# k-quadratic and its roots, the feasible interval's conjugate endpoints
+_rad_small = (Poly.var("n") + 1) * (Poly.var("n") + 1 - (Poly.var("n") - 1) * Poly.var("q"))
+_two_c = RadExpr((_q - 1) * (2 * _n + _q + 2) / (_q * _n), -2 * (_q - 1) / (_q * _n), _rad_small)
+_kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
+_lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), _rad_small)
+_hi_end = RadExpr(_lo_end.base, -_lo_end.coef, _rad_small)
 
-def display_k_inequality() -> tuple[RationalFunction, RationalFunction, RationalFunction]:
-    # weights (Ak, Bk, Ck) of the base chain's k-inequality Ak k^2 + Bk k + Ck
-    # at slack eps
-    Ak = _n * (_n - 1) * _q
-    Bk = _q * (2 * _n**2 + _n * (_n - 1) * _ep - 2 * _n) - 4 * _n**2 - 4 * _n
-    Ck = _q * _ep * (_n - 1) ** 2 + _q * _n * (_n - 1)
-    return Ak, Bk, Ck
+# the refined chain's objective F(k) = weight * lam1 + rest, as (weight, rest),
+# over A_q = 4n^2 + 4n + q
+_a_q = 4 * _n**2 + 4 * _n + _q
+_objective = (
+    (1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / (_a_q * _k)) / (_q - 1),
+    _q * _n * (_k * _n + _n - 1) / ((_q - 1) * _a_q * _k),
+)
 
+# gradient-box integral expressed through the other three basis terms
+_solved_gradbox = FormalExpr(
+    {
+        BOXSQ: 1 / (_be * _q - _g),
+        K_PLAIN: -_lam * (_q - 1) / (_be * _q - _g),
+        GRAD4: (_be * _q - _be - _g - 1) * (_be + 1) / (_be * _q - _g),
+    }
+)
 
-def display_closed_forms() -> tuple[RadExpr, RadExpr, RadExpr]:
-    # the closed-form constant as 2C, and the feasible k interval's (lower, upper) ends
-    return _two_c, _lo_end, _hi_end
-
-
-def display_objective() -> tuple[RationalFunction, RationalFunction]:
-    # the refined chain's objective F(k) = weight * lam1 + rest, as (weight, rest)
-    A_q = 4 * _n**2 + 4 * _n + _q
-    weight = (1 - (_n + (_n - 1) * _k) * (_k * _n + _n - 1) * _q / (A_q * _k)) / (_q - 1)
-    rest = _q * _n * (_k * _n + _n - 1) / ((_q - 1) * A_q * _k)
-    return weight, rest
-
-
-def display_solved_gradbox() -> FormalExpr:
-    # gradient-box integral expressed through the other three basis terms
-    den = _be * _q - _g
-    return FormalExpr(
-        {
-            BOXSQ: 1 / den,
-            K_PLAIN: -_lam * (_q - 1) / den,
-            GRAD4: (_be * _q - _be - _g - 1) * (_be + 1) / den,
-        }
-    )
+# displayed weights on GRAD4, BOXSQ, K_PLAIN and MIXHESS2 after the
+# gradient-box elimination (gamma form), through the weight S the elimination
+# spreads over the other three terms
+_s_refined = 3 * _g - 4 * _a + 2 * _b * _k * (1 - 1 / _n)
+_refined_quadruple = FormalExpr(
+    {
+        GRAD4: _g * (_g - 1)
+        - 2 * _a * (_g - 1)
+        + _a**2
+        + _b**2 * _k * (1 - 1 / _n)
+        + _s_refined * (_be * _q - _be - _g - 1) * (_be + 1) / (_be * _q - _g),
+        BOXSQ: 2 - 2 * _a / _g + _k * (2 * _b / _g - 1 / _n) + _s_refined / (_be * _q - _g),
+        K_PLAIN: -(_lam * (_q - 1) * _s_refined / (_be * _q - _g) + 1),
+        MIXHESS2: 2 * _a / _g - 1 + _k * (1 - 2 * _b / _g),
+    }
+)
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +429,25 @@ def verify_substitution_identities(idx: int) -> PassReport:
     mixed-Hessian contraction identity, which enters as a trusted axiom and
     is cross-checked through the elimination derivation.
     """
+    # an int other than a bool: True == 1 and 2.0 == 2 would pass `in`
+    if isinstance(idx, bool) or not isinstance(idx, int) or idx not in (1, 2, 3):
+        raise DomainError(f"idx must be the int 1, 2 or 3, got {idx!r}")
     elim = verify_grad_box_elimination() if idx == 3 else None
     return _substitution_identities(idx, elim)
 
 
 def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
-    """Identity idx; (3) records `elim.passed` as its elimination cross-check."""
-    if idx not in (1, 2, 3):
-        raise DomainError(f"idx must be 1, 2 or 3, got {idx}")
+    """Identity idx, one of 1, 2, 3; (3) records `elim.passed` as its
+    elimination cross-check."""
     with _Derivation(f"substitution_identities_{idx}") as d:
         if idx == 1:
-            d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), display_sub1())
+            d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), _sub1)
         elif idx == 2:
             raw = ibp(eq_in_boxsq())
-            d.expr("after_parts_integration", raw, display_boxsq_after_parts())
-            final = raw.replace(GRADBOX, display_sub1())
-            d.expr("after_first_identity", final, display_sub2())
-            lam_zero = display_sub2().coefficient(K_PLAIN).substitute("lam", rf(0))
+            d.expr("after_parts_integration", raw, _boxsq_after_parts)
+            final = raw.replace(GRADBOX, _sub1)
+            d.expr("after_first_identity", final, _sub2)
+            lam_zero = _sub2.coefficient(K_PLAIN).substitute("lam", rf(0))
             d.identity("plain_energy_weight_vanishes_without_lam", lam_zero, rf(0))
         else:
             expected = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
@@ -478,18 +484,18 @@ def verify_antihol_completion_bound() -> PassReport:
             "bound usable because the pure-Hessian weight is +1",
         )
         e3 = e2.replace(MIXCROSS, mixcross_identity())
-        d.expr("pre_equation_form", e3, display_pure_completion_intermediate())
+        d.expr("pre_equation_form", e3, _pure_completion_intermediate)
 
-        e4 = e3.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
-        d.expr("final_coefficients", e4, display_completion_quadruple())
+        e4 = e3.replace(GRADBOX, _sub1).replace(BOXSQ, _sub2)
+        d.expr("final_coefficients", e4, _completion_quadruple)
 
         # parameter-off cross-check: a = 0 must reproduce the bare combination
         bare = (
             FormalExpr({ANTIHESS2: rf(1)})
             .replace(ANTIHESS2, pure_hessian_upper_bound())
             .replace(MIXCROSS, mixcross_identity())
-            .replace(GRADBOX, display_sub1())
-            .replace(BOXSQ, display_sub2())
+            .replace(GRADBOX, _sub1)
+            .replace(BOXSQ, _sub2)
         )
         for term in (GRAD4, K_EQ, K_PLAIN, MIXHESS2):
             d.identity(
@@ -510,7 +516,7 @@ def verify_midpoint_obstruction() -> PassReport:
     conditions together.
     """
     with _Derivation("midpoint_obstruction") as d:
-        quad = display_completion_quadruple()
+        quad = _completion_quadruple
         mixed_energy = quad.coefficient(K_EQ)
         d.identity(
             "mixed_energy_weight_at_midpoint", mixed_energy.substitute("gamma", 2 * _a), _q
@@ -526,8 +532,7 @@ def verify_midpoint_obstruction() -> PassReport:
         d.identity("condition_combination_identity", combined, -_lam * mixed_energy)
 
     # the worked example a = 3, beta = 1, q = 2, where the midpoint form is q = 2
-    pt = {name: Fraction(1) for name in VARS}
-    pt.update({"a": Fraction(3), "gamma": Fraction(6), "beta": Fraction(1), "q": Fraction(2)})
+    pt = _point(a=3, gamma=6, beta=1, q=2)
     return d.finish(seed=31, worked=((pt, d.holds_at(pt)),))
 
 
@@ -535,10 +540,10 @@ def verify_mixed_completion_bound() -> PassReport:
     """Completion of the square on the mixed Hessian via the trace inequality."""
     with _Derivation("mixed_completion_bound") as d:
         e1 = cauchy_schwarz_defect().replace(MIXCROSS, mixcross_identity())
-        d.expr("pre_equation_form", e1, display_mixed_intermediate())
+        d.expr("pre_equation_form", e1, _mixed_intermediate)
 
-        e2 = e1.replace(GRADBOX, display_sub1()).replace(BOXSQ, display_sub2())
-        quad = display_mixed_quadruple()
+        e2 = e1.replace(GRADBOX, _sub1).replace(BOXSQ, _sub2)
+        quad = _mixed_quadruple
         d.expr("final_coefficients", e2, quad)
 
         d.identity(
@@ -583,9 +588,9 @@ def verify_base_chain() -> PassReport:
     """
     with _Derivation("base_chain") as d:
         # (i) combine, split the mixed-Hessian weight into trace-free + trace
-        pre = display_completion_quadruple() + display_mixed_quadruple().scale(_k)
+        pre = _completion_quadruple + _mixed_quadruple.scale(_k)
         split = pre.replace(MIXHESS2, FormalExpr({TRACEFREE: rf(1), BOXSQ: 1 / _n})).replace(
-            BOXSQ, display_sub2()
+            BOXSQ, _sub2
         )
         expected = _combined_base_quadruple(pre)
         d.expr("step1_combined", split, expected)
@@ -653,7 +658,7 @@ def verify_base_chain() -> PassReport:
         # (vi) discriminant of the beta-quadratic vs the displayed k-inequality;
         # cleared factor q/(k(n+1)^2), positive on the admissible region
         disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * lead_beta
-        Ak, Bk, Ck = display_k_inequality()
+        Ak, Bk, Ck = _k_inequality
         L = Ak * _k**2 + Bk * _k + Ck
         d.identity(
             "step6_discriminant_is_k_inequality",
@@ -669,9 +674,7 @@ def verify_base_chain() -> PassReport:
         delta = Bk**2 - 4 * Ak * Ck
         delta0_disp = (4 * _n**2 + 4 * _n) ** 2 - 16 * (_n**2 + _n) * _q * (_n**2 - _n)
         d.identity("step7_discriminant_at_zero_slack", delta.substitute("eps", rf(0)), delta0_disp)
-        pt22 = {name: Fraction(1) for name in VARS}
-        pt22.update({"n": Fraction(2), "q": Fraction(2)})
-        val22 = delta0_disp.evaluate(pt22)
+        val22 = delta0_disp.evaluate(_point(n=2, q=2))
         d.fact(
             "step7_sample_value", val22 == 192, str(val22), "24^2 - 16*6*2*2 = 192 at n = 2, q = 2"
         )
@@ -718,8 +721,7 @@ def verify_base_chain() -> PassReport:
         # sqrt(f^2 r) = |f| sqrt(r), so the rescaling keeps the sign of the radical
         # term only where the factor is positive
         samples = [(n, 1 + Fraction(j, 2 * (n - 1))) for n in (2, 3, 4, 7) for j in (1, 2, 3, 4)]
-        base_pt = dict.fromkeys(VARS, Fraction(1))
-        factor_ok = all(_n.evaluate({**base_pt, "n": Fraction(n), "q": q}) > 0 for n, q in samples)
+        factor_ok = all(_n.evaluate(_point(n=n, q=q)) > 0 for n, q in samples)
         d.fact(
             "step8_rescaling_factor_positive",
             factor_ok,
@@ -741,85 +743,59 @@ def verify_base_chain() -> PassReport:
     return d.finish(seed=53, extra_avoid=(Poly.var("n") + 1,))
 
 
-def _positive_normal(x: float) -> bool:
-    return sys.float_info.min <= x < math.inf
-
-
 def verify_radical_gap_monotone(
     alpha: Fraction, beta_c: Fraction, gamma_c: Fraction
 ) -> PassReport:
-    """Numeric monotonicity check for psi(t) = alpha*t - sqrt(alpha^2 t^2 - beta_c t + gamma_c).
+    """psi(t) = alpha*t - sqrt(R(t)) increases on (0, t_max), proved at one rational triple.
 
-    Samples 1000 points of psi on (0, t_max) with
-    t_max = (beta_c - sqrt(beta_c^2 - 4 alpha^2 gamma_c))/(2 alpha^2), asserts
-    strict increase between consecutive samples, and checks the closed-form
-    derivative is positive at each sample. The samples are float64 arrays,
-    each expression evaluated in the operand order of its scalar form, so
-    every sample rounds as it would in Python floats and the verdicts are
-    those of a scalar loop. This is the one sampling-based
-    verifier; everything else in this module is exact. Inputs the float
-    sampling cannot represent (alpha^2, beta_c, gamma_c or t_max outside the
-    positive normal floats, or a sampled radicand that rounds to <= 0) raise
-    DomainError.
+    R(t) = alpha^2 t^2 - beta_c t + gamma_c has disc = beta_c^2 - 4 alpha^2
+    gamma_c > 0, and t_max = (beta_c - sqrt(disc))/(2 alpha^2). Two steps,
+    both exact: t_max is a root of R, decided modulo its quadratic; and
+    beta_c - 2 alpha^2 t_max = sqrt(disc), read off t_max's base and
+    coefficient, so t_max is the smaller root. Both roots are positive (their
+    sum beta_c/alpha^2 and product gamma_c/alpha^2 are), so R > 0 on
+    (0, t_max), where beta_c - 2 alpha^2 t > sqrt(disc) > 0 and
+    psi'(t) = alpha + (beta_c - 2 alpha^2 t)/(2 sqrt(R(t))) > alpha > 0.
+    Nonpositive inputs and disc <= 0 raise DomainError.
     """
-    alpha = Fraction(alpha)
-    beta_c = Fraction(beta_c)
-    gamma_c = Fraction(gamma_c)
+    alpha, beta_c, gamma_c = Fraction(alpha), Fraction(beta_c), Fraction(gamma_c)
     if alpha <= 0 or beta_c <= 0 or gamma_c <= 0:
         raise DomainError("alpha, beta_c, gamma_c must all be positive")
-    disc = beta_c * beta_c - 4 * alpha * alpha * gamma_c
+    a2 = alpha * alpha
+    disc = beta_c * beta_c - 4 * a2 * gamma_c
     if disc <= 0:
         raise DomainError(
             "constraint beta_c^2 > 4*alpha^2*gamma_c violated: "
             f"{beta_c}^2 <= 4*{alpha}^2*{gamma_c}"
         )
-    try:
-        af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
-    except OverflowError:
-        af = bf = gf = math.inf
-    a2 = af * af
-    if not all(_positive_normal(x) for x in (a2, bf, gf)):
-        raise DomainError("alpha^2, beta_c and gamma_c must be positive normal floats to sample")
-    # t_max = 2 gamma_c / (beta_c + sqrt(disc)), free of the cancellation in
-    # the form above; sqrt(disc) = beta_c sqrt(disc/beta_c^2) takes the exact
-    # ratio in (0, 1), whose float twin neither overflows nor rounds below 0
-    t_max = 2 * gf / (bf * (1 + math.sqrt(float(disc / (beta_c * beta_c)))))
-    if not _positive_normal(t_max):
-        raise DomainError(f"t_max = {t_max!r} must be a positive normal float to sample")
-
-    npts = 1000
-    # as in Python floats, an overflow gives inf without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        ts = t_max * np.arange(1, npts + 1) / (npts + 1)
-        # one square root per sample serves psi(t) = af t - root and
-        # psi'(t) = af - (2 af^2 t - bf) / (2 root)
-        radicands = a2 * ts * ts - bf * ts + gf
-        if not (radicands > 0).all():
-            raise DomainError(
-                "a sampled radicand alpha^2 t^2 - beta_c t + gamma_c rounds to <= 0"
-            )
-        roots = np.sqrt(radicands)
-        values = af * ts - roots
-        increasing = bool((values[1:] > values[:-1]).all())
-        derivative_pos = bool((af - (2 * a2 * ts - bf) / (2 * roots) > 0).all())
-    d = _Derivation("radical_gap_monotone")
-    d.fact("strictly_increasing_between_samples", increasing, "a sample does not increase")
-    d.fact("closed_form_derivative_positive", derivative_pos, "nonpositive at a sample")
+    t_max = RadExpr(beta_c / (2 * a2), -1 / (2 * a2), Poly.const(disc))
+    with _Derivation("radical_gap_monotone") as d:
+        d.root("t_max_is_root_of_radicand", a2 * _x**2 - beta_c * _x + gamma_c, "x", t_max)
+        # beta_c - 2 alpha^2 t_max = offset + slope*sqrt(disc)
+        offset = beta_c - 2 * a2 * t_max.base
+        slope = -2 * a2 * t_max.coef
+        d.fact(
+            "t_max_is_smaller_root",
+            offset.is_zero and (slope - 1).is_zero,
+            f"({offset!r}) + ({slope!r})*sqrt({disc})",
+            "beta_c - 2 alpha^2 t_max = sqrt(disc) > 0: t_max is the smaller root, "
+            "and psi' > alpha on (0, t_max)",
+        )
     point = {"alpha": alpha, "beta_c": beta_c, "gamma_c": gamma_c}
-    return d.finish(seed=None, worked=((point, increasing and derivative_pos),))
+    return d.finish(seed=None, worked=((point, all(s.ok for s in d.steps)),))
 
 
 def verify_grad_box_elimination() -> PassReport:
     """Eliminating the gradient-box integral from the squared-box identity."""
     with _Derivation("grad_box_elimination") as d:
         raw = ibp(eq_in_boxsq())
-        d.expr("boxsq_after_parts", raw, display_boxsq_after_parts())
+        d.expr("boxsq_after_parts", raw, _boxsq_after_parts)
 
         # rearranged first identity: the equation-exponent energy through the rest
         keq_solved = FormalExpr(
             {GRADBOX: _be, K_PLAIN: _lam, GRAD4: -_be * (_be + 1)}
         )
-        back = display_sub1().replace(K_EQ, keq_solved)
+        back = _sub1.replace(K_EQ, keq_solved)
         d.expr("rearrangement_consistency", back, FormalExpr({GRADBOX: rf(1)}))
 
         eliminated = raw.replace(K_EQ, keq_solved)
@@ -833,13 +809,13 @@ def verify_grad_box_elimination() -> PassReport:
         d.expr("after_elimination", eliminated, elim_disp)
 
         # solve for the gradient-box integral and compare the displayed form
-        solved = display_solved_gradbox()
+        solved = _solved_gradbox
         # plugging the solved form into the eliminated identity must return BOXSQ
         roundtrip = elim_disp.replace(GRADBOX, solved)
         d.expr("solve_roundtrip", roundtrip, FormalExpr({BOXSQ: rf(1)}))
 
         # alternate derivation: solve the two substitution identities directly
-        alt = display_sub2().replace(K_EQ, keq_solved)
+        alt = _sub2.replace(K_EQ, keq_solved)
         d.expr("alternate_derivation", alt, elim_disp)
 
         d.identity(
@@ -849,29 +825,8 @@ def verify_grad_box_elimination() -> PassReport:
         )
 
     # worked instantiation from the contract: gamma=1, beta=2, q=3, lam=1/5
-    pt = {name: Fraction(1) for name in VARS}
-    pt.update(
-        {"gamma": Fraction(1), "beta": Fraction(2), "q": Fraction(3), "lam": Fraction(1, 5)}
-    )
+    pt = _point(gamma=1, beta=2, q=3, lam=Fraction(1, 5))
     return d.finish(seed=61, worked=((pt, d.holds_at(pt)),))
-
-
-def _refined_quadruple() -> FormalExpr:
-    """Displayed weights on GRAD4, BOXSQ, K_PLAIN and MIXHESS2 after the
-    gradient-box elimination (gamma form)."""
-    S = 3 * _g - 4 * _a + 2 * _b * _k * (1 - 1 / _n)
-    den = _be * _q - _g
-    A = (
-        _g * (_g - 1)
-        - 2 * _a * (_g - 1)
-        + _a**2
-        + _b**2 * _k * (1 - 1 / _n)
-        + S * (_be * _q - _be - _g - 1) * (_be + 1) / den
-    )
-    B = 2 - 2 * _a / _g + _k * (2 * _b / _g - 1 / _n) + S / den
-    C = -(_lam * (_q - 1) * S / den + 1)
-    D = 2 * _a / _g - 1 + _k * (1 - 2 * _b / _g)
-    return FormalExpr({GRAD4: A, BOXSQ: B, K_PLAIN: C, MIXHESS2: D})
 
 
 def verify_refined_chain() -> PassReport:
@@ -892,11 +847,11 @@ def verify_refined_chain() -> PassReport:
     """
     with _Derivation("refined_chain") as d:
         # (i) combine and eliminate
-        pure = display_pure_completion_intermediate()
-        mixed = display_mixed_intermediate()
+        pure = _pure_completion_intermediate
+        mixed = _mixed_intermediate
         combined = pure + mixed.scale(_k)
-        e1 = combined.replace(GRADBOX, display_solved_gradbox())
-        expected = _refined_quadruple()
+        e1 = combined.replace(GRADBOX, _solved_gradbox)
+        expected = _refined_quadruple
         d.expr("step1_combined", e1, expected)
 
         # (ii) zero the Hessian weight
@@ -992,12 +947,10 @@ def verify_refined_chain() -> PassReport:
         )
 
         # (ix) the threshold at the upper x-bound is the stated objective
-        F_weight, F_rest = display_objective()
+        F_weight, F_rest = _objective
         F_disp = F_weight * _l1 + F_rest
         d.identity("step9_objective_recovered", rhs_thr.substitute("x", x_hi), F_disp)
-        pt = {name: Fraction(1) for name in VARS}
-        pt.update({"n": Fraction(2), "q": Fraction(2), "k": Fraction(1), "lam1": Fraction(1)})
-        val = F_disp.evaluate(pt)
+        val = F_disp.evaluate(_point(n=2, q=2, k=1, lam1=1))
         d.fact(
             "step9_sample_value",
             val == Fraction(10, 13),
@@ -1049,7 +1002,7 @@ def verify_chain_consistency() -> PassReport:
     weight vanishing at both endpoints.
     """
     with _Derivation("chain_consistency") as d:
-        Ak, Bk, Ck = display_k_inequality()
+        Ak, Bk, Ck = _k_inequality
         L0 = (Ak * _k**2 + Bk * _k + Ck).substitute("eps", rf(0))
         d.identity(
             "same_k_quadratic",
@@ -1058,7 +1011,7 @@ def verify_chain_consistency() -> PassReport:
             note="cleared factor: n(n-1)q, positive for n >= 2, q > 0",
         )
 
-        F_weight, F_rest = display_objective()
+        F_weight, F_rest = _objective
         for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
             d.root(f"spectral_weight_vanishes_at_{label}_endpoint", F_weight, "k", endpoint)
 
@@ -1076,7 +1029,7 @@ def verify_chain_consistency() -> PassReport:
 
 
 def run_all() -> list[PassReport]:
-    """Every exact verifier, plus the two in-range monotonicity examples.
+    """Every exact verifier, plus the radical-gap lemma at two triples.
 
     The elimination report is computed once and also serves as identity (3)'s
     cross-check. A DomainError inside a derivation fails that report alone

@@ -35,7 +35,9 @@ import numpy as np
 
 from . import __version__
 from .algebra import RadExpr, run_all
-from .algebra.checks import display_closed_forms, display_objective
+# the algebra pillar's exact forms, the closed-form rows' second computation:
+# 2C, the k interval's ends, and the refined chain's objective (weight, rest)
+from .algebra.checks import _hi_end, _lo_end, _objective, _two_c
 from .constants import (
     Dimensions,
     base_threshold,
@@ -68,11 +70,6 @@ SPHERE_LAMBDA1 = 1.0
 
 # most values a q grid may hold, checked before any value is built
 MAX_GRID_POINTS = 10_000
-
-# the algebra pillar's exact forms, the closed-form rows' second computation:
-# 2C, the k interval's ends, and the refined chain's objective (weight, rest)
-_TWO_C, _K_LO, _K_HI = display_closed_forms()
-_OBJECTIVE = display_objective()
 
 
 class UsageError(Exception):
@@ -287,7 +284,7 @@ def _constants_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
         "c_conj": rep.c_conj,
         "lambda1_lower": rep.lambda1_lower,
     }
-    two_c = _surd(_TWO_C, dims)
+    two_c = _surd(_two_c, dims)
     gaps = [_gap(rep.c_s, two_c / 2)]
     if dims.n >= 2:
         fields["threshold"] = base_threshold(dims)
@@ -299,8 +296,8 @@ def _interval_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
     ki = k_interval(dims)
     product = ki.k_lo * ki.k_hi
     fields = {"k_lo": ki.k_lo, "k_hi": ki.k_hi, "product": product}
-    gap_lo = _gap(ki.k_lo, _surd(_K_LO, dims))
-    gap_hi = _gap(ki.k_hi, _surd(_K_HI, dims))
+    gap_lo = _gap(ki.k_lo, _surd(_lo_end, dims))
+    gap_hi = _gap(ki.k_hi, _surd(_hi_end, dims))
     return fields, max(abs(product - 1.0), gap_lo, gap_hi)
 
 
@@ -317,7 +314,7 @@ def _optimize_k_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
     else:
         k_star = float(cfg.k)
         threshold = f_of_k(dims, k_star, cfg.lambda1)
-    weight, rest = _OBJECTIVE
+    weight, rest = _objective
     pt = {"k": Fraction(k_star), "q": Fraction(dims.q), "n": Fraction(dims.n)}
     exact = weight.evaluate(pt) * Fraction(cfg.lambda1) + rest.evaluate(pt)
     agree = float(abs(Fraction(threshold) - exact) / exact)

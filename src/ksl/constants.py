@@ -41,7 +41,8 @@ class Dimensions:
     q: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        # a bool is an int, and True would pass as n = 1
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"complex dimension must be an integer >= 1, got n = {self.n}")
         # NaN fails both comparisons, so it is rejected too
         if not 1 < self.q < math.inf:

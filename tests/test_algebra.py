@@ -29,11 +29,7 @@ from ksl.algebra import (
     verify_substitution_identities,
 )
 from ksl.algebra import checks
-from ksl.algebra.checks import (
-    _Derivation,
-    display_completion_quadruple,
-    display_mixed_quadruple,
-)
+from ksl.algebra.checks import _completion_quadruple, _Derivation, _mixed_quadruple
 from ksl.algebra.ring import VARS, RadExpr, rf, rf_equal, v
 from ksl.algebra.terms import ANTIHESS2, GRAD4, K_EQ, K_PLAIN, MIXHESS2, FormalExpr
 from ksl.cli import run
@@ -256,9 +252,10 @@ def test_upper_bound_step_reports_its_residual(monkeypatch):
 
 
 # SHA-256 of the `algebra-verify` payload, canonical JSON; fixed when the
-# verifiers were moved onto one recorder, so any change to a step name,
+# verifiers were moved onto one recorder, and moved only in the radical-gap
+# rows when that lemma became an exact proof, so any change to a step name,
 # residual, note, count or verdict shows up here
-ALGEBRA_PAYLOAD_SHA256 = "88dd746982cb8611c7d5552c9de12cfedbc08bca9ce4dc9efd59f1cd37526ffa"
+ALGEBRA_PAYLOAD_SHA256 = "b38c652fe826b0a6abfd4e9420e2032e876bca1c3d75b64400b78a52a172575d"
 
 
 def test_algebra_payload_is_pinned(capsys, tmp_path, monkeypatch):
@@ -271,23 +268,23 @@ def test_algebra_payload_is_pinned(capsys, tmp_path, monkeypatch):
 
 class TestTargetedIdentities:
     def test_midpoint_value_is_q(self):
-        quad = display_completion_quadruple()
+        quad = _completion_quadruple
         assert rf_equal(quad.coefficient(K_EQ).substitute("gamma", 2 * v("a")), v("q"))
 
     def test_midpoint_kills_hessian_weight(self):
-        quad = display_completion_quadruple()
+        quad = _completion_quadruple
         assert rf_equal(quad.coefficient(MIXHESS2).substitute("gamma", 2 * v("a")), rf(0))
 
     def test_parameter_off_mixed_quadruple(self):
-        quad = display_mixed_quadruple()
+        quad = _mixed_quadruple
         n = v("n")
         beta = v("beta")
         assert rf_equal(quad.coefficient(GRAD4).substitute("b", rf(0)), -((beta + 1) ** 2) / n)
         assert rf_equal(quad.coefficient(MIXHESS2).substitute("b", rf(0)), rf(1))
 
     def test_lam_zero_drops_plain_energy_weights(self):
-        quad1 = display_completion_quadruple()
-        quad2 = display_mixed_quadruple()
+        quad1 = _completion_quadruple
+        quad2 = _mixed_quadruple
         # with lam = 0 the plain-energy weights reduce to the lam-free parts
         c1 = quad1.coefficient(K_PLAIN).substitute("lam", rf(0))
         assert rf_equal(c1, rf(-1))
@@ -359,10 +356,10 @@ class TestFailClosed:
 
     @pytest.fixture
     def swapped(self, monkeypatch):
-        quad = display_completion_quadruple()
+        quad = _completion_quadruple
         swap = {K_EQ: K_PLAIN, K_PLAIN: K_EQ}
         moved = FormalExpr({swap.get(t, t): quad.coefficient(t) for t in quad.terms()})
-        monkeypatch.setattr(checks, "display_completion_quadruple", lambda: moved)
+        monkeypatch.setattr(checks, "_completion_quadruple", moved)
 
     def test_run_all_keeps_every_report(self, swapped):
         reports = run_all()
@@ -425,25 +422,9 @@ class TestMonotonicityVerifier:
         report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
         assert report.passed
         assert [s.name for s in report.steps] == [
-            "strictly_increasing_between_samples",
-            "closed_form_derivative_positive",
+            "t_max_is_root_of_radicand",
+            "t_max_is_smaller_root",
         ]
-
-
-    @pytest.mark.parametrize(
-        "alpha, beta_c, gamma_c",
-        [
-            (Fraction(1, 10**200), Fraction(3), Fraction(1)),
-            (Fraction(10**200), Fraction(10**401), Fraction(1)),
-            (Fraction(1), Fraction(10**400), Fraction(1)),
-            (Fraction(1, 10**160), Fraction(1, 10**160), Fraction(1, 10**170)),
-        ],
-        ids=["alpha_sq_underflows", "beta_overflows", "beta_overflows_alpha_1", "alpha_sq_subnormal"],
-    )
-    def test_inputs_outside_the_float_range_are_domain_errors(self, alpha, beta_c, gamma_c):
-        assert beta_c**2 > 4 * alpha**2 * gamma_c
-        with pytest.raises(DomainError, match="positive normal floats"):
-            verify_radical_gap_monotone(alpha, beta_c, gamma_c)
 
     @pytest.mark.parametrize(
         "alpha, beta_c, gamma_c",
@@ -460,33 +441,23 @@ class TestMonotonicityVerifier:
         assert report.passed
 
 
-def scalar_radical_gap(alpha: Fraction, beta_c: Fraction, gamma_c: Fraction):
-    """The two verdicts of the radical-gap verifier by its first scalar loop,
-    or None where a sampled radicand rounds to <= 0; inputs must pass the
-    verifier's range checks."""
-    af, bf, gf = float(alpha), float(beta_c), float(gamma_c)
-    a2 = af * af
-    disc = beta_c * beta_c - 4 * alpha * alpha * gamma_c
-    t_max = 2 * gf / (bf * (1 + math.sqrt(float(disc / (beta_c * beta_c)))))
-    ts = [t_max * i / 1001 for i in range(1, 1001)]
-    radicands = [a2 * t * t - bf * t + gf for t in ts]
-    if not all(r > 0 for r in radicands):
-        return None
-    roots = [math.sqrt(r) for r in radicands]
-    values = [af * t - root for t, root in zip(ts, roots)]
-    increasing = all(b > a for a, b in zip(values, values[1:]))
-    derivative_pos = all(af - (2 * a2 * t - bf) / (2 * root) > 0 for t, root in zip(ts, roots))
-    return [increasing, derivative_pos]
-
-
 def _near_zero_discriminant(alpha: Fraction, gamma_c: Fraction, digits: int) -> Fraction:
     # beta_c just above 2 alpha sqrt(gamma_c): disc / beta_c^2 about 10^-digits
     target = 4 * alpha**2 * gamma_c * (1 + Fraction(1, 10**digits))
     return Fraction(math.isqrt(target.numerator * 10**80 // target.denominator) + 1, 10**40)
 
 
-class TestRadicalGapAgainstScalarLoop:
-    """The float64 array samples give the verdicts of the scalar loop."""
+# positive rationals from 10^-200 to 10^206, and shares in (0, 1) down to 10^-40
+_positive = st.builds(
+    lambda m, e: m * Fraction(10) ** e, st.integers(1, 10**6), st.integers(-200, 200)
+)
+_share = st.integers(1, 40).flatmap(
+    lambda d: st.integers(1, 10**d - 1).map(lambda m: Fraction(m, 10**d))
+)
+
+
+class TestRadicalGapProof:
+    """The lemma is proved exactly at every admissible rational triple."""
 
     @pytest.mark.parametrize(
         "alpha, beta_c, gamma_c",
@@ -498,37 +469,68 @@ class TestRadicalGapAgainstScalarLoop:
             (Fraction(1, 10), Fraction(2 * 10**20 + 1, 10**20), Fraction(100)),
             (Fraction(1), _near_zero_discriminant(Fraction(1), Fraction(1), 30), Fraction(1)),
             (Fraction(5), _near_zero_discriminant(Fraction(5), Fraction(1, 9), 14), Fraction(1, 9)),
+            # alpha^2, beta_c or t_max outside the positive normal floats
+            (Fraction(1, 10**200), Fraction(3), Fraction(1)),
+            (Fraction(10**200), Fraction(10**401), Fraction(1)),
+            (Fraction(1), Fraction(10**400), Fraction(1)),
+            (Fraction(1, 10**160), Fraction(1, 10**160), Fraction(1, 10**170)),
+            # disc = 10^-40 exactly
+            (Fraction(1), Fraction(2), 1 - Fraction(1, 4 * 10**40)),
+            (Fraction(1, 3), Fraction(7, 5), (Fraction(49, 25) - Fraction(1, 10**40)) * Fraction(9, 4)),
         ],
         ids=[
             "reference", "tight", "small_root_cancels", "discriminant_overflows",
             "discriminant_rounds_negative", "near_zero_discriminant", "near_zero_scaled",
+            "alpha_sq_underflows", "beta_overflows", "beta_overflows_alpha_1",
+            "alpha_sq_subnormal", "disc_1e-40", "disc_1e-40_scaled",
         ],
     )
-    def test_verdicts_match(self, alpha, beta_c, gamma_c):
+    def test_triple_passes(self, alpha, beta_c, gamma_c):
         assert beta_c**2 > 4 * alpha**2 * gamma_c
-        want = scalar_radical_gap(alpha, beta_c, gamma_c)
-        assert want is not None
         report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
-        assert [s.ok for s in report.steps] == want
+        assert report.passed
+        assert [s.ok for s in report.steps] == [True, True]
+        [record] = report.instantiations
+        assert record == {
+            "point": {"alpha": str(alpha), "beta_c": str(beta_c), "gamma_c": str(gamma_c)},
+            "agree": True,
+        }
 
-    @given(
-        st.fractions(Fraction(1, 10**6), Fraction(10**6)),
-        st.fractions(Fraction(1, 10**6), Fraction(10**6)),
-        st.integers(0, 40),
-    )
+    @given(_positive, _positive, _share)
     @settings(max_examples=60, deadline=None)
-    def test_verdicts_match_on_random_triples(self, alpha, gamma_c, digits):
-        beta_c = _near_zero_discriminant(alpha, gamma_c, digits)
-        want = scalar_radical_gap(alpha, beta_c, gamma_c)
-        if want is None:
-            with pytest.raises(DomainError, match="rounds to <= 0"):
-                verify_radical_gap_monotone(alpha, beta_c, gamma_c)
-            return
-        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
-        assert [s.ok for s in report.steps] == want
+    def test_every_admissible_triple_passes(self, alpha, beta_c, share):
+        # gamma_c = (1 - share) beta_c^2 / (4 alpha^2), so disc = share * beta_c^2 > 0
+        gamma_c = (1 - share) * beta_c**2 / (4 * alpha**2)
+        assert beta_c**2 - 4 * alpha**2 * gamma_c == share * beta_c**2
+        assert verify_radical_gap_monotone(alpha, beta_c, gamma_c).passed
+
+    def test_conjugate_root_fails_the_smaller_root_step(self, monkeypatch):
+        # t_max with +sqrt(disc) is still a root of the radicand, but the larger one
+        monkeypatch.setattr(checks, "RadExpr", lambda base, coef, rad: RadExpr(base, -coef, rad))
+        report = verify_radical_gap_monotone(Fraction(1), Fraction(3), Fraction(1))
+        assert [(s.name, s.ok) for s in report.steps] == [
+            ("t_max_is_root_of_radicand", True),
+            ("t_max_is_smaller_root", False),
+        ]
+        assert report.steps[1].residual == "(0) + (-1)*sqrt(5)"
+        assert not report.passed and not report.instantiations[0]["agree"]
+
+    def test_wrong_radicand_fails_the_root_step(self, monkeypatch):
+        # sqrt(beta_c^2 - 2 alpha^2 gamma_c) = sqrt(7) in place of sqrt(5)
+        monkeypatch.setattr(
+            checks, "RadExpr", lambda base, coef, rad: RadExpr(base, coef, rad + 2)
+        )
+        report = verify_radical_gap_monotone(Fraction(1), Fraction(3), Fraction(1))
+        assert [(s.name, s.ok) for s in report.steps] == [
+            ("t_max_is_root_of_radicand", False),
+            ("t_max_is_smaller_root", True),
+        ]
+        assert not report.passed
 
 
 class TestBadIndex:
     def test_substitution_identities_rejects_bad_idx(self):
-        with pytest.raises(DomainError):
-            verify_substitution_identities(4)
+        # all but 4 equal a valid index, so `idx in (1, 2, 3)` alone lets them through
+        for idx in (4, True, 1.0, 2.0, 3.0, Fraction(2)):
+            with pytest.raises(DomainError, match="the int 1, 2 or 3"):
+                verify_substitution_identities(idx)

@@ -508,6 +508,28 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []", proc.stderr
 
+    def test_algebra_runs_with_numpy_blocked(self, tmp_path):
+        # the exact algebra pillar has no float path, so it needs no numpy
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from ksl.algebra import run_all\n"
+            "reports = run_all()\n"
+            "print(len(reports), all(r.passed for r in reports), file=sys.stderr)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "12 True", proc.stderr
+
 
 class TestConfigFile:
     def test_values_read_and_cli_overrides(self, capsys, tmp_path):

@@ -66,6 +66,9 @@ class TestDimensions:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             dims(0, 2.0)
+        # a bool is an int, and True == 1
+        with pytest.raises(DomainError, match="integer >= 1"):
+            dims(True, 2.0)
 
     def test_boundary_flag(self):
         assert dims(2, 3.0).boundary
