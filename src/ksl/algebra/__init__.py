@@ -28,20 +28,26 @@ from .ring import (
     v,
 )
 from .terms import (
+    ANTICROSS_IDENTITY,
+    CAUCHY_SCHWARZ_DEFECT,
+    EQ_IN_BOXSQ,
+    EQ_IN_GRADBOX,
+    MIXCROSS_IDENTITY,
+    PURE_HESSIAN_UPPER_BOUND,
     FormalExpr,
     FormalTerm,
     J,
     K,
-    anticross_identity,
-    cauchy_schwarz_defect,
-    eq_in_boxsq,
-    eq_in_gradbox,
     ibp,
-    mixcross_identity,
-    pure_hessian_upper_bound,
 )
 
 __all__ = [
+    "ANTICROSS_IDENTITY",
+    "CAUCHY_SCHWARZ_DEFECT",
+    "EQ_IN_BOXSQ",
+    "EQ_IN_GRADBOX",
+    "MIXCROSS_IDENTITY",
+    "PURE_HESSIAN_UPPER_BOUND",
     "FormalExpr",
     "FormalTerm",
     "J",
@@ -51,13 +57,7 @@ __all__ = [
     "RadExpr",
     "RationalFunction",
     "StepCheck",
-    "anticross_identity",
-    "cauchy_schwarz_defect",
-    "eq_in_boxsq",
-    "eq_in_gradbox",
     "ibp",
-    "mixcross_identity",
-    "pure_hessian_upper_bound",
     "rf",
     "rf_equal",
     "run_all",

@@ -44,8 +44,12 @@ from .ring import (
 )
 from .terms import (
     ANTICROSS,
+    ANTICROSS_IDENTITY,
     ANTIHESS2,
     BOXSQ,
+    CAUCHY_SCHWARZ_DEFECT,
+    EQ_IN_BOXSQ,
+    EQ_IN_GRADBOX,
     FormalExpr,
     GRAD4,
     GRADBOX,
@@ -53,14 +57,10 @@ from .terms import (
     K_PLAIN,
     MIXHESS2,
     MIXCROSS,
+    MIXCROSS_IDENTITY,
+    PURE_HESSIAN_UPPER_BOUND,
     TRACEFREE,
-    anticross_identity,
-    cauchy_schwarz_defect,
-    eq_in_boxsq,
-    eq_in_gradbox,
     ibp,
-    mixcross_identity,
-    pure_hessian_upper_bound,
 )
 
 
@@ -165,10 +165,9 @@ def _record(pt: dict, agree: bool) -> dict:
 def _instantiate(
     pairs: list[tuple[RationalFunction, RationalFunction]],
     seed: int,
-    count: int = 3,
     extra_avoid: tuple[Poly, ...] = (),
 ) -> list[dict]:
-    """Evaluate each lhs/rhs pair at `count` random rational points.
+    """Evaluate each lhs/rhs pair at three random rational points.
 
     Points where any excluded or involved denominator vanishes are resampled.
     Agreement is exact; the exclusions and the pairs read one set of values
@@ -177,7 +176,7 @@ def _instantiate(
     rng = random.Random(seed)
     records: list[dict] = []
     attempts = 0
-    while len(records) < count:
+    while len(records) < 3:
         attempts += 1
         if attempts > 10_000:
             raise RuntimeError("could not find denominator-avoiding points")
@@ -382,6 +381,22 @@ _kq = _k**2 + (2 - 4 * (_n + 1) / ((_n - 1) * _q)) * _k + 1
 _lo_end = RadExpr(2 * (_n + 1) / (_q * (_n - 1)) - 1, -2 / (_q * (_n - 1)), _rad_small)
 _hi_end = RadExpr(_lo_end.base, -_lo_end.coef, _rad_small)
 
+# the base chain's slack ceiling, a root of the k-discriminant as a quadratic in
+# eps; the big radicand n^2 * _rad_small and the k lower bound over it
+_eps_max = RadExpr(
+    (4 * _n * (_n + 1) - 2 * _q * (_n - 1)) / (_n * (_n - 1) * _q),
+    -2 * (_n - 1) / (_n * (_n - 1) * _q),
+    Poly.var("q") ** 2 + 4 * Poly.var("q") * Poly.var("n") * (Poly.var("n") + 1),
+)
+_rad_big = (Poly.var("n") ** 2 + Poly.var("n")) ** 2 - (
+    Poly.var("n") ** 2 - Poly.var("n")
+) * Poly.var("q") * (Poly.var("n") ** 2 + Poly.var("n"))
+_k_lo_big = RadExpr(
+    (2 * _n**2 + 2 * _n - _q * (_n**2 - _n)) / (_n * (_n - 1) * _q),
+    -2 / (_n * (_n - 1) * _q),
+    _rad_big,
+)
+
 # the refined chain's objective F(k) = weight * lam1 + rest, as (weight, rest),
 # over A_q = 4n^2 + 4n + q
 _a_q = 4 * _n**2 + 4 * _n + _q
@@ -441,9 +456,9 @@ def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
     elimination cross-check."""
     with _Derivation(f"substitution_identities_{idx}") as d:
         if idx == 1:
-            d.expr("expand_box_in_gradient_energy", eq_in_gradbox(), _sub1)
+            d.expr("expand_box_in_gradient_energy", EQ_IN_GRADBOX, _sub1)
         elif idx == 2:
-            raw = ibp(eq_in_boxsq())
+            raw = ibp(EQ_IN_BOXSQ)
             d.expr("after_parts_integration", raw, _boxsq_after_parts)
             final = raw.replace(GRADBOX, _sub1)
             d.expr("after_first_identity", final, _sub2)
@@ -453,7 +468,7 @@ def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
             expected = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
             d.expr(
                 "trusted_axiom_transcription",
-                mixcross_identity(),
+                MIXCROSS_IDENTITY,
                 expected,
                 "axiom, not derived; proof needs geometry outside this engine",
             )
@@ -475,15 +490,15 @@ def verify_antihol_completion_bound() -> PassReport:
         # |pure Hessian + a grad pair/v|^2 expanded; the two conjugate cross
         # terms are real and equal, hence the single 2a weight
         expansion = FormalExpr({ANTIHESS2: rf(1), ANTICROSS: 2 * _a, GRAD4: _a**2})
-        e1 = expansion.replace(ANTICROSS, anticross_identity())
-        e2 = e1.replace(ANTIHESS2, pure_hessian_upper_bound())
+        e1 = expansion.replace(ANTICROSS, ANTICROSS_IDENTITY)
+        e2 = e1.replace(ANTIHESS2, PURE_HESSIAN_UPPER_BOUND)
         d.identity(
             "upper_bound_applied_with_positive_weight",
             e1.coefficient(ANTIHESS2),
             rf(1),
             "bound usable because the pure-Hessian weight is +1",
         )
-        e3 = e2.replace(MIXCROSS, mixcross_identity())
+        e3 = e2.replace(MIXCROSS, MIXCROSS_IDENTITY)
         d.expr("pre_equation_form", e3, _pure_completion_intermediate)
 
         e4 = e3.replace(GRADBOX, _sub1).replace(BOXSQ, _sub2)
@@ -492,8 +507,8 @@ def verify_antihol_completion_bound() -> PassReport:
         # parameter-off cross-check: a = 0 must reproduce the bare combination
         bare = (
             FormalExpr({ANTIHESS2: rf(1)})
-            .replace(ANTIHESS2, pure_hessian_upper_bound())
-            .replace(MIXCROSS, mixcross_identity())
+            .replace(ANTIHESS2, PURE_HESSIAN_UPPER_BOUND)
+            .replace(MIXCROSS, MIXCROSS_IDENTITY)
             .replace(GRADBOX, _sub1)
             .replace(BOXSQ, _sub2)
         )
@@ -539,7 +554,7 @@ def verify_midpoint_obstruction() -> PassReport:
 def verify_mixed_completion_bound() -> PassReport:
     """Completion of the square on the mixed Hessian via the trace inequality."""
     with _Derivation("mixed_completion_bound") as d:
-        e1 = cauchy_schwarz_defect().replace(MIXCROSS, mixcross_identity())
+        e1 = CAUCHY_SCHWARZ_DEFECT.replace(MIXCROSS, MIXCROSS_IDENTITY)
         d.expr("pre_equation_form", e1, _mixed_intermediate)
 
         e2 = e1.replace(GRADBOX, _sub1).replace(BOXSQ, _sub2)
@@ -679,19 +694,11 @@ def verify_base_chain() -> PassReport:
             "step7_sample_value", val22 == 192, str(val22), "24^2 - 16*6*2*2 = 192 at n = 2, q = 2"
         )
         # the slack ceiling is an exact root of the eps-quadratic delta(eps)
-        rad_eps = Poly.var("q") ** 2 + 4 * Poly.var("q") * Poly.var("n") * (
-            Poly.var("n") + 1
-        )
-        eps_max = RadExpr(
-            (4 * _n * (_n + 1) - 2 * _q * (_n - 1)) / (_n * (_n - 1) * _q),
-            -2 * (_n - 1) / (_n * (_n - 1) * _q),
-            rad_eps,
-        )
         d.root(
             "step7_slack_ceiling_is_root",
             delta,
             "eps",
-            eps_max,
+            _eps_max,
             "delta(eps) is an upward parabola in eps; feasibility is eps <= ceiling",
         )
         d.identity(
@@ -703,18 +710,10 @@ def verify_base_chain() -> PassReport:
 
         # (viii) the k lower bound is a root of the zero-slack inequality, and
         # the threshold it induces equals the closed-form constant's threshold
-        rad2 = (Poly.var("n") ** 2 + Poly.var("n")) ** 2 - (
-            Poly.var("n") ** 2 - Poly.var("n")
-        ) * Poly.var("q") * (Poly.var("n") ** 2 + Poly.var("n"))
-        k_lo_big = RadExpr(
-            (2 * _n**2 + 2 * _n - _q * (_n**2 - _n)) / (_n * (_n - 1) * _q),
-            -2 / (_n * (_n - 1) * _q),
-            rad2,
-        )
-        d.root("step8_lower_bound_is_root", L.substitute("eps", rf(0)), "k", k_lo_big)
+        d.root("step8_lower_bound_is_root", L.substitute("eps", rf(0)), "k", _k_lo_big)
         d.identity(
             "step8_radicand_rescaling",
-            rf(rad2),
+            rf(_rad_big),
             _n**2 * rf(_rad_small),
             "big radicand = n^2 * small radicand; factor n > 0",
         )
@@ -732,9 +731,9 @@ def verify_base_chain() -> PassReport:
         # with sqrt(big radicand) = n*sqrt(small radicand), 2C is a function of k
         d.root(
             "step8_threshold_identity",
-            (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(k_lo_big, _n),
+            (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(_k_lo_big, _n),
             "k",
-            k_lo_big,
+            _k_lo_big,
             "reciprocals agree iff these agree; 2C written in k through "
             "sqrt(small radicand) = (k - base)/(n*coef), remainder modulo the "
             "lower bound's quadratic",
@@ -756,8 +755,13 @@ def verify_radical_gap_monotone(
     sum beta_c/alpha^2 and product gamma_c/alpha^2 are), so R > 0 on
     (0, t_max), where beta_c - 2 alpha^2 t > sqrt(disc) > 0 and
     psi'(t) = alpha + (beta_c - 2 alpha^2 t)/(2 sqrt(R(t))) > alpha > 0.
-    Nonpositive inputs and disc <= 0 raise DomainError.
+    An input other than an int or a Fraction (a bool, a float, a string),
+    nonpositive inputs and disc <= 0 raise DomainError.
     """
+    for value in (alpha, beta_c, gamma_c):
+        # a bool is an int, and a float would be proved at its binary value
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise DomainError(f"alpha, beta_c, gamma_c must be ints or Fractions, got {value!r}")
     alpha, beta_c, gamma_c = Fraction(alpha), Fraction(beta_c), Fraction(gamma_c)
     if alpha <= 0 or beta_c <= 0 or gamma_c <= 0:
         raise DomainError("alpha, beta_c, gamma_c must all be positive")
@@ -788,7 +792,7 @@ def verify_radical_gap_monotone(
 def verify_grad_box_elimination() -> PassReport:
     """Eliminating the gradient-box integral from the squared-box identity."""
     with _Derivation("grad_box_elimination") as d:
-        raw = ibp(eq_in_boxsq())
+        raw = ibp(EQ_IN_BOXSQ)
         d.expr("boxsq_after_parts", raw, _boxsq_after_parts)
 
         # rearranged first identity: the equation-exponent energy through the rest

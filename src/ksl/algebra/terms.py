@@ -18,17 +18,20 @@ specializations are K(gamma+1) (plain gradient energy) and
 K(beta+gamma-beta*q+1) (the exponent produced by the equation substitution).
 
 The axioms encode, for v solving the transformed equation
-box v = (1/beta) v^(beta+1-beta*q) - (lam/beta) v + (beta+1) |dv|^2 / v:
+box v = (1/beta) v^(beta+1-beta*q) - (lam/beta) v + (beta+1) |dv|^2 / v.
+Each is a module constant, built once at import:
 
-- eq_in_gradbox / eq_in_boxsq: substitute the equation for one box factor.
-- ibp: J(p) -> -p K(p), integration by parts on the complex Laplacian.
-- pure_hessian_upper_bound: the curvature-driven bound on ANTIHESS2
+- EQ_IN_GRADBOX / EQ_IN_BOXSQ: substitute the equation for one box factor.
+- PURE_HESSIAN_UPPER_BOUND: the curvature-driven bound on ANTIHESS2
   (uses the Ricci lower bound; trusted, not derived here).
-- anticross_identity: integration by parts moving the pure Hessian onto
+- ANTICROSS_IDENTITY: integration by parts moving the pure Hessian onto
   the gradient pair.
-- mixcross_identity: the analogous identity for the mixed Hessian.
-- cauchy_schwarz_defect: the trace inequality |hess|^2 >= (tr hess)^2 / n
+- MIXCROSS_IDENTITY: the analogous identity for the mixed Hessian.
+- CAUCHY_SCHWARZ_DEFECT: the trace inequality |hess|^2 >= (tr hess)^2 / n
   applied to the b-shifted mixed Hessian; nonnegative by construction.
+
+The calculus's one operation is the function ibp: J(p) -> -p K(p),
+integration by parts on the complex Laplacian.
 
 Axioms are inputs: the verifiers build derivations on top of them and never
 attempt to re-prove them.
@@ -43,33 +46,32 @@ from .ring import ZERO_RF, Poly, RationalFunction, _coerce_rf, rf, v
 
 @dataclass(frozen=True)
 class FormalTerm:
-    kind: str  # "atom", "K", or "J"
-    name: str = ""  # atom name for kind == "atom"
-    exponent: Poly | None = None  # weight parameter for K/J
+    name: str  # an atom's name, or the family "K" or "J"
+    exponent: Poly | None = None  # weight parameter of a K/J term; None for an atom
 
     def __repr__(self) -> str:
-        if self.kind == "atom":
+        if self.exponent is None:
             return self.name
-        return f"{self.kind}({self.exponent!r})"
+        return f"{self.name}({self.exponent!r})"
 
 
-GRAD4 = FormalTerm("atom", "GRAD4")
-GRADBOX = FormalTerm("atom", "GRADBOX")
-BOXSQ = FormalTerm("atom", "BOXSQ")
-MIXHESS2 = FormalTerm("atom", "MIXHESS2")
-ANTIHESS2 = FormalTerm("atom", "ANTIHESS2")
-MIXCROSS = FormalTerm("atom", "MIXCROSS")
-ANTICROSS = FormalTerm("atom", "ANTICROSS")
+GRAD4 = FormalTerm("GRAD4")
+GRADBOX = FormalTerm("GRADBOX")
+BOXSQ = FormalTerm("BOXSQ")
+MIXHESS2 = FormalTerm("MIXHESS2")
+ANTIHESS2 = FormalTerm("ANTIHESS2")
+MIXCROSS = FormalTerm("MIXCROSS")
+ANTICROSS = FormalTerm("ANTICROSS")
 # trace-free part of the squared mixed Hessian: MIXHESS2 - BOXSQ/n
-TRACEFREE = FormalTerm("atom", "TRACEFREE")
+TRACEFREE = FormalTerm("TRACEFREE")
 
 
 def K(exponent: Poly) -> FormalTerm:
-    return FormalTerm("K", exponent=exponent)
+    return FormalTerm("K", exponent)
 
 
 def J(exponent: Poly) -> FormalTerm:
-    return FormalTerm("J", exponent=exponent)
+    return FormalTerm("J", exponent)
 
 
 _gamma = Poly.var("gamma")
@@ -137,96 +139,58 @@ class FormalExpr:
 # ---------------------------------------------------------------------------
 # axioms
 
+_g = v("gamma")
+_be = v("beta")
+_lam = v("lam")
+_b = v("b")
+_n = v("n")
 
-def eq_in_gradbox() -> FormalExpr:
-    """GRADBOX after substituting the equation for its box factor."""
-    beta = v("beta")
-    lam = v("lam")
-    return FormalExpr(
-        {
-            K_EQ: 1 / beta,
-            K_PLAIN: -lam / beta,
-            GRAD4: beta + 1,
-        }
-    )
+# GRADBOX after substituting the equation for its box factor
+EQ_IN_GRADBOX = FormalExpr({K_EQ: 1 / _be, K_PLAIN: -_lam / _be, GRAD4: _be + 1})
 
+# BOXSQ after substituting the equation for one of the two box factors
+EQ_IN_BOXSQ = FormalExpr(
+    {
+        J(_beta + _gamma + 1 - _beta * _q): 1 / _be,
+        J(_gamma + 1): -_lam / _be,
+        GRADBOX: _be + 1,
+    }
+)
 
-def eq_in_boxsq() -> FormalExpr:
-    """BOXSQ after substituting the equation for one of the two box factors."""
-    beta = v("beta")
-    lam = v("lam")
-    return FormalExpr(
-        {
-            J(_beta + _gamma + 1 - _beta * _q): 1 / beta,
-            J(_gamma + 1): -lam / beta,
-            GRADBOX: beta + 1,
-        }
-    )
+# upper bound for ANTIHESS2 from the Ricci lower bound (trusted):
+# ANTIHESS2 <= gamma(gamma-1) GRAD4 + gamma MIXCROSS + 2 gamma GRADBOX
+#              + BOXSQ - K(gamma+1)
+PURE_HESSIAN_UPPER_BOUND = FormalExpr(
+    {
+        GRAD4: _g * (_g - 1),
+        MIXCROSS: _g,
+        GRADBOX: 2 * _g,
+        BOXSQ: rf(1),
+        K_PLAIN: rf(-1),
+    }
+)
+
+# ANTICROSS = -MIXCROSS - (gamma-1) GRAD4 - GRADBOX (integration by parts)
+ANTICROSS_IDENTITY = FormalExpr({MIXCROSS: rf(-1), GRAD4: -(_g - 1), GRADBOX: rf(-1)})
+
+# MIXCROSS = (1/gamma) BOXSQ + GRADBOX - (1/gamma) MIXHESS2
+MIXCROSS_IDENTITY = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
+
+# expansion of the b-shifted trace inequality; the expression is >= 0:
+# MIXHESS2 + b^2 (1 - 1/n) GRAD4 + 2b MIXCROSS - (1/n) BOXSQ - (2b/n) GRADBOX >= 0
+CAUCHY_SCHWARZ_DEFECT = FormalExpr(
+    {
+        MIXHESS2: rf(1),
+        GRAD4: _b * _b * (1 - 1 / _n),
+        MIXCROSS: 2 * _b,
+        BOXSQ: -1 / _n,
+        GRADBOX: -2 * _b / _n,
+    }
+)
 
 
 def ibp(expr: FormalExpr) -> FormalExpr:
     """Integrate every J(p) by parts: J(p) -> -p*K(p)."""
-    for term in [t for t in expr.coeffs if t.kind == "J"]:
+    for term in [t for t in expr.coeffs if t.name == "J"]:
         expr = expr.replace(term, FormalExpr({K(term.exponent): rf(-term.exponent)}))
     return expr
-
-
-def pure_hessian_upper_bound() -> FormalExpr:
-    """Upper bound for ANTIHESS2 from the Ricci lower bound (trusted).
-
-    ANTIHESS2 <= gamma(gamma-1) GRAD4 + gamma MIXCROSS + 2 gamma GRADBOX
-                 + BOXSQ - K(gamma+1).
-    """
-    gamma = v("gamma")
-    return FormalExpr(
-        {
-            GRAD4: gamma * (gamma - 1),
-            MIXCROSS: gamma,
-            GRADBOX: 2 * gamma,
-            BOXSQ: rf(1),
-            K_PLAIN: rf(-1),
-        }
-    )
-
-
-def anticross_identity() -> FormalExpr:
-    """ANTICROSS = -MIXCROSS - (gamma-1) GRAD4 - GRADBOX (integration by parts)."""
-    gamma = v("gamma")
-    return FormalExpr(
-        {
-            MIXCROSS: rf(-1),
-            GRAD4: -(gamma - 1),
-            GRADBOX: rf(-1),
-        }
-    )
-
-
-def mixcross_identity() -> FormalExpr:
-    """MIXCROSS = (1/gamma) BOXSQ + GRADBOX - (1/gamma) MIXHESS2."""
-    gamma = v("gamma")
-    return FormalExpr(
-        {
-            BOXSQ: 1 / gamma,
-            GRADBOX: rf(1),
-            MIXHESS2: -1 / gamma,
-        }
-    )
-
-
-def cauchy_schwarz_defect() -> FormalExpr:
-    """Expansion of the b-shifted trace inequality; the expression is >= 0.
-
-    MIXHESS2 + b^2 (1 - 1/n) GRAD4 + 2b MIXCROSS - (1/n) BOXSQ
-    - (2b/n) GRADBOX >= 0.
-    """
-    b = v("b")
-    n = v("n")
-    return FormalExpr(
-        {
-            MIXHESS2: rf(1),
-            GRAD4: b * b * (1 - 1 / n),
-            MIXCROSS: 2 * b,
-            BOXSQ: -1 / n,
-            GRADBOX: -2 * b / n,
-        }
-    )

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import Dimensions
 from ..errors import DomainError
 from .field import SphereField
 from .grid import AREA, TWO_PI, QuadratureGrid
@@ -63,12 +64,6 @@ def _check_constant(C: float) -> None:
         raise DomainError(f"constant must be positive and finite, got {C}")
 
 
-def _check_exponent(q: float) -> None:
-    # NaN fails both comparisons, so it is rejected too
-    if not 1.0 < q < math.inf:
-        raise DomainError(f"exponent must be finite and exceed 1, got q = {q}")
-
-
 def power_average(grid: QuadratureGrid, vals: np.ndarray, q: float) -> float:
     """Average of |v|^(q+1) over values on the oversampled grid.
 
@@ -93,7 +88,7 @@ def power_average(grid: QuadratureGrid, vals: np.ndarray, q: float) -> float:
 
 def sobolev_check(phi: SphereField, q: float, C: float, trial: str = "") -> IneqReport:
     """Compare (avg |phi|^{q+1})^{2/(q+1)} against avg phi^2 + C avg |grad phi|^2."""
-    _check_exponent(q)
+    Dimensions(1, q)  # the sphere is CP^1: the exponent rule on q
     _check_constant(C)
     if not np.any(phi.coeffs):
         raise DomainError("trial function is identically zero")
@@ -119,7 +114,7 @@ def perturbation_tcoeff(f: SphereField, q: float, C: float) -> tuple[float, floa
     five-point second-difference fit of the left side must reproduce the
     analytic value to 1e-6 relative or the computation refuses to report.
     """
-    _check_exponent(q)
+    Dimensions(1, q)  # the sphere is CP^1: the exponent rule on q
     _check_constant(C)
     sup = f.sup_norm()
     eig_defect = (box_op(f) + f).sup_norm()

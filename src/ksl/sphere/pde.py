@@ -18,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..constants import Dimensions
 from ..errors import DomainError
 from .field import SphereField
 from .grid import AREA, QuadratureGrid
-from .ops import _check_exponent, avg_square, grad_energy, power_average
+from .ops import avg_square, grad_energy, power_average
 
 
 def _require_positive(u: SphereField, who: str) -> np.ndarray:
@@ -34,7 +35,7 @@ def _require_positive(u: SphereField, who: str) -> np.ndarray:
 def _check_parameters(lam: float, q: float) -> None:
     if not (np.isfinite(lam) and lam > 0):
         raise DomainError(f"spectral parameter must be positive and finite, got {lam}")
-    _check_exponent(q)
+    Dimensions(1, q)  # the sphere is CP^1: the exponent rule on q
 
 
 def _quotient_parts(

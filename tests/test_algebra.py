@@ -31,7 +31,16 @@ from ksl.algebra import (
 from ksl.algebra import checks
 from ksl.algebra.checks import _completion_quadruple, _Derivation, _mixed_quadruple
 from ksl.algebra.ring import VARS, RadExpr, rf, rf_equal, v
-from ksl.algebra.terms import ANTIHESS2, GRAD4, K_EQ, K_PLAIN, MIXHESS2, FormalExpr
+from ksl.algebra.terms import (
+    ANTIHESS2,
+    GRAD4,
+    GRADBOX,
+    K_EQ,
+    K_PLAIN,
+    MIXCROSS,
+    MIXHESS2,
+    FormalExpr,
+)
 from ksl.cli import run
 from ksl.errors import DomainError
 
@@ -238,17 +247,55 @@ def test_sampled_polys_do_not_swell(monkeypatch):
 
 def test_upper_bound_step_reports_its_residual(monkeypatch):
     """A pure-Hessian weight other than +1 fails with a nonzero residual."""
-    original = checks.anticross_identity
-    monkeypatch.setattr(
-        checks,
-        "anticross_identity",
-        lambda: original() + FormalExpr({ANTIHESS2: rf(1)}),
-    )
+    moved = checks.ANTICROSS_IDENTITY + FormalExpr({ANTIHESS2: rf(1)})
+    monkeypatch.setattr(checks, "ANTICROSS_IDENTITY", moved)
     report = verify_antihol_completion_bound()
     [step] = [s for s in report.steps if s.name == "upper_bound_applied_with_positive_weight"]
     assert not step.ok
     assert step.residual != "0"
     assert not report.passed
+
+
+_gamma = v("gamma")
+_ANTIHOL = {"antihol_completion_bound"}
+_SUB3 = "substitution_identities_3"
+
+
+class TestAxiomMutations:
+    """One coefficient of one axiom changed: exactly the reports that replay
+    that axiom fail. The later chains start from transcribed displays, not
+    from the axioms, so they keep passing."""
+
+    @pytest.mark.parametrize(
+        "axiom, term, weight, failing",
+        [
+            # the Ricci bound's weights on K(gamma+1), GRAD4, GRADBOX and MIXCROSS
+            ("PURE_HESSIAN_UPPER_BOUND", K_PLAIN, rf(Fraction(-1, 2)), _ANTIHOL),
+            ("PURE_HESSIAN_UPPER_BOUND", GRAD4, _gamma**2, _ANTIHOL),
+            ("PURE_HESSIAN_UPPER_BOUND", GRADBOX, _gamma, _ANTIHOL),
+            ("PURE_HESSIAN_UPPER_BOUND", MIXCROSS, _gamma + 1, _ANTIHOL),
+            # one weight doubled in each of the other axioms
+            ("EQ_IN_GRADBOX", GRAD4, 2 * (v("beta") + 1), {"substitution_identities_1"}),
+            (
+                "EQ_IN_BOXSQ",
+                GRADBOX,
+                2 * (v("beta") + 1),
+                {"substitution_identities_2", _SUB3, "grad_box_elimination"},
+            ),
+            ("ANTICROSS_IDENTITY", GRAD4, -2 * (_gamma - 1), _ANTIHOL),
+            ("MIXCROSS_IDENTITY", GRADBOX, rf(2), {_SUB3, *_ANTIHOL, "mixed_completion_bound"}),
+            ("CAUCHY_SCHWARZ_DEFECT", MIXCROSS, 4 * v("b"), {"mixed_completion_bound"}),
+        ],
+        ids=[
+            "ricci_plain_energy", "ricci_quartic", "ricci_grad_box", "ricci_mixcross",
+            "eq_in_gradbox", "eq_in_boxsq", "anticross", "mixcross", "cauchy_schwarz",
+        ],
+    )
+    def test_failing_reports(self, monkeypatch, axiom, term, weight, failing):
+        original = getattr(checks, axiom)
+        assert not rf_equal(original.coefficient(term), weight)
+        monkeypatch.setattr(checks, axiom, FormalExpr({**original.coeffs, term: weight}))
+        assert {r.name for r in run_all() if not r.passed} == failing
 
 
 # SHA-256 of the `algebra-verify` payload, canonical JSON; fixed when the
@@ -395,16 +442,6 @@ class TestFailClosed:
 
 
 class TestMonotonicityVerifier:
-    def test_reference_triple_passes(self):
-        report = verify_radical_gap_monotone(Fraction(1), Fraction(3), Fraction(1))
-        assert report.passed
-
-    def test_tight_triple_passes(self):
-        report = verify_radical_gap_monotone(
-            Fraction(1), Fraction(21, 10), Fraction(11, 10)
-        )
-        assert report.passed
-
     def test_degenerate_triple_rejected(self):
         with pytest.raises(DomainError):
             verify_radical_gap_monotone(Fraction(1), Fraction(2), Fraction(2))
@@ -429,16 +466,19 @@ class TestMonotonicityVerifier:
     @pytest.mark.parametrize(
         "alpha, beta_c, gamma_c",
         [
-            (Fraction(1, 10**10), Fraction(1), Fraction(1)),
-            (Fraction(1), Fraction(10**200), Fraction(1)),
+            (True, 3, 1),
+            (1, True, Fraction(1, 4)),
+            (0.1, 3, 1),
+            (Fraction(1), 3.0, Fraction(1)),
+            ("1", "3", "1"),
+            (1, 3, "1/2"),
         ],
-        ids=["small_root_cancels", "discriminant_overflows"],
+        ids=["bool_alpha", "bool_beta", "float_alpha", "float_beta", "str_triple", "str_gamma"],
     )
-    def test_representable_extremes_pass(self, alpha, beta_c, gamma_c):
-        # the docstring's t_max = (beta_c - sqrt(disc))/(2 alpha^2) cancels to
-        # 0 in floats at the first triple; disc overflows the floats at the second
-        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
-        assert report.passed
+    def test_non_rational_inputs_rejected(self, alpha, beta_c, gamma_c):
+        # Fraction() would take each as 1, its binary value or its parsed value
+        with pytest.raises(DomainError, match="must be ints or Fractions"):
+            verify_radical_gap_monotone(alpha, beta_c, gamma_c)
 
 
 def _near_zero_discriminant(alpha: Fraction, gamma_c: Fraction, digits: int) -> Fraction:
@@ -464,7 +504,9 @@ class TestRadicalGapProof:
         [
             (Fraction(1), Fraction(3), Fraction(1)),
             (Fraction(1), Fraction(21, 10), Fraction(11, 10)),
+            # t_max = (beta_c - sqrt(disc))/(2 alpha^2) cancels to 0 in floats
             (Fraction(1, 10**10), Fraction(1), Fraction(1)),
+            # disc overflows the floats
             (Fraction(1), Fraction(10**200), Fraction(1)),
             (Fraction(1, 10), Fraction(2 * 10**20 + 1, 10**20), Fraction(100)),
             (Fraction(1), _near_zero_discriminant(Fraction(1), Fraction(1), 30), Fraction(1)),
@@ -477,12 +519,14 @@ class TestRadicalGapProof:
             # disc = 10^-40 exactly
             (Fraction(1), Fraction(2), 1 - Fraction(1, 4 * 10**40)),
             (Fraction(1, 3), Fraction(7, 5), (Fraction(49, 25) - Fraction(1, 10**40)) * Fraction(9, 4)),
+            # plain ints are rationals too
+            (1, 3, 1),
         ],
         ids=[
             "reference", "tight", "small_root_cancels", "discriminant_overflows",
             "discriminant_rounds_negative", "near_zero_discriminant", "near_zero_scaled",
             "alpha_sq_underflows", "beta_overflows", "beta_overflows_alpha_1",
-            "alpha_sq_subnormal", "disc_1e-40", "disc_1e-40_scaled",
+            "alpha_sq_subnormal", "disc_1e-40", "disc_1e-40_scaled", "int_triple",
         ],
     )
     def test_triple_passes(self, alpha, beta_c, gamma_c):
