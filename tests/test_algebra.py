@@ -441,7 +441,38 @@ class TestFailClosed:
         assert sum(key.count(".") == 2 and key.endswith(".status") for key in payload) == 12
 
 
+def _assert_proved(alpha, beta_c, gamma_c):
+    assert beta_c**2 > 4 * alpha**2 * gamma_c
+    report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
+    assert report.passed
+    assert [s.ok for s in report.steps] == [True, True]
+    [record] = report.instantiations
+    assert record == {
+        "point": {"alpha": str(alpha), "beta_c": str(beta_c), "gamma_c": str(gamma_c)},
+        "agree": True,
+    }
+
+
 class TestMonotonicityVerifier:
+    def test_reference_triple_passes(self):
+        _assert_proved(Fraction(1), Fraction(3), Fraction(1))
+
+    def test_tight_triple_passes(self):
+        _assert_proved(Fraction(1), Fraction(21, 10), Fraction(11, 10))
+
+    @pytest.mark.parametrize(
+        "alpha, beta_c, gamma_c",
+        [
+            (Fraction(1, 10**10), Fraction(1), Fraction(1)),
+            (Fraction(1), Fraction(10**200), Fraction(1)),
+        ],
+        ids=["small_root_cancels", "discriminant_overflows"],
+    )
+    def test_representable_extremes_pass(self, alpha, beta_c, gamma_c):
+        # the docstring's t_max = (beta_c - sqrt(disc))/(2 alpha^2) cancels to
+        # 0 in floats at the first triple; disc overflows the floats at the second
+        _assert_proved(alpha, beta_c, gamma_c)
+
     def test_degenerate_triple_rejected(self):
         with pytest.raises(DomainError):
             verify_radical_gap_monotone(Fraction(1), Fraction(2), Fraction(2))
@@ -530,15 +561,7 @@ class TestRadicalGapProof:
         ],
     )
     def test_triple_passes(self, alpha, beta_c, gamma_c):
-        assert beta_c**2 > 4 * alpha**2 * gamma_c
-        report = verify_radical_gap_monotone(alpha, beta_c, gamma_c)
-        assert report.passed
-        assert [s.ok for s in report.steps] == [True, True]
-        [record] = report.instantiations
-        assert record == {
-            "point": {"alpha": str(alpha), "beta_c": str(beta_c), "gamma_c": str(gamma_c)},
-            "agree": True,
-        }
+        _assert_proved(alpha, beta_c, gamma_c)
 
     @given(_positive, _positive, _share)
     @settings(max_examples=60, deadline=None)
