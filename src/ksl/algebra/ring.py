@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
+from types import MappingProxyType
 
 from ..errors import DomainError
 
@@ -94,13 +95,14 @@ def _unpack(mono: int) -> tuple[int, ...]:
 class Poly:
     """Immutable sparse polynomial over Q: packed monomial -> int, over ``den``.
 
-    ``terms`` maps each packed monomial (see the module docstring) to a nonzero
-    integer numerator and ``den`` is the positive common denominator, so the
-    coefficient of a monomial is ``terms[m] / den``. The gcd of ``den`` and
-    every numerator is 1, and the zero polynomial has ``den == 1``. The
-    constructor takes exponent tuples (one entry per variable of ``VARS``, each
-    in 0..``MAX_EXP``) mapped to ints or Fractions; an exponent outside that
-    range, from the constructor or from a product, raises ``ValueError``.
+    ``terms`` is a read-only map from each packed monomial (see the module
+    docstring) to a nonzero integer numerator, and ``den`` is the positive
+    common denominator, so the coefficient of a monomial is ``terms[m] / den``.
+    The gcd of ``den`` and every numerator is 1, and the zero polynomial has
+    ``den == 1``. The constructor takes exponent tuples (one entry per
+    variable of ``VARS``, each in 0..``MAX_EXP``) mapped to ints or Fractions;
+    an exponent outside that range, from the constructor or from a product,
+    raises ``ValueError``.
     """
 
     __slots__ = ("terms", "den", "_hash", "_tops")
@@ -123,7 +125,7 @@ class Poly:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
-        object.__setattr__(self, "terms", num)
+        object.__setattr__(self, "terms", MappingProxyType(num))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_tops", None)

@@ -40,6 +40,7 @@ attempt to re-prove them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .ring import ZERO_RF, Poly, RationalFunction, _coerce_rf, rf, v
 
@@ -87,7 +88,11 @@ K_EQ = K(EXP_EQ)
 
 
 class FormalExpr:
-    """Finite linear combination of FormalTerms with rational-function weights."""
+    """Finite linear combination of FormalTerms with rational-function weights.
+
+    ``coeffs`` is a read-only map, so a shared constant cannot be changed in
+    place.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -98,7 +103,7 @@ class FormalExpr:
                 c = _coerce_rf(c)
                 if not c.is_zero:
                     cleaned[term] = c
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalExpr is immutable")

@@ -2,12 +2,12 @@
 
 Everything here is a pure function of a :class:`Dimensions` record (complex
 dimension ``n``, exponent ``q``) plus the occasional free parameter ``k``
-or ``lambda1``. All arithmetic runs at 50 significant digits in this
-module's own mpmath context and is rounded to a Python float on the way out;
-the nested radicals lose digits near the degenerate exponent otherwise. The
-context is private, so the caller's mpmath precision (``mpmath.mp``, shared by
-the whole process) is never read or changed, and threads computing constants
-cannot change each other's precision.
+or ``lambda1``. Each closed form is a rational function of those inputs and
+at most one square root, and a float input is an exact dyadic rational. So
+the arithmetic runs in exact fractions, around one square root taken to 60
+digits with an integer square root, and is rounded to a Python float once,
+on the way out; the nested radicals lose digits near the degenerate exponent
+in float arithmetic. No precision state is kept or read.
 
 Conventions. ``n`` is the complex dimension, ``m = 2n`` the real one. The
 admissible exponent range is ``1 < q <= (n+1)/(n-1)`` for ``n >= 2`` (the
@@ -20,14 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
+from fractions import Fraction
 
 from .errors import DomainError
-
-# every closed form is evaluated in this context, never in mpmath.mp
-mp = mpmath.mp.clone()
-mp.dps = 50
 
 # Boundary detection tolerance for q against (n+1)/(n-1).
 _BOUNDARY_RTOL = 1e-12
@@ -92,29 +87,29 @@ def _require_n2(dims: Dimensions, op: str) -> None:
         raise DomainError(f"{op} requires n >= 2")
 
 
-def _mpq(dims: Dimensions):
-    return mp.mpf(dims.n), mp.mpf(dims.q)
+def _sqrt(x: Fraction) -> Fraction:
+    """Square root of x >= 0 to 60 digits; exact when x is a rational square."""
+    num, den = x.numerator, x.denominator
+    return Fraction(math.isqrt(num * den * 10**120), den * 10**60)
 
 
-def _boundary_zero(dims: Dimensions, value, scale=mp.mpf(1)):
-    # Radicands and differences that vanish identically at the boundary
-    # come out as O(10^-49) residue at 50 digits; snap them to zero. A float
-    # q at the critical exponent can sit half an ulp above the real
-    # boundary; Dimensions accepts that window, so a small negative residue
+def _boundary_zero(dims: Dimensions, value: Fraction) -> Fraction:
+    # A float q at the critical exponent can sit half an ulp above the real
+    # boundary; Dimensions accepts that window, so a small negative value
     # there is quantization noise, not a sign.
-    if abs(value) < abs(scale) * mp.mpf("1e-40") or (value < 0 and dims.boundary):
-        return mp.mpf(0)
+    if value < 0 and dims.boundary:
+        return Fraction(0)
     return value
 
 
-def _sqrt_radicand(dims: Dimensions, value, scale=mp.mpf(1)):
+def _sqrt_radicand(dims: Dimensions, value: Fraction) -> Fraction:
     """Square root of a radicand that is nonnegative exactly for q <= (n+1)/(n-1)."""
-    rad = _boundary_zero(dims, value, scale)
+    rad = _boundary_zero(dims, value)
     if rad < 0:
         raise DomainError(
             f"radicand negative: requires q <= (n+1)/(n-1), got n = {dims.n}, q = {dims.q}"
         )
-    return mp.sqrt(rad)
+    return _sqrt(rad)
 
 
 def _require_lambda1(lambda1: float) -> None:
@@ -129,8 +124,8 @@ def cs_bm(dims: Dimensions) -> float:
     radicand is the perfect square (n+1)^2 and the value collapses to
     (q-1)/2 exactly.
     """
-    n, q = _mpq(dims)
-    root = _sqrt_radicand(dims, (n + 1) * (n + 1 - (n - 1) * q), (n + 1) ** 2)
+    n, q = dims.n, Fraction(dims.q)
+    root = _sqrt_radicand(dims, (n + 1) * (n + 1 - (n - 1) * q))
     val = (q - 1) * (2 * n + q + 2 - 2 * root) / (2 * q * n)
     return float(val)
 
@@ -144,17 +139,17 @@ def riemannian_constants(dims: Dimensions) -> tuple[float, float]:
     exponent bound q <= (m+2)/(m-2) is the (n+1)/(n-1) of Dimensions.
     """
     m = dims.m
-    q = mp.mpf(dims.q)
+    q = Fraction(dims.q)
     raw = (q - 1) / m
     bridged = (q - 1) * (m - 1) / m
     return float(raw), float(bridged)
 
 
-def _k_endpoints_mp(dims: Dimensions):
+def _k_endpoints(dims: Dimensions):
     # Endpoints s -+ s*sqrt(1-(n-1)q/(n+1)) - 1 with s = 2(n+1)/(q(n-1)).
     if dims.n == 1:
         raise DomainError("interval unbounded at n = 1; use limit semantics")
-    n, q = _mpq(dims)
+    n, q = dims.n, Fraction(dims.q)
     s = 2 * (n + 1) / (q * (n - 1))
     root = _sqrt_radicand(dims, 1 - (n - 1) * q / (n + 1))
     return s - s * root - 1, s + s * root - 1
@@ -167,7 +162,7 @@ def k_interval(dims: Dimensions) -> KInterval:
     which is why their product is 1. Degenerates to a single point at the
     boundary exponent.
     """
-    lo, hi = _k_endpoints_mp(dims)
+    lo, hi = _k_endpoints(dims)
     return KInterval(float(lo), float(hi))
 
 
@@ -179,17 +174,17 @@ def lambda1_coefficient(dims: Dimensions, k: float) -> float:
     """
     if not 0 < k < math.inf:
         raise DomainError(f"k must be positive and finite, got k = {k}")
-    return float(_lambda1_coefficient_mp(dims, mp.mpf(k)))
+    return float(_lambda1_coefficient(dims, Fraction(k)))
 
 
-def _lambda1_coefficient_mp(dims: Dimensions, kk):
-    n, q = _mpq(dims)
+def _lambda1_coefficient(dims: Dimensions, kk):
+    n, q = dims.n, Fraction(dims.q)
     return 1 - (n + (n - 1) * kk) * (kk * n + n - 1) * q / ((4 * n**2 + 4 * n + q) * kk)
 
 
-def _f_of_k_mp(dims: Dimensions, kk, lam1):
-    n, q = _mpq(dims)
-    coef = _lambda1_coefficient_mp(dims, kk)
+def _f_of_k(dims: Dimensions, kk, lam1):
+    n, q = dims.n, Fraction(dims.q)
+    coef = _lambda1_coefficient(dims, kk)
     return (coef * lam1 + q * n * (kk * n + n - 1) / ((4 * n**2 + 4 * n + q) * kk)) / (q - 1)
 
 
@@ -207,7 +202,7 @@ def f_of_k(dims: Dimensions, k: float, lambda1: float) -> float:
     """Threshold objective F(k); reciprocal of twice the generalized constant."""
     _require_lambda1(lambda1)
     _require_k_feasible(dims, k)
-    return float(_f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1)))
+    return float(_f_of_k(dims, Fraction(k), Fraction(lambda1)))
 
 
 def cs_general(dims: Dimensions, k: float, lambda1: float) -> float:
@@ -218,7 +213,7 @@ def cs_general(dims: Dimensions, k: float, lambda1: float) -> float:
     """
     _require_lambda1(lambda1)
     _require_k_feasible(dims, k)
-    return float(1 / (2 * _f_of_k_mp(dims, mp.mpf(k), mp.mpf(lambda1))))
+    return float(1 / (2 * _f_of_k(dims, Fraction(k), Fraction(lambda1))))
 
 
 def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
@@ -232,13 +227,13 @@ def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
     Returns (k_star, lambda_threshold) with lambda_threshold = F(k_star).
     """
     # the endpoints first, so that n = 1 is the error reported there
-    lo, hi = _k_endpoints_mp(dims)
+    lo, hi = _k_endpoints(dims)
     _require_lambda1(lambda1)
-    lam1 = mp.mpf(lambda1)
-    k_c = min(max(mp.sqrt(1 - 1 / lam1), lo), hi)
-    f_lo = _f_of_k_mp(dims, lo, lam1)
-    f_c = _f_of_k_mp(dims, k_c, lam1)
-    if f_lo >= f_c - mp.mpf("1e-9"):
+    lam1 = Fraction(lambda1)
+    k_c = min(max(_sqrt(1 - 1 / lam1), lo), hi)
+    f_lo = _f_of_k(dims, lo, lam1)
+    f_c = _f_of_k(dims, k_c, lam1)
+    if f_lo >= f_c - Fraction(1, 10**9):
         return float(lo), float(f_lo)
     return float(k_c), float(f_c)
 
@@ -250,9 +245,9 @@ def epsilon_max(dims: Dimensions) -> float:
     boundary exponent where the radicand is a perfect square.
     """
     _require_n2(dims, "epsilon_max")
-    n, q = _mpq(dims)
-    num = 4 * n * (n + 1) - 2 * q * (n - 1) - 2 * (n - 1) * mp.sqrt(q**2 + 4 * q * n * (n + 1))
-    val = _boundary_zero(dims, num, n * n) / (n * (n - 1) * q)
+    n, q = dims.n, Fraction(dims.q)
+    num = 4 * n * (n + 1) - 2 * q * (n - 1) - 2 * (n - 1) * _sqrt(q**2 + 4 * q * n * (n + 1))
+    val = _boundary_zero(dims, num) / (n * (n - 1) * q)
     return float(val)
 
 
@@ -264,12 +259,12 @@ def k_lower_bound_eps0(dims: Dimensions) -> float:
     bound coincide identically.
     """
     _require_n2(dims, "k_lower_bound_eps0")
-    return float(_k_lower_bound_eps0_mp(dims))
+    return float(_k_lower_bound_eps0(dims))
 
 
-def _k_lower_bound_eps0_mp(dims: Dimensions):
-    n, q = _mpq(dims)
-    root = _sqrt_radicand(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n), (n**2 + n) ** 2)
+def _k_lower_bound_eps0(dims: Dimensions):
+    n, q = dims.n, Fraction(dims.q)
+    root = _sqrt_radicand(dims, (n**2 + n) ** 2 - (n**2 - n) * q * (n**2 + n))
     return (2 * n**2 + 2 * n - q * (n**2 - n) - 2 * root) / (n * (n - 1) * q)
 
 
@@ -280,8 +275,8 @@ def base_threshold(dims: Dimensions) -> float:
     alike; the acceptance tests pin that agreement.
     """
     _require_n2(dims, "base_threshold")
-    n, q = _mpq(dims)
-    val = 1 / ((q - 1) * (1 + (n - 1) / n * _k_lower_bound_eps0_mp(dims)))
+    q = Fraction(dims.q)
+    val = 1 / ((q - 1) * (1 + Fraction(dims.n - 1, dims.n) * _k_lower_bound_eps0(dims)))
     return float(val)
 
 
@@ -289,8 +284,9 @@ def constants_report(dims: Dimensions) -> ConstantsReport:
     """Headline constants at one (n, q): sharp, bridged Riemannian, conjectured."""
     c_s = cs_bm(dims)
     _, bridged = riemannian_constants(dims)
-    c_conj = float((mp.mpf(dims.q) - 1) / 2)
-    lam_lower = float((mp.mpf(dims.q) - 1) / (2 * mp.mpf(c_s)))
+    q = Fraction(dims.q)
+    c_conj = float((q - 1) / 2)
+    lam_lower = float((q - 1) / (2 * Fraction(c_s)))
     return ConstantsReport(
         c_s=c_s,
         c_riem_bridged=bridged,

@@ -298,6 +298,29 @@ class TestAxiomMutations:
         assert {r.name for r in run_all() if not r.passed} == failing
 
 
+class TestSharedConstantsAreReadOnly:
+    """The axioms and displays are module constants shared by every verifier,
+    so a write into one would change every later report."""
+
+    def test_formal_expr_coeffs(self):
+        with pytest.raises(TypeError):
+            checks.EQ_IN_GRADBOX.coeffs[GRAD4] = rf(7)
+        assert all(r.passed for r in run_all())
+
+    def test_poly_terms(self):
+        poly = checks.EQ_IN_GRADBOX.coefficient(GRAD4).num
+        before = dict(poly.terms)
+        # the constant monomial packs to 0
+        assert 0 in before
+        with pytest.raises(TypeError):
+            poly.terms[0] = 7
+        # CPython refuses a key wider than an index with IndexError instead
+        for monomial in before:
+            with pytest.raises((TypeError, IndexError)):
+                poly.terms[monomial] = 7
+        assert dict(poly.terms) == before
+
+
 # SHA-256 of the `algebra-verify` payload, canonical JSON; fixed when the
 # verifiers were moved onto one recorder, and moved only in the radical-gap
 # rows when that lemma became an exact proof, so any change to a step name,

@@ -186,9 +186,9 @@ class TestIntervalAndOptimize:
         # the threshold, at a fixed k and at the closed-form best k alike, is
         # checked against the algebra pillar's exact objective, not against a
         # second call of the same closed form
-        f_of_k_mp = ksl.constants._f_of_k_mp
+        f_of_k = ksl.constants._f_of_k
         monkeypatch.setattr(
-            ksl.constants, "_f_of_k_mp", lambda *args: f_of_k_mp(*args) * (1 + 1e-6)
+            ksl.constants, "_f_of_k", lambda *args: f_of_k(*args) * (1 + 1e-6)
         )
         for k in ("1.0", "auto"):
             code, rep = run_json(
@@ -200,7 +200,7 @@ class TestIntervalAndOptimize:
 
 
 # SHA-256 of each closed-form stage's payload, canonical JSON. These stages
-# compute in mpmath and Python floats only, so the digests hold on every
+# compute in exact fractions and Python floats only, so the digests hold on every
 # platform; the grid stages, whose values follow the BLAS, are left out.
 CLOSED_FORM_PAYLOAD_SHA256 = {
     "constants --n 1 --q-grid 1.1,2,5,9": (

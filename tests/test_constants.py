@@ -1,14 +1,20 @@
 """Closed-form constants against frozen oracle values and cross-derivations.
 
 Oracle values were computed once with mpmath at 40+ digits (independent
-scripts, not the package code) and are frozen here as literals.
+scripts, not the package code) and are frozen here as literals. The
+bit-exact tables below were computed once by the package's earlier 50-digit
+mpmath implementation.
 """
 
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,9 +43,71 @@ K_HI_22 = 3.732050807568877  # 2 + sqrt(3)
 THRESHOLD_22 = 0.8818539703952119  # 1/(2*CS_22)
 EPS_MAX_22 = 1.3944487245360107
 
+# float.hex of (cs_bm, k_lo, k_hi, base_threshold, epsilon_max) at inputs
+# where the nested radicals cancel: n = 4 at the float boundary exponent
+# 1.6666666666666667 (just above 5/3) and its two float neighbours, q just
+# above 1, and n = 1000.
+CLOSED_FORMS_HEX = {
+    (4, 1.6666666666666665): (
+        "0x1.2aaaaa823083ep-1", "0x1.ffffff5e17650p-1", "0x1.00000050f44d9p+0",
+        "0x1.b6db6df255729p-1", "0x1.d41d41d41d41ep-53",
+    ),
+    (4, 1.6666666666666667): (
+        "0x1.2aaaaaaaaaaabp-1", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1",
+        "0x1.b6db6db6db6dbp-1", "0x0.0p+0",
+    ),
+    (4, 1.666666666666667): (
+        "0x1.2aaaaaaaaaaacp-1", "0x1.ffffffffffffdp-1", "0x1.ffffffffffffdp-1",
+        "0x1.b6db6db6db6d9p-1", "0x0.0p+0",
+    ),
+    (4, 1 + 1e-15): (
+        "0x1.76091b66f0ddap-51", "0x1.cd1a836e6dc9dp-3", "0x1.1c41d68f373bdp+2",
+        "0x1.5e6d33192c277p+49", "0x1.aaaaaaaaaaa94p+0",
+    ),
+    (1000, 1 + 1e-15): (
+        "0x1.32297992d1175p-50", "0x1.d42fc683835ddp-1", "0x1.17f4ecd2be70ap+0",
+        "0x1.ac1cfb05803b8p+48", "0x1.06ab3751058cbp-8",
+    ),
+    (1000, 1.001): (
+        "0x1.fbf87fe81bf70p-11", "0x1.e09c632203a2cp-1", "0x1.10b836793e3f2p+0",
+        "0x1.0207d7582214ep+9", "0x1.069a7059772ebp-9",
+    ),
+}
+
+# float.hex of optimize_k's (k_star, threshold) at (n, q, lambda1)
+OPTIMIZE_K_HEX = {
+    (2, 2.0, 1.0): ("0x1.126145e9ecd56p-2", "0x1.c3825d1563ef9p-1"),
+    (2, 2.0, 1 + 1e-12): ("0x1.126145e9ecd56p-2", "0x1.c3825d1563ef9p-1"),
+    (2, 2.0, 4.0): ("0x1.bb67ae8584caap-1", "0x1.b40ef7104bd21p+0"),
+    (4, 1.5, 1.0): ("0x1.09fb192cc209ap-1", "0x1.7072298e75576p+0"),
+    (4, 1.5, 1 + 1e-12): ("0x1.09fb192cc209ap-1", "0x1.7072298e75576p+0"),
+    (4, 1.5, 4.0): ("0x1.bb67ae8584caap-1", "0x1.d9008ff63fc78p+0"),
+    (4, 1.6666666666666667, 1.0): ("0x1.fffffffffffffp-1", "0x1.b6db6db6db6dbp-1"),
+    (4, 1.6666666666666667, 1 + 1e-12): ("0x1.fffffffffffffp-1", "0x1.b6db6db6db6dbp-1"),
+    (4, 1.6666666666666667, 4.0): ("0x1.fffffffffffffp-1", "0x1.b6db6db6db6d9p-1"),
+}
+
 
 def dims(n, q):
     return Dimensions(n=n, q=q)
+
+
+class TestBitExact:
+    @pytest.mark.parametrize(("n", "q"), list(CLOSED_FORMS_HEX))
+    def test_closed_forms(self, n, q):
+        d = dims(n, q)
+        iv = k_interval(d)
+        got = (cs_bm(d), iv.k_lo, iv.k_hi, base_threshold(d), epsilon_max(d))
+        assert tuple(v.hex() for v in got) == CLOSED_FORMS_HEX[(n, q)]
+
+    def test_n1_at_huge_q(self):
+        # (q - 1)/2 = 2^52 + 1/2 exactly, which rounds to even
+        assert cs_bm(dims(1, 2.0**53 + 2)).hex() == "0x1.0000000000000p+52"
+
+    @pytest.mark.parametrize(("n", "q", "lam1"), list(OPTIMIZE_K_HEX))
+    def test_optimize_k(self, n, q, lam1):
+        got = optimize_k(dims(n, q), lam1)
+        assert tuple(v.hex() for v in got) == OPTIMIZE_K_HEX[(n, q, lam1)]
 
 
 class TestDimensions:
@@ -299,7 +367,7 @@ def test_lambda1_below_one_rejected(lam1):
             call()
 
 
-def _precision_probes():
+def _public_probes():
     """One or more calls of every public function of ksl.constants."""
     d, d3 = dims(2, 2.0), dims(3, 1.5)
     return [
@@ -319,29 +387,41 @@ def _precision_probes():
     ]
 
 
-def test_constants_never_set_the_process_precision(monkeypatch):
-    probes = _precision_probes()
+def test_constants_and_report_run_with_mpmath_blocked(tmp_path):
+    probes = _public_probes()
     public = {
         name
         for name, f in inspect.getmembers(constants, inspect.isfunction)
         if f.__module__ == constants.__name__ and not name.startswith("_")
     }
     assert {f.__name__ for f, _ in probes} == public
-    expected = [f(*args) for f, args in probes]
-
-    def refuse(ctx, value):
-        raise AssertionError("ksl.constants set an mpmath context's precision")
-
-    # every context shares these properties, so a write anywhere raises
-    patched = 0
-    for cls in type(mpmath.mp).__mro__:
-        for name in ("prec", "dps"):
-            prop = cls.__dict__.get(name)
-            if isinstance(prop, property):
-                monkeypatch.setattr(cls, name, property(prop.fget, refuse))
-                patched += 1
-    assert patched == 2
-    assert [f(*args) for f, args in probes] == expected
+    calls = [[f.__name__, args[0].n, args[0].q, *args[1:]] for f, args in probes]
+    expected = [repr(f(*args)) for f, args in probes]
+    # a None entry in sys.modules makes every mpmath import fail
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import ksl.cli\n"
+        "from ksl import constants\n"
+        "for name, n, q, *rest in json.loads(sys.argv[1]):\n"
+        "    f = getattr(constants, name)\n"
+        "    print(repr(f(constants.Dimensions(n, q), *rest)))\n"
+        "code = ksl.cli.run(['all', '--L', '2', '--out', sys.argv[2]])\n"
+        "print(code, file=sys.stderr)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls), str(tmp_path / "out")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0", proc.stderr
+    assert proc.stdout.splitlines()[: len(expected)] == expected
 
 
 class TestEpsilonMax:
