@@ -189,8 +189,10 @@ def _f_of_k(dims: Dimensions, kk, lam1):
 
 
 def _require_k_feasible(dims: Dimensions, k: float) -> None:
+    # the one feasibility test, the CLI's included: room for the float
+    # endpoints' rounding, no more
     iv = k_interval(dims)
-    tol = 1e-9 * max(1.0, iv.k_hi)
+    tol = 1e-12 * max(1.0, iv.k_hi)
     if not (iv.k_lo - tol <= k <= iv.k_hi + tol):
         raise DomainError(
             f"k = {k} outside feasible interval [{iv.k_lo}, {iv.k_hi}] for "

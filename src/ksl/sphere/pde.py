@@ -110,22 +110,25 @@ def _sup(grid: QuadratureGrid, coeffs: np.ndarray) -> float:
 _EPS = float(np.finfo(float).eps)
 
 
-def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
-    """Restarted GMRES for A x = b from x0 = 0 (Saad & Schultz, SISC 7 (1986) 856).
+# the most Arnoldi steps, and so Jacobian products, of one linear solve
+_GMRES_STEPS = 100
+
+
+def gmres(A, b: np.ndarray, *, rtol: float):
+    """GMRES for A x = b from x0 = 0, one cycle (Saad & Schultz, SISC 7 (1986) 856).
 
     A real operator needs only `.matvec`, called exactly once per inner
     iteration. The Arnoldi basis is built by modified Gram-Schmidt, and
     Givens rotations keep the least-squares residual of the Hessenberg
-    problem. A cycle ends when that residual falls to rtol |b|, after
-    `restart` iterations, or at a breakdown (the new product lies in the
-    span of the basis, to round-off). The cycle then sets x += V y and
-    r -= (A V) y from the stored basis and products, with no further product,
-    and convergence is decided on this true residual: |r| <= rtol |b|.
-    Returns (x, info, iterations): info is 0 on convergence, and otherwise
-    `maxiter`, the number of cycles allowed, also when a breakdown stops the
-    iteration early; iterations counts the inner iterations of all cycles,
-    which is also the number of products. b = 0 returns zeros without a
-    product.
+    problem. The cycle ends when that residual falls to rtol |b|, after
+    min(100, b.size) iterations, or at a breakdown (the new product lies in
+    the span of the basis, to round-off). It then forms x = V y and
+    r = b - (A V) y from the stored basis and products, with no further
+    product, and convergence is decided on this true residual:
+    |r| <= rtol |b|. There is no restart: a system one cycle cannot solve is
+    a failure. Returns (x, info, iterations): info is 0 on convergence and
+    1 otherwise; iterations is the number of products. b = 0 returns zeros
+    without a product.
     """
     bnorm = math.sqrt(b @ b)
     x = np.zeros(b.shape)
@@ -133,52 +136,42 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
         return x, 0, 0
     tol = rtol * bnorm
     r = np.array(b, dtype=float)
-    rnorm = bnorm
-    iterations = 0
-    for _ in range(maxiter):
-        basis = [r / rnorm]
-        products: list[np.ndarray] = []
-        columns: list[list[float]] = []  # the triangular factor, by column
-        rotations: list[tuple[float, float]] = []
-        g = [rnorm]  # the rotated right-hand side rnorm e_1
-        for _ in range(min(restart, b.size)):
-            product = A.matvec(basis[-1])
-            products.append(product)
-            w = product.copy()
-            h = []
-            for v in basis:
-                h.append(float(v @ w))
-                w -= h[-1] * v
-            h_next = math.sqrt(w @ w)
-            for i, (c, s) in enumerate(rotations):
-                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-            d = float(np.hypot(h[-1], h_next))
-            c, s = (h[-1] / d, h_next / d) if d > 0.0 else (1.0, 0.0)
-            rotations.append((c, s))
-            h[-1] = d
-            columns.append(h)
-            g.append(-s * g[-1])
-            g[-2] *= c
-            iterations += 1
-            breakdown = h_next <= _EPS * math.sqrt(product @ product)
-            if abs(g[-1]) <= tol or breakdown:
-                break
-            basis.append(w / h_next)
-        # back substitution; a zero pivot (A singular on the Krylov space)
-        # leaves its component at zero
-        y = g[:-1]
-        for k in reversed(range(len(y))):
-            y[k] -= sum(columns[j][k] * y[j] for j in range(k + 1, len(y)))
-            y[k] = y[k] / columns[k][k] if columns[k][k] != 0.0 else 0.0
-        for yk, v, product in zip(y, basis, products):
-            x += yk * v
-            r -= yk * product
-        rnorm = math.sqrt(r @ r)
-        if rnorm <= tol:
-            return x, 0, iterations
-        if breakdown:
+    basis = [r / bnorm]
+    products: list[np.ndarray] = []
+    columns: list[list[float]] = []  # the triangular factor, by column
+    rotations: list[tuple[float, float]] = []
+    g = [bnorm]  # the rotated right-hand side bnorm e_1
+    for _ in range(min(_GMRES_STEPS, b.size)):
+        product = A.matvec(basis[-1])
+        products.append(product)
+        w = product.copy()
+        h = []
+        for v in basis:
+            h.append(float(v @ w))
+            w -= h[-1] * v
+        h_next = math.sqrt(w @ w)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        d = float(np.hypot(h[-1], h_next))
+        c, s = (h[-1] / d, h_next / d) if d > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        h[-1] = d
+        columns.append(h)
+        g.append(-s * g[-1])
+        g[-2] *= c
+        if abs(g[-1]) <= tol or h_next <= _EPS * math.sqrt(product @ product):
             break
-    return x, maxiter, iterations
+        basis.append(w / h_next)
+    # back substitution; a zero pivot (A singular on the Krylov space)
+    # leaves its component at zero
+    y = g[:-1]
+    for k in reversed(range(len(y))):
+        y[k] -= sum(columns[j][k] * y[j] for j in range(k + 1, len(y)))
+        y[k] = y[k] / columns[k][k] if columns[k][k] != 0.0 else 0.0
+    for yk, v, product in zip(y, basis, products):
+        x += yk * v
+        r -= yk * product
+    return x, 0 if math.sqrt(r @ r) <= tol else 1, len(products)
 
 
 # Eisenstat-Walker choice 2 forcing terms (SISC 17 (1996) 16); eta_0 and
@@ -270,12 +263,14 @@ def newton_solve(
     |F| / sqrt(4 pi), and the residual is synthesized only once
     |F| <= 2 tol sqrt(4 pi); an exit that reports the sup without converging
     synthesizes it then. The linear solves the bound does not settle use
-    this module's `gmres` (restart 100, at most 500 cycles): one product
-    with J M^-1 per inner iteration and none besides, since the true
-    residual of a cycle is formed from the stored products, so a step's
+    this module's `gmres`, one cycle of at most 100 inner iterations: one
+    product with J M^-1 per inner iteration and none besides, since the true
+    residual of the cycle is formed from the stored products, so a step's
     inner_iterations is also its count of Jacobian products, and 0 means M's
-    step met eta. Running out of halvings or iterations, or a GMRES failure,
-    yields a non-converged report, not an exception; a tol that is not
+    step met eta. One solve therefore costs at most max_iters x (100
+    products + 31 trial steps). Running out of halvings or iterations, or a
+    linear solve the cycle does not meet ("linear solver stalled"), yields a
+    non-converged report, not an exception; a tol that is not
     positive and finite, a max_iters that is not an int >= 0 (a bool is not
     one), or a start field whose residual overflows the float range (such as
     u0^q at a large q), raises DomainError; a trial step whose residual
@@ -358,7 +353,7 @@ def newton_solve(
             # M's own step meets the forcing term: no Jacobian product
             step, inner = -z, 0
         else:
-            y, info, inner = gmres(op, -res.ravel(), rtol=eta, restart=100, maxiter=500)
+            y, info, inner = gmres(op, -res.ravel(), rtol=eta)
             if info != 0:
                 return finish(False, rsup, f"linear solver stalled (info = {info})")
             step = y.reshape(shape) / shifted

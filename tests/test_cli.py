@@ -325,6 +325,20 @@ class TestExitCodes:
         assert "lambda1 must be finite and >= 1" in payload["optimize-k.error.message"]
         assert "pass" not in payload.values()
 
+    def test_fixed_k_just_outside_the_interval_is_exit_1(self, capsys, tmp_path):
+        # k_hi + 5e-10: the library's feasibility test is the only one, so
+        # the k is a domain error, not a row with an infinite residual
+        def no_constant(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        argv = ["optimize-k", "--n", "2", "--q", "2", "--k", "3.7320508080688772"]
+        code, out, err = run_capture([*argv, "--out", str(tmp_path)], capsys)
+        assert code == 1
+        payload = json.loads(out, parse_constant=no_constant)["payload"]
+        assert payload["optimize-k.error.status"] == "fail"
+        assert "outside feasible interval" in payload["optimize-k.error.message"]
+        assert "outside feasible interval" in err
+
     @pytest.mark.parametrize("command", ["sphere-verify", "pde-solve"])
     def test_band_limit_above_memory_ceiling_is_exit_1(self, command, capsys, tmp_path):
         code, rep = run_json([command, "--L", "100000"], capsys, tmp_path)

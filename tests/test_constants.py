@@ -257,6 +257,12 @@ class TestFOfK:
         with pytest.raises(DomainError):
             f_of_k(dims(2, 2.0), 5.0, 1.0)
 
+    def test_rejects_k_just_above_the_interval(self):
+        k_hi = k_interval(dims(2, 2.0)).k_hi
+        assert f_of_k(dims(2, 2.0), k_hi, 1.0) > 0.0
+        with pytest.raises(DomainError, match="outside feasible interval"):
+            f_of_k(dims(2, 2.0), k_hi * (1 + 1e-10), 1.0)
+
     @pytest.mark.parametrize("lam1", [0.5, 1 - 1e-9])
     def test_rejects_lambda1_below_one(self, lam1):
         with pytest.raises(DomainError, match="lambda1 must be finite and >= 1"):

@@ -200,6 +200,32 @@ class TestNewtonSolve:
         assert rep.message == "linear solver stalled (info = 7)"
         assert rep.residual_sup == residual_sup(u0, 0.9, 2.0)
 
+    def test_stalled_linear_solve_fails_after_one_cycle(self, grid16, monkeypatch):
+        # ksl pde-solve --q 20 --lambda 0.04736842105263158 --L 16 --seed 3:
+        # a Newton step whose linear solve one GMRES cycle cannot meet ends
+        # the solve at 100 Jacobian products, with no restart
+        products = []
+        gmres = pde.gmres
+
+        def counted(op, rhs, **kwargs):
+            products.append(0)
+            inner = op.matvec
+
+            def matvec(y):
+                products[-1] += 1
+                return inner(y)
+
+            return gmres(SimpleNamespace(matvec=matvec), rhs, **kwargs)
+
+        monkeypatch.setattr(pde, "gmres", counted)
+        rep = newton_solve(0.04736842105263158, 20.0, random_positive_field(grid16, 3))
+        assert not rep.converged
+        assert rep.message == "linear solver stalled (info = 1)"
+        assert products[-1] == 100
+        assert products[:-1] == [
+            step.inner_iterations for step in rep.trace if step.inner_iterations
+        ]
+
     @pytest.mark.parametrize("max_iters", [0, 1, 2])
     def test_stopped_solve_reports_the_residual_sup(self, grid16, max_iters):
         # the solver skips the sup while the residual norm rules convergence
@@ -323,7 +349,7 @@ class TestNewtonSolve:
                     return jacobian_product(u, lam, q, y.reshape(F.shape) / shifted).ravel()
 
                 op = SimpleNamespace(matvec=matvec)
-                _, info, n = pde.gmres(op, -F.ravel(), rtol=1e-6, restart=100, maxiter=500)
+                _, info, n = pde.gmres(op, -F.ravel(), rtol=1e-6)
                 assert info == 0
                 counts.append(n)
             return counts
@@ -444,9 +470,9 @@ class Dense:
         return self.matrix @ x
 
 
-def run_gmres(matrix, b, restart, rtol=1e-10, maxiter=500):
+def run_gmres(matrix, b, rtol=1e-10):
     op = Dense(matrix)
-    x, info, iterations = pde.gmres(op, b, rtol=rtol, restart=restart, maxiter=maxiter)
+    x, info, iterations = pde.gmres(op, b, rtol=rtol)
     return x, info, op.products, iterations
 
 
@@ -458,39 +484,42 @@ class TestGmres:
         matrix = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
         assert not np.allclose(matrix, matrix.T)
         b = rng.standard_normal(n)
-        x, info, products, iterations = run_gmres(matrix, b, restart=3)
+        # one cycle, without restart, within the n products of the full space
+        x, info, products, iterations = run_gmres(matrix, b)
         assert info == 0
-        assert products > 3  # several cycles ran
-        assert products == iterations
+        assert products == iterations <= n
         assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
         assert np.allclose(x, np.linalg.solve(matrix, b), rtol=0.0, atol=1e-8)
 
     def test_cyclic_shift_stagnates(self):
-        # the Krylov space of e_1 reaches the solution e_n only at step n, so
-        # every cycle shorter than n leaves x = 0 and the residual at |b|
-        n, restart, maxiter = 8, 4, 3
+        # the Krylov space of e_1 reaches the solution e_n only at step n:
+        # n = 8 is solved exactly in 8 products, while n = 101 exceeds the
+        # cycle, which stops after 100 with x = 0 and the residual at |b|
+        n = 8
+        shift = np.roll(np.eye(n), 1, axis=0)
+        x, info, products, iterations = run_gmres(shift, np.eye(n)[0])
+        assert info == 0 and products == iterations == n
+        assert np.allclose(x, np.eye(n)[-1])
+        n = 101
         shift = np.roll(np.eye(n), 1, axis=0)
         b = np.eye(n)[0]
-        x, info, products, iterations = run_gmres(shift, b, restart=restart, maxiter=maxiter)
-        assert info != 0
-        assert products == iterations == restart * maxiter
-        assert np.linalg.norm(b - shift @ x) == pytest.approx(1.0)
-        # with a cycle of length n it is one cycle, solved exactly
-        x, info, products, _ = run_gmres(shift, b, restart=n)
-        assert info == 0 and products == n
-        assert np.allclose(x, np.eye(n)[-1])
+        x, info, products, iterations = run_gmres(shift, b)
+        assert info == 1
+        assert products == iterations == 100
+        assert np.array_equal(x, np.zeros(n))
+        assert np.linalg.norm(b - shift @ x) == 1.0
 
     def test_singular_operator_breaks_down(self):
         # A e_1 = 0: the first product is already in the span, the pivot is
         # zero and the cycle stops without a division by it
         matrix = np.diag([0.0, 1.0, 2.0])
-        x, info, products, iterations = run_gmres(matrix, np.eye(3)[0], restart=3)
-        assert info != 0
+        x, info, products, iterations = run_gmres(matrix, np.eye(3)[0])
+        assert info == 1
         assert products == iterations == 1
         assert np.array_equal(x, np.zeros(3))
 
     def test_zero_right_hand_side(self):
-        x, info, products, iterations = run_gmres(np.eye(5), np.zeros(5), restart=3)
+        x, info, products, iterations = run_gmres(np.eye(5), np.zeros(5))
         assert info == 0
         assert products == iterations == 0
         assert np.array_equal(x, np.zeros(5))
