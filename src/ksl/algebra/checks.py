@@ -6,7 +6,7 @@ independently transcribed target coefficients with exact rational-function
 equality, and packages the outcome as a :class:`PassReport`. Steps are
 recorded on one `_Derivation` per verifier, and the sampling rule holds by
 construction: every rational-function identity it records is also evaluated
-at three random rational points that avoid all excluded denominators, with
+at three random rational points where every sampled side is defined, with
 exact equality, not a tolerance. At each point every distinct Poly is
 evaluated once, in integers, to a numerator over a positive denominator, and
 the two sides are compared by integer cross-multiplication; a vanishing
@@ -94,17 +94,6 @@ _l1 = v("lam1")
 _x = v("x")
 _y = v("y")
 
-# denominators excluded from every instantiation, per the localization the
-# whole calculus lives in
-_EXCLUDED = [
-    Poly.var("beta"),
-    Poly.var("gamma"),
-    Poly.var("beta") * Poly.var("q") - Poly.var("gamma"),
-    Poly.var("k"),
-    Poly.var("n"),
-]
-
-
 def _random_point(rng: random.Random) -> dict[str, Fraction]:
     return {
         name: Fraction(rng.randint(-12, 12), rng.randint(1, 7)) for name in VARS
@@ -165,13 +154,12 @@ def _record(pt: dict, agree: bool) -> dict:
 def _instantiate(
     pairs: list[tuple[RationalFunction, RationalFunction]],
     seed: int,
-    extra_avoid: tuple[Poly, ...] = (),
 ) -> list[dict]:
-    """Evaluate each lhs/rhs pair at three random rational points.
+    """Evaluate each lhs/rhs pair at three random rational points where
+    every sampled side is defined.
 
-    Points where any excluded or involved denominator vanishes are resampled.
-    Agreement is exact; the exclusions and the pairs read one set of values
-    per point.
+    A point where a side's denominator vanishes is resampled. Agreement is
+    exact, and the pairs read one set of values per point.
     """
     rng = random.Random(seed)
     records: list[dict] = []
@@ -181,13 +169,8 @@ def _instantiate(
         if attempts > 10_000:
             raise RuntimeError("could not find denominator-avoiding points")
         pt = _random_point(rng)
-        at = _PolyValues(pt)
-        if any(not at[p][0] for p in _EXCLUDED):
-            continue
-        if any(not at[p][0] for p in extra_avoid):
-            continue
         try:
-            agree = _holds_at(pairs, at)
+            agree = _holds_at(pairs, _PolyValues(pt))
         except ZeroDivisionError:
             continue
         records.append(_record(pt, agree))
@@ -259,7 +242,6 @@ class _Derivation:
     def finish(
         self,
         seed: int | None,
-        extra_avoid: tuple[Poly, ...] = (),
         worked: tuple[tuple[dict, bool], ...] = (),
     ) -> PassReport:
         """The report: every identity sampled at three seeded points, then
@@ -271,7 +253,7 @@ class _Derivation:
         """
         if self.pairs and seed is None:
             raise ValueError(f"{self.name}: sampled identities need an explicit seed")
-        insts = _instantiate(self.pairs, seed, extra_avoid=extra_avoid) if self.pairs else []
+        insts = _instantiate(self.pairs, seed) if self.pairs else []
         insts += [_record(pt, agree) for pt, agree in worked]
         passed = all(s.ok for s in self.steps) and all(r["agree"] for r in insts)
         return PassReport(name=self.name, passed=passed, steps=self.steps, instantiations=insts)
@@ -739,7 +721,7 @@ def verify_base_chain() -> PassReport:
             "lower bound's quadratic",
         )
 
-    return d.finish(seed=53, extra_avoid=(Poly.var("n") + 1,))
+    return d.finish(seed=53)
 
 
 def verify_radical_gap_monotone(
@@ -984,16 +966,7 @@ def verify_refined_chain() -> PassReport:
             "so F'' = 2 gamma/k^3 <= 0 on k > 0 for lam1 >= 1",
         )
 
-    return d.finish(
-        seed=71,
-        extra_avoid=(
-            Poly.var("n") + 1,
-            Poly.var("n") - 1,
-            Poly.var("k") * Poly.var("n") + Poly.var("n") - 1,
-            Poly.var("x"),
-            Poly.var("q") - 1,
-        ),
-    )
+    return d.finish(seed=71)
 
 
 def verify_chain_consistency() -> PassReport:
@@ -1029,7 +1002,7 @@ def verify_chain_consistency() -> PassReport:
             "exact, as a remainder modulo the lower endpoint's quadratic",
         )
 
-    return d.finish(seed=83, extra_avoid=(Poly.var("n") - 1, Poly.var("q") - 1))
+    return d.finish(seed=83)
 
 
 def run_all() -> list[PassReport]:

@@ -470,7 +470,8 @@ _GRID_STAGES = ("sphere-verify", "pde-solve")
 # ---------------------------------------------------------------- driver
 
 
-def _emit(cfg: RunConfig, records: list[Record]) -> None:
+def _emit(cfg: RunConfig, records: list[Record]) -> int:
+    """Write the report to the output directory and stdout; the exit status."""
     report = build_report(__version__, cfg.echo(), records)
     if cfg.format == "csv":
         text = render_csv(records)
@@ -479,9 +480,15 @@ def _emit(cfg: RunConfig, records: list[Record]) -> None:
         text = render_json(report)
         suffix = "json"
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{cfg.subcommand}.{suffix}").write_text(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{cfg.subcommand}.{suffix}").write_text(text)
+    except OSError as exc:
+        # an output path that cannot hold the report is bad usage
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(text)
+    return 0 if not any(rec.failed for rec in records) else 1
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -512,8 +519,7 @@ def run(argv: list[str] | None = None) -> int:
             records.append(Record(stage, "error", {"status": "fail", "message": str(exc)}))
             print(str(exc), file=sys.stderr)
 
-    _emit(cfg, records)
-    return 0 if not any(rec.failed for rec in records) else 1
+    return _emit(cfg, records)
 
 
 def main() -> None:

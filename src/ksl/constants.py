@@ -24,7 +24,9 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-# Boundary detection tolerance for q against (n+1)/(n-1).
+# Boundary detection tolerance for q against (n+1)/(n-1), relative to the
+# width (n+1)/(n-1) - 1 = 2/(n-1) of the exponent domain, so that the window
+# shrinks with the domain at a large n.
 _BOUNDARY_RTOL = 1e-12
 
 
@@ -44,7 +46,7 @@ class Dimensions:
             raise DomainError(f"exponent must be finite and exceed 1, got q = {self.q}")
         if self.n >= 2:
             qmax = (self.n + 1) / (self.n - 1)
-            if self.q > qmax * (1 + _BOUNDARY_RTOL):
+            if self.q > qmax + _BOUNDARY_RTOL * (qmax - 1):
                 raise DomainError(
                     f"exponent must satisfy q <= (n+1)/(n-1) = {qmax} for n = {self.n}, "
                     f"got q = {self.q}"
@@ -61,7 +63,7 @@ class Dimensions:
         if self.n == 1:
             return False
         qmax = (self.n + 1) / (self.n - 1)
-        return abs(self.q - qmax) <= qmax * _BOUNDARY_RTOL
+        return abs(self.q - qmax) <= _BOUNDARY_RTOL * (qmax - 1)
 
 
 @dataclass(frozen=True)

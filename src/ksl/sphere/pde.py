@@ -182,6 +182,10 @@ _EW_ETA_MAX = 0.9
 # Armijo constant of the residual-decrease test
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
+# the stopping rule: the residual's sup on the base grid below _TOL within
+# at most _MAX_ITERS accepted steps
+_TOL = 1e-10
+_MAX_ITERS = 40
 # a shifted entry of the preconditioner within this fraction of
 # diag + |mean| of zero is zero up to round-off
 _ZERO_SHIFT = 4.0 * _EPS
@@ -220,8 +224,6 @@ def newton_solve(
     lam: float,
     q: float,
     u0: SphereField,
-    tol: float = 1e-10,
-    max_iters: int = 40,
 ) -> SolveReport:
     """Inexact Newton iteration on -box u + lambda u - u^q in harmonic space.
 
@@ -249,7 +251,7 @@ def newton_solve(
     residual eta_k = 0.9 (|F_k| / |F_{k-1}|)^2, where |F| is the
     coefficient 2-norm of the residual; eta_0 = 0.9, and eta_k
     is kept at least 0.9 eta_{k-1}^2 while that exceeds 0.1, at least
-    0.5 tol / |F_k|, and at most 0.9. That is the schedule of Kelley's
+    0.5 _TOL / |F_k|, and at most 0.9. That is the schedule of Kelley's
     nsoli (Solving Nonlinear Equations with Newton's Method, SIAM 2003).
     The cap decides how often the skip bound is met: the safeguard carries
     0.9 eta_{k-1}^2 into the next step, so after a first step that cuts |F|
@@ -258,31 +260,25 @@ def newton_solve(
     GMRES that the convergence theory does not ask for. A step is accepted
     at scale s when the field stays positive and |F| drops by the factor
     1 - 1e-4 s; otherwise s is halved, at most 30 times. Iteration stops
-    when the sup of the residual on the base grid falls below tol. That grid
+    when the sup of the residual on the base grid falls below _TOL = 1e-10,
+    and gives up after _MAX_ITERS = 40 accepted steps. That grid
     integrates the residual's square exactly, so the sup is at least
     |F| / sqrt(4 pi), and the residual is synthesized only once
-    |F| <= 2 tol sqrt(4 pi); an exit that reports the sup without converging
+    |F| <= 2 _TOL sqrt(4 pi); an exit that reports the sup without converging
     synthesizes it then. The linear solves the bound does not settle use
     this module's `gmres`, one cycle of at most 100 inner iterations: one
     product with J M^-1 per inner iteration and none besides, since the true
     residual of the cycle is formed from the stored products, so a step's
     inner_iterations is also its count of Jacobian products, and 0 means M's
-    step met eta. One solve therefore costs at most max_iters x (100
+    step met eta. One solve therefore costs at most _MAX_ITERS x (100
     products + 31 trial steps). Running out of halvings or iterations, or a
     linear solve the cycle does not meet ("linear solver stalled"), yields a
-    non-converged report, not an exception; a tol that is not
-    positive and finite, a max_iters that is not an int >= 0 (a bool is not
-    one), or a start field whose residual overflows the float range (such as
-    u0^q at a large q), raises DomainError; a trial step whose residual
-    overflows is halved like any other. The report's trace holds one
-    NewtonStep per accepted step.
+    non-converged report, not an exception; a start field whose residual
+    overflows the float range (such as u0^q at a large q) raises
+    DomainError; a trial step whose residual overflows is halved like any
+    other. The report's trace holds one NewtonStep per accepted step.
     """
     _check_parameters(lam, q)
-    if not (np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be positive and finite, got tol = {tol}")
-    # bool is an int subclass, but True is not an iteration count
-    if not (isinstance(max_iters, int) and not isinstance(max_iters, bool) and max_iters >= 0):
-        raise DomainError(f"max_iters must be an int >= 0, got {max_iters!r}")
     grid = u0.grid
     vals = _require_positive(u0, "newton_solve")
 
@@ -303,7 +299,7 @@ def newton_solve(
         # the solver's own copy or candidate, which nothing else holds
         u = SphereField(grid, coeffs)
         avg = u.mean()
-        is_const = float(np.max(np.abs(u.values - avg))) < 10.0 * tol
+        is_const = float(np.max(np.abs(u.values - avg))) < 10.0 * _TOL
         return SolveReport(
             converged=converged,
             iterations=len(trace),
@@ -326,16 +322,16 @@ def newton_solve(
     op = SimpleNamespace(matvec=matvec, shape=(size, size), dtype=np.dtype(float))
 
     # sup |F| >= |F| / sqrt(4 pi) on the base grid, so above this norm the
-    # sup exceeds tol for certain and its synthesis is skipped
-    decisive = 2.0 * tol * math.sqrt(AREA)
+    # sup exceeds _TOL for certain and its synthesis is skipped
+    decisive = 2.0 * _TOL * math.sqrt(AREA)
     eta = _EW_ETA_MAX
-    for it in range(max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         rsup = None
         if rnorm <= decisive:
             rsup = _sup(grid, res)
-            if rsup < tol:
+            if rsup < _TOL:
                 return finish(True, rsup, "converged")
-        if it == max_iters:
+        if it == _MAX_ITERS:
             return finish(False, rsup, "max iterations exceeded")
 
         if trace:
@@ -345,7 +341,7 @@ def newton_solve(
             if safeguard > 0.1:
                 eta = max(eta, safeguard)
             # no point solving the last step far below the outer tolerance
-            eta = min(_EW_ETA_MAX, max(eta, 0.5 * tol / rnorm))
+            eta = min(_EW_ETA_MAX, max(eta, 0.5 * _TOL / rnorm))
 
         jac_weight = q * vals ** (q - 1.0)
         shifted, z, bound = _frozen_mean_step(grid, diag, jac_weight, res)

@@ -176,14 +176,24 @@ class TestSampling:
         assert checks._holds_at(pairs, checks._PolyValues(pt)) is False
 
     def test_instantiate_resamples_where_a_denominator_vanishes(self):
-        seed = 2  # its first point avoids every excluded denominator
+        seed = 2
         first = checks._random_point(random.Random(seed))
-        assert not any(p.evaluate(first) == 0 for p in checks._EXCLUDED)
         den = v("q") - rf(first["q"])
         pairs = [(v("a") / den, v("a") / den)]
         records = checks._instantiate(pairs, seed)
         assert len(records) == 3 and all(rec["agree"] for rec in records)
         assert all(rec["point"]["q"] != str(first["q"]) for rec in records)
+
+    def test_instantiate_samples_where_both_sides_are_defined(self):
+        # beta = 0 at this seed's first point; both sides are defined there,
+        # so it is the first sample: only a vanishing denominator rejects one
+        seed = 19
+        first = checks._random_point(random.Random(seed))
+        assert first["beta"] == 0
+        pairs = [(v("beta") * v("a"), v("a") * v("beta"))]
+        records = checks._instantiate(pairs, seed)
+        assert records[0] == checks._record(first, True)
+        assert len(records) == 3 and all(rec["agree"] for rec in records)
 
     def test_false_identity_over_a_shared_denominator_disagrees(self):
         den = v("n") ** 2 + 1

@@ -710,6 +710,21 @@ class TestOutputRouting:
         assert (env_dir / "constants.json").exists()
         assert not flag_dir.exists()
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_output_path_that_is_a_file_is_exit_2(self, via_env, capsys, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["constants", "--n", "2", "--q", "2"]
+        if via_env:
+            monkeypatch.setenv("KSL_OUT", str(taken))
+        else:
+            argv += ["--out", str(taken)]
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
+
     def test_determinism_excluding_timestamp(self, capsys, tmp_path):
         argv = ["sphere-verify", "--L", "8", "--seed", "5", "--out", str(tmp_path)]
 

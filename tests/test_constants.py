@@ -144,6 +144,15 @@ class TestDimensions:
         assert not dims(2, 2.0).boundary
         assert not dims(1, 7.0).boundary
 
+    def test_boundary_window_shrinks_with_the_domain(self):
+        # at n = 10^13 the domain 1 < q <= 1 + 2e-13 is far narrower than
+        # 1e-12 q_max: q - 1 at 4.5 domain widths is out, half a width is in
+        n = 10**13
+        with pytest.raises(DomainError, match="exponent must satisfy"):
+            dims(n, 1.0000000000009)
+        assert not dims(n, 1.0000000000001).boundary
+        assert dims(n, (n + 1) / (n - 1)).boundary
+
     def test_n1_has_no_upper_bound(self):
         assert dims(1, 100.0).q == 100.0
 

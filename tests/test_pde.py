@@ -126,13 +126,13 @@ class TestQuotientGradient:
 class TestNewtonSolve:
     def test_tilted_start_reaches_constant(self, grid16):
         u0 = SphereField.constant(grid16, 0.4) + 0.1 * coordinate_z(grid16)
-        rep = newton_solve(0.4, 2.0, u0, tol=1e-10)
+        rep = newton_solve(0.4, 2.0, u0)
         assert rep.converged
         assert rep.is_constant
         assert rep.constant_value == pytest.approx(0.4, abs=1e-8)
 
     def test_exact_start_zero_iterations(self, grid16):
-        rep = newton_solve(0.9, 2.0, SphereField.constant(grid16, 0.9), tol=1e-10)
+        rep = newton_solve(0.9, 2.0, SphereField.constant(grid16, 0.9))
         assert rep.converged
         assert rep.iterations == 0
         assert rep.residual_sup < 1e-12
@@ -143,7 +143,7 @@ class TestNewtonSolve:
         expected = lam ** (1.0 / (q - 1.0))
         for seed in range(20):
             u0 = random_positive_field(grid16, seed=seed, floor=0.5)
-            rep = newton_solve(lam, q, u0, tol=1e-10)
+            rep = newton_solve(lam, q, u0)
             assert rep.converged, f"seed {seed}: {rep.message}"
             assert rep.is_constant, f"seed {seed} non-constant"
             assert rep.constant_value == pytest.approx(expected, abs=1e-8)
@@ -151,13 +151,14 @@ class TestNewtonSolve:
     def test_noninteger_exponent(self, grid16):
         lam, q = 0.5, 2.5
         u0 = random_positive_field(grid16, seed=100, floor=0.4)
-        rep = newton_solve(lam, q, u0, tol=1e-10)
+        rep = newton_solve(lam, q, u0)
         assert rep.converged and rep.is_constant
         assert rep.constant_value == pytest.approx(lam ** (1.0 / (q - 1.0)), abs=1e-8)
 
-    def test_max_iters_report_not_crash(self, grid16):
+    def test_max_iters_report_not_crash(self, grid16, monkeypatch):
+        monkeypatch.setattr(pde, "_MAX_ITERS", 1)
         u0 = SphereField.constant(grid16, 0.4) + 0.1 * coordinate_z(grid16)
-        rep = newton_solve(0.4, 2.0, u0, tol=1e-14, max_iters=1)
+        rep = newton_solve(0.4, 2.0, u0)
         assert not rep.converged
         assert "max iterations" in rep.message
 
@@ -165,22 +166,6 @@ class TestNewtonSolve:
         u0 = SphereField.constant(grid16, 0.1) + coordinate_z(grid16)
         with pytest.raises(DomainError):
             newton_solve(0.9, 2.0, u0)
-
-    @pytest.mark.parametrize(
-        "settings",
-        [
-            {"tol": np.nan},
-            {"tol": np.inf},
-            {"tol": 0.0},
-            {"tol": -1.0},
-            {"max_iters": -1},
-            {"max_iters": 2.0},
-            {"max_iters": True},
-        ],
-    )
-    def test_rejects_bad_solver_settings(self, grid16, settings):
-        with pytest.raises(DomainError):
-            newton_solve(0.4, 2.0, tilted(grid16), **settings)
 
     def test_stalled_linear_solver_is_reported(self, grid16, monkeypatch):
         # the first step from this start is one the frozen-mean bound does
@@ -227,10 +212,11 @@ class TestNewtonSolve:
         ]
 
     @pytest.mark.parametrize("max_iters", [0, 1, 2])
-    def test_stopped_solve_reports_the_residual_sup(self, grid16, max_iters):
+    def test_stopped_solve_reports_the_residual_sup(self, grid16, max_iters, monkeypatch):
         # the solver skips the sup while the residual norm rules convergence
         # out; an exit that reports it still synthesizes it
-        rep = newton_solve(0.9, 2.0, random_positive_field(grid16, seed=22), max_iters=max_iters)
+        monkeypatch.setattr(pde, "_MAX_ITERS", max_iters)
+        rep = newton_solve(0.9, 2.0, random_positive_field(grid16, seed=22))
         assert not rep.converged and rep.iterations == max_iters
         assert rep.residual_sup == residual_sup(rep.field, 0.9, 2.0)
 
@@ -249,8 +235,8 @@ class TestNewtonSolve:
             return synthesis(coeffs, sub)
 
         monkeypatch.setattr(grid, "synthesis", counted)
-        tol = 1e-10
-        rep = newton_solve(0.9, 2.0, u0, tol=tol)
+        tol = pde._TOL
+        rep = newton_solve(0.9, 2.0, u0)
         assert rep.converged
         decisive = sum(step.residual_norm <= 2.0 * tol * math.sqrt(AREA) for step in rep.trace)
         assert decisive < rep.iterations
