@@ -7,13 +7,16 @@ equality, and packages the outcome as a :class:`PassReport`. Steps are
 recorded on one `_Derivation` per verifier, and the sampling rule holds by
 construction: every rational-function identity it records is also evaluated
 at three random rational points where every sampled side is defined, with
-exact equality, not a tolerance. At each point every distinct Poly is
-evaluated once, in integers, to a numerator over a positive denominator, and
-the two sides are compared by integer cross-multiplication; a vanishing
-denominator rejects the point exactly where a Fraction division would. Root
-steps and recorded facts (sample values, positivity, the elimination
-cross-check) are not sampled. Nothing here rounds: the radical-gap lemma,
-too, is proved exactly at each rational triple it is given.
+exact equality, not a tolerance. An identity is decided by Poly equality of
+the cross products (of the numerators alone over a shared denominator). At
+each point every distinct Poly is evaluated once, in integers, to a numerator
+over a positive denominator, and the two sides are compared by integer
+cross-multiplication; a vanishing denominator rejects the point exactly where
+a Fraction division would. A pair whose two sides are equal Polys is read
+only for its denominator, since its comparison cannot fail. Root steps and
+recorded facts (sample values, positivity, the elimination cross-check) are
+not sampled. Nothing here rounds: the radical-gap lemma, too, is proved
+exactly at each rational triple it is given.
 
 Square-root identities are root checks: a quadratic surd k = base +
 coef*sqrt(r) is a root of its monic quadratic m(k), and an expression
@@ -31,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from ..errors import DomainError
 from .ring import (
@@ -126,13 +130,16 @@ def _holds_at(pairs: list[tuple[RationalFunction, RationalFunction]], at: _PolyV
     n1 t1 s2 d2 == n2 t2 s1 d1. Pairs are taken in order and the first
     disagreement ends the test. A vanishing lhs denominator, then rhs, raises
     ZeroDivisionError, where the Fraction division would, so that
-    `_instantiate` resamples the point.
+    `_instantiate` resamples the point. A pair whose two sides are equal
+    Polys agrees wherever it is defined, so only its denominator is read.
     """
     for lhs, rhs in pairs:
-        n1, s1 = at[lhs.num]
         d1, t1 = at[lhs.den]
         if not d1:
             raise ZeroDivisionError("lhs denominator vanishes at the point")
+        if lhs.num == rhs.num and lhs.den == rhs.den:
+            continue
+        n1, s1 = at[lhs.num]
         n2, s2 = at[rhs.num]
         d2, t2 = at[rhs.den]
         if not d2:
@@ -159,7 +166,8 @@ def _instantiate(
     every sampled side is defined.
 
     A point where a side's denominator vanishes is resampled. Agreement is
-    exact, and the pairs read one set of values per point.
+    exact, and the pairs read one set of values per point; a pair with two
+    equal sides reads its denominator alone, which keeps that resample rule.
     """
     rng = random.Random(seed)
     records: list[dict] = []
@@ -181,10 +189,12 @@ class _Derivation:
     """The steps of one derivation, recorded as they are checked.
 
     An `identity` (or each term of an `expr`) is an exact rational-function
-    comparison and keeps its two sides as a sample pair, so every identity
-    step is also instantiated by `finish`. A `root` step, decided modulo a
-    surd's quadratic, and a `fact` (a sample value, a positivity check or a
-    cross-check) are recorded only.
+    comparison, decided by equality of the cross products lhs.num*rhs.den and
+    rhs.num*lhs.den (of the numerators over a shared denominator); their
+    difference is built only as a failing step's residual. It keeps its two
+    sides as a sample pair, so every identity step is also instantiated by
+    `finish`. A `root` step, decided modulo a surd's quadratic, and a `fact`
+    (a sample value, a positivity check or a cross-check) are recorded only.
 
     A verifier runs its steps inside ``with _Derivation(name) as d:``. A
     DomainError raised there (a limit that does not exist, a denominator
@@ -211,18 +221,21 @@ class _Derivation:
     def identity(
         self, name: str, lhs: RationalFunction, rhs: RationalFunction, note: str = ""
     ) -> None:
-        # over one shared denominator the numerators alone decide
+        # over one shared denominator the numerators alone decide; the
+        # difference is built only for a failing step's residual
         if lhs.den == rhs.den:
-            cross = lhs.num - rhs.num
+            left, right = lhs.num, rhs.num
         else:
-            cross = lhs.num * rhs.den - rhs.num * lhs.den
-        self.fact(name, cross.is_zero, repr(cross), note)
+            left, right = lhs.num * rhs.den, rhs.num * lhs.den
+        ok = left == right
+        self.fact(name, ok, "0" if ok else repr(left - right), note)
         self.pairs.append((lhs, rhs))
 
     def expr(self, prefix: str, derived: FormalExpr, expected: FormalExpr, note: str = "") -> None:
-        for term in sorted(derived.terms() | expected.terms(), key=repr):
+        terms = derived.terms() | expected.terms()
+        for label, term in sorted(((repr(t), t) for t in terms), key=itemgetter(0)):
             self.identity(
-                f"{prefix}[{term!r}]", derived.coefficient(term), expected.coefficient(term), note
+                f"{prefix}[{label}]", derived.coefficient(term), expected.coefficient(term), note
             )
 
     def root(

@@ -33,8 +33,9 @@ The two operations that run Horner's rule over a coefficient list do it in
 Poly, fraction-free, and keep one power of one denominator (Knuth, TAOCP
 Vol. 2, section 4.6.1). :meth:`RationalFunction.substitute` of a/b evaluates
 numerator and denominator as homogenised forms sum c_i a^i b^(d-i) and keeps
-b only to the difference of their degrees; :func:`rf_at_radexpr` clears the
-quadratic to D t^2 - T t + N and takes a pseudo-remainder over a power of D.
+b only to the difference of their degrees; :func:`rf_at_radexpr` takes a
+pseudo-remainder over a power of D modulo the quadratic cleared to
+D t^2 - T t + N, which each :class:`RadExpr` builds once.
 Horner in RationalFunction arithmetic would multiply the denominators and
 cross-multiply a sum at every step.
 """
@@ -545,14 +546,23 @@ class RadExpr:
     It is one root of the monic quadratic
     m(t) = t^2 - 2*base*t + (base^2 - coef^2*rad), whose other root is the
     conjugate base - coef*sqrt(rad). :func:`rf_at_radexpr` works modulo m.
+    When base and coef share one denominator Poly e, the quadratic cleared
+    to D t^2 - T t + N (D = e^2, T = 2*base*D, N = norm*D) is built here,
+    once; otherwise `cleared` is None.
     """
 
-    __slots__ = ("base", "coef", "rad")
+    __slots__ = ("base", "coef", "rad", "cleared")
 
     def __init__(self, base, coef, rad: Poly):
-        object.__setattr__(self, "base", _coerce_rf(base))
-        object.__setattr__(self, "coef", _coerce_rf(coef))
-        object.__setattr__(self, "rad", _coerce_poly(rad))
+        base, coef, rad = _coerce_rf(base), _coerce_rf(coef), _coerce_poly(rad)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "rad", rad)
+        bn, e, cn = base.num, base.den, coef.num
+        cleared = None
+        if coef.den == e:
+            cleared = (e * e, (bn * e).scaled(2), bn * bn - cn * cn * rad)
+        object.__setattr__(self, "cleared", cleared)
 
     def __setattr__(self, name, value):
         raise AttributeError("RadExpr is immutable")
@@ -571,7 +581,8 @@ def rf_at_radexpr(
     and base and coef must share one denominator Poly e, as every radical
     point of the verifiers does; otherwise DomainError is raised, since
     clearing two denominators multiplies them into every power of D. Trace
-    and norm are then cleared to the one denominator D = e^2, and each Poly p of
+    and norm are then cleared to the one denominator D = e^2 (the root's
+    `cleared` triple, built with it), and each Poly p of
     degree d in t is reduced modulo D t^2 - T t + N by pseudo-division in
     Poly: D^j p = Q (D t^2 - T t + N) + A t + B with j = max(d - 1, 0), one
     power of one denominator, and the remainder is returned as (A t + B)/D^j.
@@ -582,10 +593,9 @@ def rf_at_radexpr(
     zero norm, A^2 N + A B T + B^2 D = 0, the one case in which it could
     vanish at the root.
     """
-    bn, e, cn = root.base.num, root.base.den, root.coef.num
-    if root.coef.den != e:
+    if root.cleared is None:
         raise DomainError("base and coef of the radical point must share one denominator")
-    D, T, N = e * e, (bn * e).scaled(2), bn * bn - cn * cn * root.rad
+    D, T, N = root.cleared
     d_pow = [ONE]
     t = Poly.var(name)
     a, b, j = _pseudo_remainder(expr.den, name, D, T, N, d_pow)

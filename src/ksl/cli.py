@@ -17,8 +17,9 @@ whose keys are the flag names; explicit flags win. Every float option, from
 either source, must be a finite number. The KSL_OUT environment variable
 overrides the output directory. Exit status: 0 when every invoked check
 passes, 1 on a failed check or a domain error (reported verbatim on stderr),
-2 on bad usage. A domain error replaces only the records of the stage that
-raised it, so under `all` the other stages still report.
+2 on bad usage. An output directory that cannot be made is bad usage too,
+found before any stage runs. A domain error replaces only the records of the
+stage that raised it, so under `all` the other stages still report.
 """
 
 from __future__ import annotations
@@ -470,6 +471,12 @@ _GRID_STAGES = ("sphere-verify", "pde-solve")
 # ---------------------------------------------------------------- driver
 
 
+def _unwritable(exc: OSError) -> int:
+    """An output path that cannot hold the report is bad usage: exit 2."""
+    print(f"error: cannot write report: {exc}", file=sys.stderr)
+    return 2
+
+
 def _emit(cfg: RunConfig, records: list[Record]) -> int:
     """Write the report to the output directory and stdout; the exit status."""
     report = build_report(__version__, cfg.echo(), records)
@@ -479,14 +486,10 @@ def _emit(cfg: RunConfig, records: list[Record]) -> int:
     else:
         text = render_json(report)
         suffix = "json"
-    out_dir = Path(cfg.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{cfg.subcommand}.{suffix}").write_text(text)
+        (Path(cfg.out) / f"{cfg.subcommand}.{suffix}").write_text(text)
     except OSError as exc:
-        # an output path that cannot hold the report is bad usage
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+        return _unwritable(exc)
     sys.stdout.write(text)
     return 0 if not any(rec.failed for rec in records) else 1
 
@@ -502,6 +505,12 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    # an unusable output directory is found before any stage runs
+    try:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _unwritable(exc)
 
     records = []
     grid = None

@@ -30,7 +30,7 @@ from ksl.algebra import (
 )
 from ksl.algebra import checks
 from ksl.algebra.checks import _completion_quadruple, _Derivation, _mixed_quadruple
-from ksl.algebra.ring import VARS, RadExpr, rf, rf_equal, v
+from ksl.algebra.ring import VARS, Poly, RadExpr, rf, rf_at_radexpr, rf_equal, v
 from ksl.algebra.terms import (
     ANTIHESS2,
     GRAD4,
@@ -153,9 +153,11 @@ class TestSampling:
         den = v("q") - 1
         pt = dict.fromkeys(VARS, Fraction(1))
         # den is first evaluated as a numerator (0 == 0 agrees), then met
-        # again as a denominator from the cache: that must still refuse
+        # again as a denominator from the cache: that must still refuse, and
+        # so must a pair whose two sides are equal, which reads only its
+        # denominator
         with pytest.raises(ZeroDivisionError):
-            checks._holds_at([(den, den), (1 / den, 1 / den)], checks._PolyValues(pt))
+            checks._holds_at([(den, 2 * den / 2), (1 / den, 1 / den)], checks._PolyValues(pt))
 
     @pytest.mark.parametrize(
         "side", ["lhs", "rhs"], ids=["lhs_only", "rhs_only"]
@@ -201,10 +203,55 @@ class TestSampling:
         d.identity("off_by_one_over_den", v("n") / den, (v("n") + 1) / den)
         report = d.finish(seed=5)
         [step] = report.steps
-        assert not step.ok and step.residual != "0"
+        assert not step.ok and step.residual == "-1"
         assert len(report.instantiations) == 3
         assert not any(rec["agree"] for rec in report.instantiations)
         assert not report.passed
+
+    def test_false_identity_over_two_denominators_reports_the_cross_difference(self):
+        lhs, rhs = v("n") / (v("q") + 1), (v("n") + 1) / (v("q") - 1)
+        d = _Derivation("false_cross")
+        d.identity("off_over_two_dens", lhs, rhs)
+        [step] = d.finish(seed=5).steps
+        assert not step.ok
+        assert step.residual == repr(lhs.num * rhs.den - rhs.num * lhs.den)
+
+    def test_tautology_before_a_false_pair_still_disagrees(self):
+        # a pair with two equal sides reads only its denominator; the false
+        # pair after it must still decide every point
+        same = v("n") / (v("q") + 1)
+        d = _Derivation("tautology_then_false")
+        d.identity("tautology", same, same)
+        d.identity("off_by_one", v("n"), v("n") + 1)
+        report = d.finish(seed=5)
+        assert [s.ok for s in report.steps] == [True, False]
+        assert len(report.instantiations) == 3
+        assert not any(rec["agree"] for rec in report.instantiations)
+        assert not report.passed
+
+
+class TestClearedQuadratic:
+    """Each RadExpr clears its quadratic once; rf_at_radexpr reads it."""
+
+    RAD = Poly.var("q") ** 2 + 1
+
+    def test_unshared_denominators_raise_on_every_call(self):
+        root = RadExpr(v("n"), rf(1, 2), self.RAD)
+        quad = v("k") ** 2 - 2 * v("n") * v("k") + v("n") ** 2 - rf(self.RAD) / 4
+        for _ in range(3):
+            with pytest.raises(DomainError, match="share one denominator"):
+                rf_at_radexpr(quad, "k", root)
+
+    @pytest.mark.parametrize("endpoint", ["_lo_end", "_hi_end", "_k_lo_big"])
+    def test_reused_root_gives_the_remainders_of_a_fresh_one(self, endpoint):
+        root = getattr(checks, endpoint)
+        exprs = [checks._kq, checks._objective[0], checks._objective[1] / (v("k") + 1)]
+        reused = [rf_at_radexpr(e, "k", root) for e in exprs + exprs]
+        fresh = [
+            rf_at_radexpr(e, "k", RadExpr(root.base, root.coef, root.rad)) for e in exprs
+        ]
+        as_polys = [(num.num, num.den, den.num, den.den) for num, den in reused]
+        assert as_polys == [(num.num, num.den, den.num, den.den) for num, den in fresh * 2]
 
 
 # what run_all() reports: names, verdicts, step and instantiation counts, and
@@ -241,7 +288,9 @@ def test_run_all_is_pinned():
 def test_sampled_polys_do_not_swell(monkeypatch):
     # every Poly that run_all evaluates at a sample point, by term count:
     # substitution and surd remainders keep one power of one denominator,
-    # where Horner in RationalFunction arithmetic sampled 4,626 terms
+    # where Horner in RationalFunction arithmetic sampled 4,626 terms, and a
+    # pair with two equal sides reads only its denominator, where sampling
+    # both sides read 3,535
     terms = 0
     missing = checks._PolyValues.__missing__
 
@@ -252,7 +301,7 @@ def test_sampled_polys_do_not_swell(monkeypatch):
 
     monkeypatch.setattr(checks._PolyValues, "__missing__", counting)
     run_all()
-    assert terms <= 3750
+    assert terms <= 2900
 
 
 def test_upper_bound_step_reports_its_residual(monkeypatch):

@@ -725,6 +725,21 @@ class TestOutputRouting:
         assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
         assert taken.read_text() == ""
 
+    def test_output_path_that_is_a_file_is_found_before_any_stage(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def never(*args):
+            pytest.fail("a stage ran before the output path was checked")
+
+        monkeypatch.setattr(ksl.cli, "_STAGES", dict.fromkeys(ksl.cli._STAGES, never))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_capture(["all", "--L", "2", "--out", str(taken)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
+
     def test_determinism_excluding_timestamp(self, capsys, tmp_path):
         argv = ["sphere-verify", "--L", "8", "--seed", "5", "--out", str(tmp_path)]
 
