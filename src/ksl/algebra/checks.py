@@ -18,6 +18,12 @@ recorded facts (sample values, positivity, the elimination cross-check) are
 not sampled. Nothing here rounds: the radical-gap lemma, too, is proved
 exactly at each rational triple it is given.
 
+A verifier's inputs are module constants, built once at import: the
+transcribed target displays, the parameter choices (the a- and b-choices and
+the ratio substitution a = x*y) and the chains' fixed surds. A verifier body
+holds only the derivation steps, and every replace, identity, root, limit,
+substitution and sample of them runs on each call.
+
 Square-root identities are root checks: a quadratic surd k = base +
 coef*sqrt(r) is a root of its monic quadratic m(k), and an expression
 vanishes there when its numerator's remainder modulo m is zero. A second
@@ -34,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter
 
 from ..errors import DomainError
 from .ring import (
@@ -233,16 +239,20 @@ class _Derivation:
 
     def expr(self, prefix: str, derived: FormalExpr, expected: FormalExpr, note: str = "") -> None:
         terms = derived.terms() | expected.terms()
-        for label, term in sorted(((repr(t), t) for t in terms), key=itemgetter(0)):
+        for term in sorted(terms, key=attrgetter("label")):
             self.identity(
-                f"{prefix}[{label}]", derived.coefficient(term), expected.coefficient(term), note
+                f"{prefix}[{term.label}]",
+                derived.coefficient(term),
+                expected.coefficient(term),
+                note,
             )
 
     def root(
         self, name: str, expr: RationalFunction, var: str, point: RadExpr, note: str = ""
     ) -> None:
         num, _ = rf_at_radexpr(expr, var, point)
-        self.fact(name, num.is_zero, repr(num), note)
+        ok = num.is_zero
+        self.fact(name, ok, "0" if ok else repr(num), note)
 
     def fact(self, name: str, ok: bool, residual: str, note: str = "") -> None:
         """A recorded verdict; `residual` is reported only when it fails."""
@@ -283,9 +293,10 @@ def _two_c_at(endpoint: RadExpr, factor: RationalFunction | int = 1) -> Rational
 
 
 # ---------------------------------------------------------------------------
-# transcribed target displays (independent of the derivation code paths),
-# each built once here; a display only constructs, and every replace,
-# substitute or limit on it runs inside a verifier's derivation
+# transcribed target displays and parameter choices (independent of the
+# derivation code paths), each built once here from the variables and
+# numbers alone; a display only constructs, and every replace, substitute,
+# limit, root or sample on it runs inside a verifier's derivation
 
 # the equation substituted into one box factor of the gradient-box integral
 _sub1 = FormalExpr({K_EQ: 1 / _be, K_PLAIN: -_lam / _be, GRAD4: _be + 1})
@@ -426,6 +437,146 @@ _refined_quadruple = FormalExpr(
     }
 )
 
+# identity (3) as transcribed: the mixed cross term through the squared box,
+# the gradient-box integral and the mixed Hessian
+_mixcross_transcribed = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
+
+# |pure Hessian + a grad pair/v|^2 expanded; the two conjugate cross terms are
+# real and equal, hence the single 2a weight; at a = 0 the pure Hessian alone
+_antihol_expansion = FormalExpr({ANTIHESS2: rf(1), ANTICROSS: 2 * _a, GRAD4: _a**2})
+_antihol_bare = FormalExpr({ANTIHESS2: rf(1)})
+
+# the midpoint choice gamma = 2a, and the term (2 - 2a/gamma)(q-1) lam - 1 that
+# C1 differs from by -lam * B1
+_midpoint_gamma = 2 * _a
+_midpoint_plain_shift = (2 - 2 * _a / _g) * (_q - 1) * _lam - 1
+
+# the mixed quadruple's quartic weight at b = 0
+_mixed_quartic_at_b_zero = -((_be + 1) ** 2) / _n
+
+# the first identity rearranged for the equation-exponent energy; the
+# squared-box identity with that energy eliminated; the gradient-box and the
+# squared-box integral alone
+_keq_solved = FormalExpr({GRADBOX: _be, K_PLAIN: _lam, GRAD4: -_be * (_be + 1)})
+_eliminated = FormalExpr(
+    {
+        GRADBOX: _be * _q - _g,
+        K_PLAIN: _lam * (_q - 1),
+        GRAD4: -(_be * _q - _be - _g - 1) * (_be + 1),
+    }
+)
+_gradbox_alone = FormalExpr({GRADBOX: rf(1)})
+_boxsq_alone = FormalExpr({BOXSQ: rf(1)})
+
+# the base chain's combined display (step i): the weights on GRAD4, K_EQ and
+# K_PLAIN/lam that the trace part (1/n of the mixed-Hessian weight) carries,
+# and the rest of the plain-energy weight over lam
+_trace_weights = ((_be + 1) ** 2, _q - _g / _be, _g / _be - 1)
+_combined_plain_rest = (
+    (4 * _a - 3 * _g) / _be
+    + (2 - 2 * _a / _g) * (_g / _be - 1)
+    + _k * (2 * _b / _g - 1 / _n) * (_g / _be - 1)
+    - (2 * _b * _k / _be) * (1 - 1 / _n)
+)
+
+# the base chain: the b-choice pinning the trace-free weight at -eps, and the
+# factor theta it leaves on the trace part
+_base_b_choice = ((_g * _ep / 2 + _a - _g / 2) / _k) + _g / 2
+_theta = 1 + ((_n - 1) / _n) * (_k + _ep)
+# weights on GRAD4, K_EQ and K_PLAIN after the b-choice (step ii) and at
+# gamma = 0 (step iii)
+_base_step2_weights = (
+    _g * (_g - 1)
+    - 2 * _a * (_g - 1)
+    + _a**2
+    + (3 * _g - 4 * _a) * (_be + 1)
+    + (_be + 1) ** 2 * _theta
+    + _base_b_choice**2 * _k * (1 - 1 / _n)
+    + 2 * _base_b_choice * _k * (_be + 1) * (1 - 1 / _n),
+    (3 * _g - 4 * _a) / _be
+    + (_q - _g / _be) * _theta
+    + (2 * _base_b_choice * _k / _be) * (1 - 1 / _n),
+    (
+        (4 * _a - 3 * _g) / _be
+        + (_g / _be - 1) * _theta
+        - (2 * _base_b_choice * _k / _be) * (1 - 1 / _n)
+    )
+    * _lam
+    - 1,
+)
+_base_step3_weights = (
+    2 * _a
+    + _a**2
+    + (_a**2 / _k) * ((_n - 1) / _n)
+    - 2 * _a * (_be + 1) * ((_n + 1) / _n)
+    + _theta * (_be + 1) ** 2,
+    -(2 * _a / _be) * ((_n + 1) / _n) + _q * _theta,
+    ((2 * _a / _be) * ((_n + 1) / _n) - _theta) * _lam - 1,
+)
+# the a-choice killing the mixed-energy weight; the quadratic in beta the
+# quartic weight is theta times, its leading weight and its discriminant
+_base_a_choice = _q * _theta * _n * _be / (2 * (_n + 1))
+_lead_beta = _q**2 * _theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1
+_quad_beta = _be**2 * _lead_beta + _be * (2 - _q / (_n + 1)) + 1
+_disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * _lead_beta
+# the k-discriminant at zero slack, and its leading weight in eps
+_delta0 = (4 * _n**2 + 4 * _n) ** 2 - 16 * (_n**2 + _n) * _q * (_n**2 - _n)
+_eps_lead = (_q * _n * (_n - 1)) ** 2
+# twice C as the base threshold reads it: (k(n-1)/n + 1)(q-1)
+_two_c_base = (_k * ((_n - 1) / _n) + 1) * (_q - 1)
+
+# the refined chain: the b-choice zeroing the Hessian weight, and the box
+# weight it leaves (step ii)
+_refined_b_choice = (_g / 2) * (1 - 1 / _k) + _a / _k
+_refined_box_weight = 1 + (_n - 1) * _k / _n + (
+    3 * _g - 4 * _a + 2 * _refined_b_choice * _k * (1 - 1 / _n)
+) / (_be * _q - _g)
+# weights on GRAD4, BOXSQ and K_PLAIN at gamma = 0 (step iii)
+_refined_step3_weights = (
+    2 * _a
+    + _a**2
+    + (_a**2 / _k) * ((_n - 1) / _n)
+    - 2 * _a * ((_n + 1) / _n) * (_be * _q - _be - 1) * (_be + 1) / (_be * _q),
+    1 + (_n - 1) * _k / _n - (2 * _a / (_be * _q)) * ((_n + 1) / _n),
+    (_lam * (_q - 1) / (_be * _q)) * (2 * _a * (_n + 1) / _n) - 1,
+)
+# the ratio substitution a = x*y (with beta = y); the quadratic in y that the
+# quartic weight is x times: its weights on y^2, y and 1, and the quadratic
+# itself (step iv)
+_a_as_xy = _x * _y
+_y_weights = (
+    _x + _x * ((_n - 1) / (_k * _n)) - 2 * ((_n + 1) / _n) + 2 * ((_n + 1) / (_q * _n)),
+    2 + 2 * ((_n + 1) / (_q * _n)) - 2 * ((_q - 1) / _q) * ((_n + 1) / _n),
+    2 * ((_n + 1) / (_q * _n)),
+)
+_y_quadratic = _y**2 * _y_weights[0] + _y * _y_weights[1] + _y_weights[2]
+# the upper and lower bounds on x and the positive factors their conditions
+# are cleared of (steps v, vi); the factor of the gap between them (step vii)
+_x_upper = _a_q * _k / (2 * (_n + 1) * (_k * _n + _n - 1))
+_x_upper_factor = 8 * (_n + 1) * (_n * _k + _n - 1) / (_q * _k * _n**2)
+_x_lower = (_k * _n + _n - _k) * _q / (2 * (_n + 1))
+_x_lower_factor = 2 * (_n + 1) / (_q * _n)
+_gap_factor = _q * _n * (_n - 1) / (2 * (_n + 1) * (_k * _n + _n - 1))
+# the threshold on lam at a given x, and the factor the spectral bound is
+# cleared of (step viii)
+_threshold = _l1 / (_q - 1) + (1 - _l1 * (1 + (_n - 1) * _k / _n)) * _q * _n / (
+    2 * (_q - 1) * (_n + 1) * _x
+)
+_threshold_factor = 2 * _x * (_n + 1) * (_q - 1) / (_q * _n)
+# the objective as alpha + beta*k + gamma/k: its three weights, beta and gamma
+# through one positive factor, and the split itself (step x)
+_split_factor = _q * _n * (_n - 1) / ((_q - 1) * _a_q)
+_objective_split_weights = (
+    (_l1 * (_a_q - _q * (2 * _n**2 - 2 * _n + 1)) + _q * _n**2) / ((_q - 1) * _a_q),
+    -_l1 * _split_factor,
+    (1 - _l1) * _split_factor,
+)
+_objective_split = (
+    _objective_split_weights[0]
+    + _objective_split_weights[1] * _k
+    + _objective_split_weights[2] / _k
+)
+
 
 # ---------------------------------------------------------------------------
 # verifiers
@@ -460,11 +611,10 @@ def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
             lam_zero = _sub2.coefficient(K_PLAIN).substitute("lam", rf(0))
             d.identity("plain_energy_weight_vanishes_without_lam", lam_zero, rf(0))
         else:
-            expected = FormalExpr({BOXSQ: 1 / _g, GRADBOX: rf(1), MIXHESS2: -1 / _g})
             d.expr(
                 "trusted_axiom_transcription",
                 MIXCROSS_IDENTITY,
-                expected,
+                _mixcross_transcribed,
                 "axiom, not derived; proof needs geometry outside this engine",
             )
             # cross-check: the two independent routes to the solved gradient-box
@@ -482,10 +632,7 @@ def _substitution_identities(idx: int, elim: PassReport | None) -> PassReport:
 def verify_antihol_completion_bound() -> PassReport:
     """Completion of the square on the pure-type Hessian (parameter a)."""
     with _Derivation("antihol_completion_bound") as d:
-        # |pure Hessian + a grad pair/v|^2 expanded; the two conjugate cross
-        # terms are real and equal, hence the single 2a weight
-        expansion = FormalExpr({ANTIHESS2: rf(1), ANTICROSS: 2 * _a, GRAD4: _a**2})
-        e1 = expansion.replace(ANTICROSS, ANTICROSS_IDENTITY)
+        e1 = _antihol_expansion.replace(ANTICROSS, ANTICROSS_IDENTITY)
         e2 = e1.replace(ANTIHESS2, PURE_HESSIAN_UPPER_BOUND)
         d.identity(
             "upper_bound_applied_with_positive_weight",
@@ -501,8 +648,7 @@ def verify_antihol_completion_bound() -> PassReport:
 
         # parameter-off cross-check: a = 0 must reproduce the bare combination
         bare = (
-            FormalExpr({ANTIHESS2: rf(1)})
-            .replace(ANTIHESS2, PURE_HESSIAN_UPPER_BOUND)
+            _antihol_bare.replace(ANTIHESS2, PURE_HESSIAN_UPPER_BOUND)
             .replace(MIXCROSS, MIXCROSS_IDENTITY)
             .replace(GRADBOX, _sub1)
             .replace(BOXSQ, _sub2)
@@ -529,16 +675,18 @@ def verify_midpoint_obstruction() -> PassReport:
         quad = _completion_quadruple
         mixed_energy = quad.coefficient(K_EQ)
         d.identity(
-            "mixed_energy_weight_at_midpoint", mixed_energy.substitute("gamma", 2 * _a), _q
+            "mixed_energy_weight_at_midpoint",
+            mixed_energy.substitute("gamma", _midpoint_gamma),
+            _q,
         )
         d.identity(
             "hessian_weight_at_midpoint",
-            quad.coefficient(MIXHESS2).substitute("gamma", 2 * _a),
+            quad.coefficient(MIXHESS2).substitute("gamma", _midpoint_gamma),
             rf(0),
         )
         # C1 - [(2 - 2a/gamma)(q-1) lam - 1] = -lam * B1, which is how the B- and
         # C-conditions combine into the displayed constraint on lam
-        combined = quad.coefficient(K_PLAIN) - ((2 - 2 * _a / _g) * (_q - 1) * _lam - 1)
+        combined = quad.coefficient(K_PLAIN) - _midpoint_plain_shift
         d.identity("condition_combination_identity", combined, -_lam * mixed_energy)
 
     # the worked example a = 3, beta = 1, q = 2, where the midpoint form is q = 2
@@ -559,7 +707,7 @@ def verify_mixed_completion_bound() -> PassReport:
         d.identity(
             "parameter_off_quartic",
             quad.coefficient(GRAD4).substitute("b", rf(0)),
-            -((_be + 1) ** 2) / _n,
+            _mixed_quartic_at_b_zero,
         )
         d.identity(
             "parameter_off_hessian", quad.coefficient(MIXHESS2).substitute("b", rf(0)), rf(1)
@@ -573,15 +721,10 @@ def _combined_base_quadruple(pre: FormalExpr) -> FormalExpr:
     the trace split applied (display form): weights on GRAD4, K_EQ, K_PLAIN
     and TRACEFREE."""
     Dc = pre.coefficient(MIXHESS2)
-    A = pre.coefficient(GRAD4) + (Dc / _n) * (_be + 1) ** 2
-    B = pre.coefficient(K_EQ) + (Dc / _n) * (_q - _g / _be)
-    C = (
-        (4 * _a - 3 * _g) / _be
-        + (2 - 2 * _a / _g) * (_g / _be - 1)
-        + _k * (2 * _b / _g - 1 / _n) * (_g / _be - 1)
-        - (2 * _b * _k / _be) * (1 - 1 / _n)
-        + (_g / _be - 1) * (Dc / _n)
-    ) * _lam - 1
+    on_grad4, on_keq, on_plain = _trace_weights
+    A = pre.coefficient(GRAD4) + (Dc / _n) * on_grad4
+    B = pre.coefficient(K_EQ) + (Dc / _n) * on_keq
+    C = (_combined_plain_rest + on_plain * (Dc / _n)) * _lam - 1
     return FormalExpr({GRAD4: A, K_EQ: B, K_PLAIN: C, TRACEFREE: Dc})
 
 
@@ -606,30 +749,12 @@ def verify_base_chain() -> PassReport:
         d.expr("step1_combined", split, expected)
 
         # (ii) the b-choice forces the trace-free weight to -eps
-        b_choice = ((_g * _ep / 2 + _a - _g / 2) / _k) + _g / 2
         A_b, B_b, C_b, D_b = (
-            expected.coefficient(term).substitute("b", b_choice)
+            expected.coefficient(term).substitute("b", _base_b_choice)
             for term in (GRAD4, K_EQ, K_PLAIN, TRACEFREE)
         )
         d.identity("step2_tracefree_weight", D_b, -_ep)
-        theta = 1 + ((_n - 1) / _n) * (_k + _ep)
-        A_ii = (
-            _g * (_g - 1)
-            - 2 * _a * (_g - 1)
-            + _a**2
-            + (3 * _g - 4 * _a) * (_be + 1)
-            + (_be + 1) ** 2 * theta
-            + b_choice**2 * _k * (1 - 1 / _n)
-            + 2 * b_choice * _k * (_be + 1) * (1 - 1 / _n)
-        )
-        B_ii = (3 * _g - 4 * _a) / _be + (_q - _g / _be) * theta + (
-            2 * b_choice * _k / _be
-        ) * (1 - 1 / _n)
-        C_ii = (
-            (4 * _a - 3 * _g) / _be
-            + (_g / _be - 1) * theta
-            - (2 * b_choice * _k / _be) * (1 - 1 / _n)
-        ) * _lam - 1
+        A_ii, B_ii, C_ii = _base_step2_weights
         d.identity("step2_quartic_weight", A_b, A_ii)
         d.identity("step2_mixed_energy_weight", B_b, B_ii)
         d.identity("step2_plain_energy_weight", C_b, C_ii)
@@ -637,42 +762,30 @@ def verify_base_chain() -> PassReport:
         # (iii) weights at gamma = 0 (continuity in gamma; the pole cancels)
         A0 = A_b.limit_var_zero("gamma")
         B0 = B_b.limit_var_zero("gamma")
-        A0_disp = (
-            2 * _a
-            + _a**2
-            + (_a**2 / _k) * ((_n - 1) / _n)
-            - 2 * _a * (_be + 1) * ((_n + 1) / _n)
-            + theta * (_be + 1) ** 2
-        )
-        B0_disp = -(2 * _a / _be) * ((_n + 1) / _n) + _q * theta
-        C0_disp = ((2 * _a / _be) * ((_n + 1) / _n) - theta) * _lam - 1
+        A0_disp, B0_disp, C0_disp = _base_step3_weights
         d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
         d.identity("step3_mixed_energy_weight_at_zero", B0, B0_disp)
         d.identity("step3_plain_energy_weight_at_zero", C_b.limit_var_zero("gamma"), C0_disp)
 
         # (iv) the a-choice kills the mixed energy weight
-        a_choice = _q * theta * _n * _be / (2 * (_n + 1))
-        d.identity("step4_mixed_energy_killed", B0.substitute("a", a_choice), rf(0))
+        d.identity("step4_mixed_energy_killed", B0.substitute("a", _base_a_choice), rf(0))
 
         # (v) quartic weight = theta * (quadratic in beta); theta > 0 is the
         # cleared factor (positive whenever k, eps >= 0)
-        lead_beta = _q**2 * theta * ((_n * _k + _n - 1) * _n) / (4 * _k * (_n + 1) ** 2) - _q + 1
-        quad_beta = _be**2 * lead_beta + _be * (2 - _q / (_n + 1)) + 1
         d.identity(
             "step5_quartic_factors",
-            A0.substitute("a", a_choice),
-            theta * quad_beta,
+            A0.substitute("a", _base_a_choice),
+            _theta * _quad_beta,
             note="cleared factor: 1 + ((n-1)/n)(k+eps), positive for k > 0, eps >= 0",
         )
 
         # (vi) discriminant of the beta-quadratic vs the displayed k-inequality;
         # cleared factor q/(k(n+1)^2), positive on the admissible region
-        disc_beta = (2 - _q / (_n + 1)) ** 2 - 4 * lead_beta
         Ak, Bk, Ck = _k_inequality
         L = Ak * _k**2 + Bk * _k + Ck
         d.identity(
             "step6_discriminant_is_k_inequality",
-            disc_beta * _k * (_n + 1) ** 2,
+            _disc_beta * _k * (_n + 1) ** 2,
             -_q * L,
             note=(
                 "cleared factor: q/(k(n+1)^2); side condition recorded: the "
@@ -682,9 +795,8 @@ def verify_base_chain() -> PassReport:
 
         # (vii) k-discriminant of the inequality at eps = 0, and the eps ceiling
         delta = Bk**2 - 4 * Ak * Ck
-        delta0_disp = (4 * _n**2 + 4 * _n) ** 2 - 16 * (_n**2 + _n) * _q * (_n**2 - _n)
-        d.identity("step7_discriminant_at_zero_slack", delta.substitute("eps", rf(0)), delta0_disp)
-        val22 = delta0_disp.evaluate(_point(n=2, q=2))
+        d.identity("step7_discriminant_at_zero_slack", delta.substitute("eps", rf(0)), _delta0)
+        val22 = _delta0.evaluate(_point(n=2, q=2))
         d.fact(
             "step7_sample_value", val22 == 192, str(val22), "24^2 - 16*6*2*2 = 192 at n = 2, q = 2"
         )
@@ -699,7 +811,7 @@ def verify_base_chain() -> PassReport:
         d.identity(
             "step7_eps_parabola_opens_up",
             rf(delta.num.coeffs_in("eps").get(2, Poly()), delta.den),
-            (_q * _n * (_n - 1)) ** 2,
+            _eps_lead,
             note="leading eps-weight is a square, positive on the admissible region",
         )
 
@@ -726,7 +838,7 @@ def verify_base_chain() -> PassReport:
         # with sqrt(big radicand) = n*sqrt(small radicand), 2C is a function of k
         d.root(
             "step8_threshold_identity",
-            (_k * ((_n - 1) / _n) + 1) * (_q - 1) - _two_c_at(_k_lo_big, _n),
+            _two_c_base - _two_c_at(_k_lo_big, _n),
             "k",
             _k_lo_big,
             "reciprocals agree iff these agree; 2C written in k through "
@@ -790,32 +902,22 @@ def verify_grad_box_elimination() -> PassReport:
         raw = ibp(EQ_IN_BOXSQ)
         d.expr("boxsq_after_parts", raw, _boxsq_after_parts)
 
-        # rearranged first identity: the equation-exponent energy through the rest
-        keq_solved = FormalExpr(
-            {GRADBOX: _be, K_PLAIN: _lam, GRAD4: -_be * (_be + 1)}
-        )
-        back = _sub1.replace(K_EQ, keq_solved)
-        d.expr("rearrangement_consistency", back, FormalExpr({GRADBOX: rf(1)}))
+        # the rearranged first identity substituted back returns GRADBOX
+        back = _sub1.replace(K_EQ, _keq_solved)
+        d.expr("rearrangement_consistency", back, _gradbox_alone)
 
-        eliminated = raw.replace(K_EQ, keq_solved)
-        elim_disp = FormalExpr(
-            {
-                GRADBOX: _be * _q - _g,
-                K_PLAIN: _lam * (_q - 1),
-                GRAD4: -(_be * _q - _be - _g - 1) * (_be + 1),
-            }
-        )
-        d.expr("after_elimination", eliminated, elim_disp)
+        eliminated = raw.replace(K_EQ, _keq_solved)
+        d.expr("after_elimination", eliminated, _eliminated)
 
         # solve for the gradient-box integral and compare the displayed form
         solved = _solved_gradbox
         # plugging the solved form into the eliminated identity must return BOXSQ
-        roundtrip = elim_disp.replace(GRADBOX, solved)
-        d.expr("solve_roundtrip", roundtrip, FormalExpr({BOXSQ: rf(1)}))
+        roundtrip = _eliminated.replace(GRADBOX, solved)
+        d.expr("solve_roundtrip", roundtrip, _boxsq_alone)
 
         # alternate derivation: solve the two substitution identities directly
-        alt = _sub2.replace(K_EQ, keq_solved)
-        d.expr("alternate_derivation", alt, elim_disp)
+        alt = _sub2.replace(K_EQ, _keq_solved)
+        d.expr("alternate_derivation", alt, _eliminated)
 
         d.identity(
             "plain_energy_weight_vanishes_without_lam",
@@ -854,72 +956,55 @@ def verify_refined_chain() -> PassReport:
         d.expr("step1_combined", e1, expected)
 
         # (ii) zero the Hessian weight
-        b_choice = (_g / 2) * (1 - 1 / _k) + _a / _k
         A_b, B_b, C_b, D_b = (
-            expected.coefficient(term).substitute("b", b_choice)
+            expected.coefficient(term).substitute("b", _refined_b_choice)
             for term in (GRAD4, BOXSQ, K_PLAIN, MIXHESS2)
         )
         d.identity("step2_hessian_weight", D_b, rf(0))
-        S_b = (3 * _g - 4 * _a + 2 * b_choice * _k * (1 - 1 / _n))
-        den = _be * _q - _g
-        d.identity("step2_box_weight_simplifies", B_b, 1 + (_n - 1) * _k / _n + S_b / den)
+        d.identity("step2_box_weight_simplifies", B_b, _refined_box_weight)
 
         # (iii) weights at gamma = 0
         A0 = A_b.limit_var_zero("gamma")
         B0 = B_b.limit_var_zero("gamma")
         C0 = C_b.limit_var_zero("gamma")
-        A0_disp = (
-            2 * _a
-            + _a**2
-            + (_a**2 / _k) * ((_n - 1) / _n)
-            - 2 * _a * ((_n + 1) / _n) * (_be * _q - _be - 1) * (_be + 1) / (_be * _q)
-        )
-        B0_disp = 1 + (_n - 1) * _k / _n - (2 * _a / (_be * _q)) * ((_n + 1) / _n)
-        C0_disp = (_lam * (_q - 1) / (_be * _q)) * (2 * _a * (_n + 1) / _n) - 1
+        A0_disp, B0_disp, C0_disp = _refined_step3_weights
         d.identity("step3_quartic_weight_at_zero", A0, A0_disp)
         d.identity("step3_box_weight_at_zero", B0, B0_disp)
         d.identity("step3_plain_energy_weight_at_zero", C0, C0_disp)
 
         # (iv) ratio substitution a = x*y, beta = y; cleared factor x
-        y2 = _x + _x * ((_n - 1) / (_k * _n)) - 2 * ((_n + 1) / _n) + 2 * ((_n + 1) / (_q * _n))
-        y1 = 2 + 2 * ((_n + 1) / (_q * _n)) - 2 * ((_q - 1) / _q) * ((_n + 1) / _n)
-        y0 = 2 * ((_n + 1) / (_q * _n))
         d.identity(
             "step4_quartic_is_x_times_quadratic",
-            A0.substitute("a", _x * _y).substitute("beta", _y),
-            _x * (_y**2 * y2 + _y * y1 + y0),
+            A0.substitute("a", _a_as_xy).substitute("beta", _y),
+            _x * _y_quadratic,
             note="cleared factor: x = a/beta, nonzero by construction",
         )
 
         # (v) discriminant of the y-quadratic against the x upper bound;
         # cleared factor 8(n+1)(nk+n-1)/(q k n^2) > 0
-        x_hi = (4 * _n**2 + 4 * _n + _q) * _k / (2 * (_n + 1) * (_k * _n + _n - 1))
-        c_hi = 8 * (_n + 1) * (_n * _k + _n - 1) / (_q * _k * _n**2)
+        y2, y1, y0 = _y_weights
         d.identity(
             "step5_discriminant_linear_in_x",
             y1**2 - 4 * y2 * y0,
-            c_hi * (x_hi - _x),
+            _x_upper_factor * (_x_upper - _x),
             note="cleared factor: 8(n+1)(nk+n-1)/(q k n^2), positive for k > 0",
         )
 
         # (vi) the mixed-energy condition is the x lower bound
-        B0_x = B0.substitute("a", _x * _y).substitute("beta", _y)
-        x_lo = (_k * _n + _n - _k) * _q / (2 * (_n + 1))
-        c_lo = 2 * (_n + 1) / (_q * _n)
+        B0_x = B0.substitute("a", _a_as_xy).substitute("beta", _y)
         d.identity(
             "step6_box_weight_linear_in_x",
             B0_x,
-            c_lo * (x_lo - _x),
+            _x_lower_factor * (_x_lower - _x),
             note="cleared factor: 2(n+1)/(qn), positive",
         )
 
         # (vii) compatibility of the bounds is the k-quadratic; its roots are the
         # feasibility interval endpoints
-        gap_factor = _q * _n * (_n - 1) / (2 * (_n + 1) * (_k * _n + _n - 1))
         d.identity(
             "step7_gap_is_k_quadratic",
-            x_hi - x_lo,
-            -gap_factor * _kq,
+            _x_upper - _x_lower,
+            -_gap_factor * _kq,
             note="cleared factor: qn(n-1)/(2(n+1)(kn+n-1)), positive for n >= 2, k > 0",
         )
         for label, endpoint in (("lower", _lo_end), ("upper", _hi_end)):
@@ -933,22 +1018,18 @@ def verify_refined_chain() -> PassReport:
         )
 
         # (viii) the spectral bound rearranges to the threshold inequality
-        C0_x = C0.substitute("a", _x * _y).substitute("beta", _y)
-        rhs_thr = _l1 / (_q - 1) + (1 - _l1 * (1 + (_n - 1) * _k / _n)) * _q * _n / (
-            2 * (_q - 1) * (_n + 1) * _x
-        )
-        c_combo = 2 * _x * (_n + 1) * (_q - 1) / (_q * _n)
+        C0_x = C0.substitute("a", _a_as_xy).substitute("beta", _y)
         d.identity(
             "step8_threshold_rearrangement",
             C0_x + _l1 * B0_x,
-            c_combo * (_lam - rhs_thr),
+            _threshold_factor * (_lam - _threshold),
             note="cleared factor: 2x(n+1)(q-1)/(qn), positive for x > 0, q > 1",
         )
 
         # (ix) the threshold at the upper x-bound is the stated objective
         F_weight, F_rest = _objective
         F_disp = F_weight * _l1 + F_rest
-        d.identity("step9_objective_recovered", rhs_thr.substitute("x", x_hi), F_disp)
+        d.identity("step9_objective_recovered", _threshold.substitute("x", _x_upper), F_disp)
         val = F_disp.evaluate(_point(n=2, q=2, k=1, lam1=1))
         d.fact(
             "step9_sample_value",
@@ -960,11 +1041,8 @@ def verify_refined_chain() -> PassReport:
         # (x) F = alpha + beta*k + gamma/k; (xi) F' = beta - gamma/k^2 vanishes at
         # k^2 = gamma/beta = 1 - 1/lam1; (xii) gamma, read off F as lim k*F at
         # k = 0, is (1 - lam1) times a positive factor, so F'' = 2 gamma/k^3 <= 0
-        A_q = 4 * _n**2 + 4 * _n + _q
-        pos_factor = _q * _n * (_n - 1) / ((_q - 1) * A_q)
-        f_alpha = (_l1 * (A_q - _q * (2 * _n**2 - 2 * _n + 1)) + _q * _n**2) / ((_q - 1) * A_q)
-        f_beta, f_gamma = -_l1 * pos_factor, (1 - _l1) * pos_factor
-        d.identity("step10_objective_split", F_disp, f_alpha + f_beta * _k + f_gamma / _k)
+        _, f_beta, f_gamma = _objective_split_weights
+        d.identity("step10_objective_split", F_disp, _objective_split)
         d.identity(
             "step11_stationary_point",
             f_beta * (1 - 1 / _l1),

@@ -39,7 +39,7 @@ attempt to re-prove them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .ring import ZERO_RF, Poly, RationalFunction, _coerce_rf, rf, v
@@ -47,13 +47,22 @@ from .ring import ZERO_RF, Poly, RationalFunction, _coerce_rf, rf, v
 
 @dataclass(frozen=True)
 class FormalTerm:
+    """One integral: an atom, or a member of the K or J family.
+
+    Equality and hashing read ``name`` and ``exponent`` alone. ``label``, the
+    ``repr`` that steps are sorted and named by, is built once here.
+    """
+
     name: str  # an atom's name, or the family "K" or "J"
     exponent: Poly | None = None  # weight parameter of a K/J term; None for an atom
+    label: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        label = self.name if self.exponent is None else f"{self.name}({self.exponent!r})"
+        object.__setattr__(self, "label", label)
 
     def __repr__(self) -> str:
-        if self.exponent is None:
-            return self.name
-        return f"{self.name}({self.exponent!r})"
+        return self.label
 
 
 GRAD4 = FormalTerm("GRAD4")
@@ -136,7 +145,7 @@ class FormalExpr:
         if not self.coeffs:
             return "0"
         parts = [f"({c!r})*{term!r}" for term, c in sorted(
-            self.coeffs.items(), key=lambda kv: repr(kv[0])
+            self.coeffs.items(), key=lambda kv: kv[0].label
         )]
         return " + ".join(parts)
 

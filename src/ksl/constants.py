@@ -236,6 +236,9 @@ def optimize_k(dims: Dimensions, lambda1: float) -> tuple[float, float]:
     lam1 = Fraction(lambda1)
     k_c = min(max(_sqrt(1 - 1 / lam1), lo), hi)
     f_lo = _f_of_k(dims, lo, lam1)
+    if k_c == lo:
+        # clipped to the lower end, always so at lambda1 = 1
+        return float(lo), float(f_lo)
     f_c = _f_of_k(dims, k_c, lam1)
     if f_lo >= f_c - Fraction(1, 10**9):
         return float(lo), float(f_lo)

@@ -304,6 +304,23 @@ def test_sampled_polys_do_not_swell(monkeypatch):
     assert terms <= 2900
 
 
+def test_displays_are_not_rebuilt_per_run(monkeypatch):
+    # Poly products in one run_all: the transcribed displays and parameter
+    # choices are built once at import, so a run multiplies only for its
+    # derivation steps (773; 1,339 when the chains rebuilt their displays)
+    products = 0
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    run_all()
+    assert products <= 800
+
+
 def test_upper_bound_step_reports_its_residual(monkeypatch):
     """A pure-Hessian weight other than +1 fails with a nonzero residual."""
     moved = checks.ANTICROSS_IDENTITY + FormalExpr({ANTIHESS2: rf(1)})
@@ -476,6 +493,75 @@ class TestPerturbedEndpoint:
         [check] = [s for s in report.steps if s.name == step]
         assert not check.ok
         assert check.residual != "0"
+        assert not report.passed
+
+
+def _scaled(value, factor):
+    return value.scale(factor) if isinstance(value, FormalExpr) else value * factor
+
+
+class TestPerturbedDisplay:
+    """A display built once at import, scaled by 1001/1000, is read at call
+    time: exactly the steps that compare against it fail."""
+
+    @pytest.mark.parametrize(
+        "verifier, name, index, failing",
+        [
+            (
+                lambda: verify_substitution_identities(3),
+                "_mixcross_transcribed",
+                None,
+                [
+                    "trusted_axiom_transcription[BOXSQ]",
+                    "trusted_axiom_transcription[GRADBOX]",
+                    "trusted_axiom_transcription[MIXHESS2]",
+                ],
+            ),
+            (
+                verify_antihol_completion_bound,
+                "_antihol_bare",
+                None,
+                [f"parameter_off[{t!r}]" for t in (GRAD4, K_EQ, K_PLAIN, MIXHESS2)],
+            ),
+            (
+                verify_midpoint_obstruction,
+                "_midpoint_plain_shift",
+                None,
+                ["condition_combination_identity"],
+            ),
+            (
+                verify_mixed_completion_bound,
+                "_mixed_quartic_at_b_zero",
+                None,
+                ["parameter_off_quartic"],
+            ),
+            (verify_base_chain, "_base_step2_weights", 0, ["step2_quartic_weight"]),
+            (verify_grad_box_elimination, "_boxsq_alone", None, ["solve_roundtrip[BOXSQ]"]),
+            (
+                verify_refined_chain,
+                "_x_upper",
+                None,
+                [
+                    "step5_discriminant_linear_in_x",
+                    "step7_gap_is_k_quadratic",
+                    "step9_objective_recovered",
+                ],
+            ),
+        ],
+        ids=["sub3", "antihol", "midpoint", "mixed", "base", "elimination", "refined"],
+    )
+    def test_only_its_steps_fail(self, monkeypatch, verifier, name, index, failing):
+        value = getattr(checks, name)
+        factor = Fraction(1001, 1000)
+        if index is None:
+            moved = _scaled(value, factor)
+        else:
+            moved = tuple(_scaled(w, factor) if i == index else w for i, w in enumerate(value))
+        monkeypatch.setattr(checks, name, moved)
+        report = verifier()
+        failed = [s for s in report.steps if not s.ok]
+        assert [s.name for s in failed] == failing
+        assert all(s.residual != "0" for s in failed)
         assert not report.passed
 
 

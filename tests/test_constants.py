@@ -338,6 +338,23 @@ class TestOptimizeK:
             assert k_star == k_lo
             assert threshold == f_of_k(d, k_lo, lam1)
 
+    def test_clipped_point_is_evaluated_once(self, monkeypatch):
+        # at lambda1 = 1 the stationary point sqrt(1 - 1/lambda1) = 0 clips
+        # to k_lo, where F is the value already computed there
+        calls = []
+        f_of_k_exact = constants._f_of_k
+
+        def counted(*args):
+            calls.append(args)
+            return f_of_k_exact(*args)
+
+        d = dims(2, 2.0)
+        monkeypatch.setattr(constants, "_f_of_k", counted)
+        k_star, threshold = optimize_k(d, 1.0)
+        assert len(calls) == 1
+        k_lo = k_interval(d).k_lo
+        assert (k_star, threshold) == (k_lo, f_of_k(d, k_lo, 1.0))
+
     def test_degenerate_interval(self):
         k_star, _ = optimize_k(dims(2, 3.0), 1.0)
         assert k_star == pytest.approx(1.0, abs=1e-12)
