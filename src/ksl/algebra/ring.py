@@ -178,9 +178,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce_poly(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return _coerce_poly(other) + (-self)
-
     def scaled(self, c) -> "Poly":
         """self * c for an int or Fraction c, as the product with Poly.const(c)."""
         num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)

@@ -37,12 +37,14 @@ import numpy as np
 from . import __version__
 from .algebra import RadExpr, run_all
 # the algebra pillar's exact forms, the closed-form rows' second computation:
-# 2C, the k interval's ends, and the refined chain's objective (weight, rest)
-from .algebra.checks import _hi_end, _lo_end, _objective, _two_c
+# 2C, the slack ceiling, the k interval's ends, and the refined chain's
+# objective (weight, rest)
+from .algebra.checks import _eps_max, _hi_end, _lo_end, _objective, _two_c
 from .constants import (
     Dimensions,
     base_threshold,
     constants_report,
+    epsilon_max,
     f_of_k,
     k_interval,
     optimize_k,
@@ -123,7 +125,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             if not math.isfinite(step):
                 raise ValueError
             return tuple(lo + i * step for i in range(count))
-        parts = [p for p in s.split(",") if p.strip()]
+        # an empty entry is no value: float("") fails, so it is bad usage
+        parts = s.split(",")
         if not 1 <= len(parts) <= MAX_GRID_POINTS:
             raise ValueError
         return tuple(_finite_float(p) for p in parts)
@@ -275,7 +278,13 @@ def _gap(value: float, exact: float) -> float:
 
 
 def _constants_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
-    """c_s against C, and at n >= 2 the rigidity threshold against 1/(2C)."""
+    """c_s against C, and at n >= 2 the rigidity threshold against 1/(2C) and
+    the slack budget against the base chain's ceiling.
+
+    The ceiling is exactly 0 at the boundary exponent, where the float surd
+    keeps an ulp-sized remainder, so its gap is taken relative to its
+    rational part, which is positive on the whole domain.
+    """
     rep = constants_report(dims)
     raw, _ = riemannian_constants(dims)
     fields = {
@@ -290,6 +299,9 @@ def _constants_row(cfg: RunConfig, dims: Dimensions) -> tuple[dict, float]:
     if dims.n >= 2:
         fields["threshold"] = base_threshold(dims)
         gaps.append(_gap(fields["threshold"], 1.0 / two_c))
+        fields["epsilon_max"] = epsilon_max(dims)
+        base = _eps_max.base.evaluate({"n": Fraction(dims.n), "q": Fraction(dims.q)})
+        gaps.append(abs(fields["epsilon_max"] - _surd(_eps_max, dims)) / abs(float(base)))
     return fields, max(gaps)
 
 
@@ -533,7 +545,3 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -20,34 +20,22 @@ class SphereField:
     that projection's.
 
     The layout of the array is the grid's: the field reads its slots only
-    through grid members, so the basis test, the constant field and the mean
-    are `in_basis`, `constant_coeffs` and `coeffs_mean` there.
+    through grid members, so the constant field and the mean are
+    `constant_coeffs` and `coeffs_mean` there.
 
-    `from_coeffs` and `from_values` take caller arrays: they check the shape
-    (and, for coefficients, the grid's basis test) and keep no array of the
-    caller's, so a field never shares memory with its input;
-    `copy()` goes through `from_coeffs` too. Fields the library builds itself
-    (a random draw, `+ - *`, negation, `constant`, `box_op` and the solver's
-    results) call the constructor, which stores the array it is handed with
-    neither check nor copy. Each of those arrays is new, has the grid's
-    shape, and is zero outside the basis because its operands are.
+    `from_values` is the only entry for a caller's array: it checks the
+    shape, and the analysis it runs yields a new array, so a field never
+    shares memory with its input. Fields the library builds itself (a random
+    draw, `+` and scalar `*`, `constant`, `box_op` and the solver's results)
+    call the constructor, which stores the array it is handed with neither
+    check nor copy. Each of those arrays is new, has the grid's shape, and is
+    zero outside the basis because its operands are.
     """
 
     def __init__(self, grid: QuadratureGrid, coeffs: np.ndarray):
         self.grid = grid
         self.coeffs = coeffs
         self._values: np.ndarray | None = None
-
-    @classmethod
-    def from_coeffs(cls, grid: QuadratureGrid, coeffs: np.ndarray) -> "SphereField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != grid.coeff_shape():
-            raise DomainError(
-                f"coefficient array must have shape {grid.coeff_shape()}, got {coeffs.shape}"
-            )
-        if not grid.in_basis(coeffs):
-            raise DomainError("coefficient array is nonzero at m > l or in the sin part at m = 0")
-        return cls(grid, coeffs.copy())
 
     @classmethod
     def from_values(cls, grid: QuadratureGrid, values: np.ndarray) -> "SphereField":
@@ -81,10 +69,6 @@ class SphereField:
         self._check_same_grid(other)
         return SphereField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "SphereField") -> "SphereField":
-        self._check_same_grid(other)
-        return SphereField(self.grid, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar) -> "SphereField":
         scalar = float(scalar)
         # 0 * inf would set the slots outside the basis to NaN
@@ -94,17 +78,11 @@ class SphereField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SphereField":
-        return SphereField(self.grid, -self.coeffs)
-
     def mean(self) -> float:
         return self.grid.coeffs_mean(self.coeffs)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def copy(self) -> "SphereField":
-        return SphereField.from_coeffs(self.grid, self.coeffs)
 
 
 def coordinate_z(grid: QuadratureGrid) -> SphereField:

@@ -231,11 +231,6 @@ class QuadratureGrid:
         """sum over s, m of coeffs[s, l, m]^2, one entry per degree l."""
         return np.einsum("slm,slm->l", coeffs, coeffs)
 
-    def in_basis(self, coeffs: np.ndarray) -> bool:
-        """Whether every set slot holds a basis function: none at m > l,
-        none in the sin part at m = 0."""
-        return not (np.any(np.triu(coeffs, 1)) or np.any(coeffs[1, :, 0]))
-
     def constant_coeffs(self, value: float) -> np.ndarray:
         """Coefficients of the constant field `value`: value sqrt(4 pi) on Y_00."""
         coeffs = np.zeros(self.coeff_shape())
@@ -267,11 +262,9 @@ class QuadratureGrid:
         profiles = np.ascontiguousarray(coeffs.transpose(2, 0, 1)) @ sub.P
         return profiles.reshape(-1, sub.ntheta).T @ sub.to_grid
 
-    def synth_gradient(
-        self, coeffs: np.ndarray, sub: _SubGrid | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise (d/dtheta, (1/sin theta) d/dphi) of the synthesized field."""
-        sub = sub or self.base
+    def synth_gradient(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pointwise (d/dtheta, (1/sin theta) d/dphi) of the field on the base grid."""
+        sub = self.base
         n, nt = self.L + 1, sub.ntheta
         x = np.ascontiguousarray(coeffs.transpose(2, 0, 1))
         # d/dphi swaps the trig pair: cos-profile m*gs, sin-profile -m*gc

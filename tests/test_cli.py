@@ -122,6 +122,14 @@ class TestConstantsCommand:
         assert rep["payload"]["constants.status"] == "fail"
         assert rep["payload"]["constants.residual"] == pytest.approx(1e-6, rel=1e-6)
 
+    def test_row_catches_a_wrong_slack_budget(self, capsys, tmp_path, monkeypatch):
+        # epsilon_max is checked against the base chain's exact slack ceiling
+        eps = ksl.cli.epsilon_max
+        monkeypatch.setattr(ksl.cli, "epsilon_max", lambda d: eps(d) * (1 + 1e-6))
+        code, rep = run_json(["constants", "--n", "3", "--q-grid", "1.2,1.5,1.8"], capsys, tmp_path)
+        assert code == 1
+        assert [rep["payload"][f"constants.{i}.status"] for i in range(3)] == ["fail"] * 3
+
 
 class TestIntervalAndOptimize:
     def test_interval_csv_one_row_per_tuple(self, capsys, tmp_path):
@@ -217,7 +225,11 @@ CLOSED_FORM_PAYLOAD_SHA256 = {
     ),
     # the boundary exponent, where every radicand is exactly zero
     "constants --n 2 --q 3": (
-        "31f7a9b3eba1bea4e8d00a91575f5c5206ac969943e0e62deaf8d5ef7ab44f15"
+        "fd8555e267e7c57a09aacaaf713ca69b62fc17e78f92759bc9c7df6230e960d6"
+    ),
+    # up to the boundary exponent 2, where the slack ceiling is exactly 0
+    "constants --n 3 --q-grid 1.1:2:4": (
+        "d2bd0b74176ddf5de8bcbeeb1213eb62c23c26e703e11a1b8ebb174378e217b2"
     ),
 }
 
@@ -390,6 +402,21 @@ class TestExitCodes:
         code, _, err = run_capture([*argv, "--out", str(out)], capsys)
         assert code == 2
         assert "grid must be 'lo:hi:count'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1.2,,1.4", "1.2,"], ids=["inner", "trailing"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_grid_entry_is_exit_2_without_report(self, grid, source, capsys, tmp_path):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ["constants", "--q-grid", grid]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"q-grid = {grid}\n")
+            argv = ["constants", "--config", str(cfg)]
+        code, _, err = run_capture([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert "comma-separated finite values" in err
         assert not out.exists()
 
     def test_grid_at_ceiling_is_accepted(self):

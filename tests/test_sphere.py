@@ -175,8 +175,9 @@ def loop_synthesis(grid, coeffs, sub):
     return np.fft.irfft(Fm, n=sub.nphi, axis=1)
 
 
-def loop_synth_gradient(grid, coeffs, sub):
+def loop_synth_gradient(grid, coeffs):
     """Per-order reference for `QuadratureGrid.synth_gradient`, from `dplm`."""
+    sub = grid.base
     plm, dplm = legendre_tables(grid.L, sub.mu)
     Ft = np.zeros((sub.ntheta, sub.nphi // 2 + 1), dtype=complex)
     Fp = np.zeros_like(Ft)
@@ -207,10 +208,6 @@ class TestBatchedKernel:
         np.testing.assert_allclose(
             grid.synthesis(coeffs, sub), loop_synthesis(grid, coeffs, sub), rtol=0, atol=1e-13
         )
-        for got, want in zip(
-            grid.synth_gradient(coeffs, sub), loop_synth_gradient(grid, coeffs, sub)
-        ):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         values = np.random.default_rng(grid.L).standard_normal((sub.ntheta, sub.nphi))
         np.testing.assert_allclose(
             grid.analysis(values, sub), loop_analysis(grid, values, sub), rtol=0, atol=1e-13
@@ -225,11 +222,8 @@ class TestBatchedKernel:
         assert not (coeffs.flags.c_contiguous or coeffs.flags.f_contiguous)
         c_ordered = np.ascontiguousarray(coeffs)
         want = grid.synthesis(c_ordered, sub)
-        want_grad = grid.synth_gradient(c_ordered, sub)
         for layout in (np.asfortranarray(coeffs), coeffs):
             np.testing.assert_allclose(grid.synthesis(layout, sub), want, rtol=0, atol=1e-13)
-            for got, ref in zip(grid.synth_gradient(layout, sub), want_grad):
-                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
         # read-only with a zero stride, along theta and along phi
         for shape in ((1, sub.nphi), (sub.ntheta, 1)):
             values = np.broadcast_to(rng.standard_normal(shape), (sub.ntheta, sub.nphi))
@@ -240,6 +234,18 @@ class TestBatchedKernel:
                 rtol=0,
                 atol=1e-13,
             )
+
+    def test_gradient_matches_loop_in_any_layout(self, grid):
+        # the gradient is synthesized on the base grid only
+        coeffs = random_band_limited(grid, seed=grid.L).coeffs
+        for got, want in zip(grid.synth_gradient(coeffs), loop_synth_gradient(grid, coeffs)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        rng = np.random.default_rng(grid.L)
+        coeffs = grid.analysis(rng.standard_normal((grid.base.ntheta, grid.base.nphi)))
+        want = grid.synth_gradient(np.ascontiguousarray(coeffs))
+        for layout in (np.asfortranarray(coeffs), coeffs):
+            for got, ref in zip(grid.synth_gradient(layout), want):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("subgrid", ["base", "over"])
     def test_trig_table_discrete_orthogonality(self, grid, subgrid):
@@ -318,14 +324,10 @@ class TestGridInvariants:
             coeffs[s, l, m] = float(rng.integers(-9, 10))
             sums[l] += coeffs[s, l, m] ** 2
         assert grid.degree_square_sums(coeffs).tolist() == sums
-        assert grid.in_basis(coeffs)
         for slot in np.ndindex(*shape):
             if slot not in slots:
                 s, l, m = slot
                 assert m > l or (s == 1 and m == 0)
-                lone = np.zeros(shape)
-                lone[slot] = 1.0
-                assert not grid.in_basis(lone)
         const = grid.constant_coeffs(-0.7)
         for s, l, m in slots:
             assert const[s, l, m] == (-0.7 * math.sqrt(AREA) if l == 0 else 0.0)
@@ -430,7 +432,7 @@ class TestBoxOperator:
     def test_second_mode_eigenvalue_three(self, grid16):
         coeffs = np.zeros(grid16.coeff_shape())
         coeffs[0, 2, 1] = 1.0
-        f = SphereField.from_coeffs(grid16, coeffs)
+        f = SphereField(grid16, coeffs)
         defect = (box_op(f) + 3.0 * f).sup_norm()
         assert defect < 1e-12
 
@@ -522,7 +524,8 @@ class TestLambda1:
     def test_large_band_limit(self):
         assert abs(measure_lambda1(make_grid(64)) - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("L", [2, 3, 8, 16])
+    # 64 is the band limit CI's sphere-verify runs at
+    @pytest.mark.parametrize("L", [2, 3, 8, 16, 64])
     def test_every_block_spectrum_is_exact(self, L):
         # measure_lambda1 sees only the minimum, which comes from m = 1; the
         # whole spectrum of each block must be l(l+1)/2, l = max(m, 1)..L,
@@ -619,7 +622,7 @@ class TestPerturbation:
     def test_rejects_non_eigenfunction(self, grid16):
         coeffs = np.zeros(grid16.coeff_shape())
         coeffs[0, 2, 0] = 1.0
-        f = SphereField.from_coeffs(grid16, coeffs)
+        f = SphereField(grid16, coeffs)
         with pytest.raises(DomainError):
             perturbation_tcoeff(f, 2.0, 0.5)
 
@@ -686,13 +689,6 @@ class TestFieldBasics:
         # a constant's sup squared is its mean square; the input's sup is 3
         assert f.sup_norm() ** 2 == pytest.approx(avg_square(f), rel=1e-12)
 
-    @pytest.mark.parametrize("slot", [(0, 2, 5), (1, 3, 0)], ids=["m_above_l", "sin_m0"])
-    def test_from_coeffs_rejects_unused_slots(self, grid8, slot):
-        coeffs = np.zeros(grid8.coeff_shape())
-        coeffs[slot] = 1.0
-        with pytest.raises(DomainError, match="m > l"):
-            SphereField.from_coeffs(grid8, coeffs)
-
     @pytest.mark.parametrize("L", [16, 64])
     @pytest.mark.parametrize("lmax", [None, 8])
     def test_random_band_limited_matches_loop(self, L, lmax):
@@ -707,23 +703,15 @@ class TestFieldBasics:
 
     def test_arithmetic(self, grid8):
         z = coordinate_z(grid8)
-        g = 2.0 * z - z
+        g = 2.0 * z + (-1.0) * z
         assert np.max(np.abs(g.values - z.values)) < 1e-13
-
-    def test_from_coeffs_copies_its_input(self, grid8):
-        coeffs = loop_random_coeffs(grid8, 1)
-        f = SphereField.from_coeffs(grid8, coeffs)
-        assert not np.shares_memory(f.coeffs, coeffs)
 
     def test_results_share_no_memory_with_operands(self, grid8):
         f, g = random_band_limited(grid8, 1), random_band_limited(grid8, 2)
         results = {
-            "copy": f.copy(),
             "add": f + g,
-            "sub": f - g,
             "mul": f * 1.0,
             "rmul": 2.0 * f,
-            "neg": -f,
             "box_op": box_op(f),
         }
         for name, result in results.items():
