@@ -42,6 +42,7 @@ from .algebra import RadExpr, run_all
 from .algebra.checks import _eps_max, _hi_end, _lo_end, _objective, _two_c
 from .constants import (
     Dimensions,
+    _boundary_zero,
     base_threshold,
     constants_report,
     epsilon_max,
@@ -263,13 +264,11 @@ def _per_q(section: str, tol: float, row):
 def _surd(expr: RadExpr, dims: Dimensions) -> float:
     """base + coef*sqrt(rad) at (n, q), exact but for one float square root.
 
-    A float q at the boundary exponent may sit half an ulp above (n+1)/(n-1),
-    which Dimensions accepts; the exact radicand there is a tiny negative
-    number, snapped to 0.
+    A negative radicand at the boundary exponent is snapped to 0 by the
+    closed forms' own rule, `_boundary_zero`.
     """
     pt = {"n": Fraction(dims.n), "q": Fraction(dims.q)}
-    rad = expr.rad.evaluate(pt)
-    root = Fraction(math.sqrt(0 if rad < 0 and dims.boundary else rad))
+    root = Fraction(math.sqrt(_boundary_zero(dims, expr.rad.evaluate(pt))))
     return float(expr.base.evaluate(pt) + expr.coef.evaluate(pt) * root)
 
 
